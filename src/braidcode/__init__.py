@@ -47,11 +47,14 @@ from .braidnd import (
     project,
 )
 from .codec import (
+    AmbiguousDecode,
     DecodeResult,
     ErasureResult,
     NotACodeword,
     associated_matrix,
     b_matrix,
+    compile_decoder,
+    decode,
     decode_1d,
     decode_1d_general,
     decode_nd,

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
 from .generators import (
     GeneratorCode,
-    MinColors,
     find_generator,
     min_colors,
     repetitive_extend,

@@ -120,11 +120,6 @@ def _palette_offsets(params: UnitaryBraidParamsND) -> dict[tuple[int, ...], int]
     return offsets
 
 
-def base_color_id(params: UnitaryBraidParamsND, J: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    """Dense id of the base product color (row-major within sub-grid J)."""
-    return _palette_offsets(params)[J] + GridSpec(params.ells(J)).index(factors)
-
-
 def base_factors_at(params: UnitaryBraidParamsND, x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(J, factor tuple) of the standard map at point x."""
     dec = UnitaryDecompositionND(params.dims, params.m)

@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 invalid parameters, 3 infeasible request,
-4 verification failure, 5 not a codeword, 6 counterexample found.
+4 verification failure (also a decode whose codeword more than one tag
+carries), 5 not a codeword, 6 counterexample found.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -106,7 +108,7 @@ def cmd_encode(args) -> int:
     cmap = _load_map(args.map)
     point = _ints(args.point)
     try:
-        w = core.encode(cmap, point if cmap.grid.n > 1 else point)
+        w = core.encode(cmap, point)
     except (core.OutOfCodingAreaError, ValueError) as e:
         raise CliError(EXIT_INVALID, str(e))
     _emit(args, {"codeword": list(w)}, codec.format_codeword(w))
@@ -115,45 +117,35 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     cmap = _load_map(args.map)
-    w = codec.parse_codeword(args.codeword)
-    kind = (cmap.params or {}).get("kind")
     try:
-        if kind in ("unitary-braid-nd", "extended-nd"):
-            res = codec.decode_nd(cmap, w)
-            tag = res.tag
-            payload = {"tag": list(tag)}
-            plain = ",".join(map(str, tag))
-        else:
-            res = codec.decode_1d_general(cmap, w)
-            tag = res.tag
-            payload = {
-                "tag": tag,
-                "j_star": res.j_star,
-                "i_star": res.i_star,
-                "r_star": res.r_star,
-                "a_star": res.a_star,
-                "b_star": res.b_star,
-                "a_vec": list(res.a_vec),
-            }
-            plain = str(tag)
+        res = codec.decode(cmap, codec.parse_codeword(args.codeword))
     except codec.NotACodeword as e:
         raise CliError(EXIT_NOT_A_CODEWORD, str(e))
+    except codec.AmbiguousDecode as e:
+        raise CliError(EXIT_VERIFY_FAILED, str(e))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     if args.dump_matrices:
         try:
-            base = cmap if kind == "braid1d" else codec._base_map(cmap)
-            print(codec.dump_matrices(base))
+            print(codec.dump_matrices(cmap))
         except ValueError as e:
             raise CliError(EXIT_INVALID, str(e))
-    _emit(args, payload, plain)
+    tag = res.tag
+    plain = ",".join(map(str, tag)) if isinstance(tag, tuple) else str(tag)
+    _emit(args, dataclasses.asdict(res), plain)
     return EXIT_OK
 
 
 def cmd_erasure_decode(args) -> int:
     cmap = _load_map(args.map)
-    partial = codec.parse_codeword(args.codeword)
     try:
+        partial = codec.parse_codeword(args.codeword)
+        if args.erasures is not None and args.erasures != cmap.block.volume - len(partial):
+            raise CliError(
+                EXIT_INVALID,
+                f"--erasures {args.erasures} does not match {len(partial)} surviving colors "
+                f"of a block of {cmap.block.volume}",
+            )
         res = codec.erasure_decode(cmap, partial)
     except codec.NotACodeword as e:
         raise CliError(EXIT_NOT_A_CODEWORD, str(e))
@@ -212,7 +204,10 @@ def cmd_bench(args) -> int:
         rows = oracle.order_bench(args.m, args.n, _ints(args.s))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
-    print(oracle.bench_tsv(rows))
+    if args.json:
+        print(json.dumps([dataclasses.asdict(row) for row in rows]))
+    else:
+        print(oracle.bench_tsv(rows))
     return EXIT_OK
 
 

@@ -6,18 +6,23 @@ and the resulting sub-grid positions are routed through a generalized
 Chinese-remainder step to the unique block tag.  Non-standard sizes
 (restrictions, modifications, extensions) add a bounded candidate scan
 near the boundary.
+
+Everything a decode needs that depends only on the map (palette split,
+generator tables, routing constants) is compiled once per map by
+``compile_decoder`` and kept on the map, so a decode costs O(ell), not
+O(M).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
-from .core import ColorMap, Codeword, canonical, encode
-from .braid1d import BraidParams1D, params_of
-from .braidnd import params_of_nd, project
+from .core import ColorMap, Codeword, GridSpec, canonical, encode
+from .braid1d import BraidParams1D
+from .braidnd import UnitaryBraidParamsND, params_of_nd
 
 
 class NotACodeword(ValueError):
@@ -26,6 +31,15 @@ class NotACodeword(ValueError):
     def __init__(self, step: str, detail: str = ""):
         self.step = step
         super().__init__(f"not a codeword ({step}){': ' + detail if detail else ''}")
+
+
+class AmbiguousDecode(ValueError):
+    """More than one tag carries the codeword: the map is not
+    distinguishable there.  ``tags`` lists the clashing tags."""
+
+    def __init__(self, tags):
+        self.tags = tuple(tags)
+        super().__init__(f"ambiguous decode: tags {list(self.tags)}")
 
 
 @dataclass(frozen=True)
@@ -114,25 +128,38 @@ class BMatrix:
     q: tuple[int, ...]
 
 
-def _gen_tables(cmap: ColorMap):
-    """Per-sub-grid generator data from stored params: (ell, m, colors)."""
-    p = cmap.params
-    if p is None or "gens" not in p:
+def _braid_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
+    """Standard braid parameters and generators a 1D map decodes on.
+
+    A restricted or modified map decodes on the map it was cut from, with
+    M = m * g * lcm(q); only its stored params are read, the map itself
+    is not rebuilt.
+    """
+    p = cmap.params or {}
+    if p.get("kind") in ("restricted", "modified"):
+        p = p.get("base") or {}
+    if p.get("kind") != "braid1d":
+        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
+    if "gens" not in p:
         raise ValueError("map carries no generator data")
-    return p["gens"]
+    parts, q = tuple(p["parts"]), tuple(p["q"])
+    params = BraidParams1D(
+        M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
+    )
+    return params, p["gens"]
 
 
 def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     """A[i][j] = label of the j-th aligned sub-block codeword of sub-grid i.
 
     Labels number distinct sub-grid codewords in order of first
-    appearance along j.  Derived from generator params only.
+    appearance along j.  Derived from generator params only; restricted
+    and modified maps give the matrix of the map they were cut from.
     """
-    params = params_of(cmap)
-    gens = _gen_tables(cmap)
+    params, gens = _braid_of(cmap)
     cols = params.M // params.m
     rows = []
-    for i, gen in enumerate(gens):
+    for gen in gens:
         ell, m_i, colors = gen["ell"], gen["m"], gen["colors"]
         labels: dict[tuple, int] = {}
         row = []
@@ -187,361 +214,340 @@ def parse_codeword(text: str) -> Codeword:
 
 
 # ---------------------------------------------------------------------------
-# Core 1D decode
+# Routing and standard 1D decode
 
 
-def _decoder_table(gen: dict) -> dict[Codeword, int]:
+class _Router:
+    """Routing constants of one braid parameter set, and the routing step."""
+
+    def __init__(self, g: int, parts, c, q):
+        self.g, self.parts, self.c, self.q = g, tuple(parts), tuple(c), tuple(q)
+        self.m = sum(self.parts)
+        self.offsets = tuple(itertools.accumulate(self.parts, initial=0))[:-1]
+        self.ells = tuple(g * c_i * q_i for c_i, q_i in zip(self.c, self.q))
+        self.gq = tuple(g * q_i for q_i in self.q)
+        # u_i * (m_i / c_i) = 1 (mod g*q_i), i.e. u_i * m_i = c_i (mod ell_i)
+        self.inv = tuple(
+            pow(m_i // c_i, -1, gq_i) for m_i, c_i, gq_i in zip(self.parts, self.c, self.gq)
+        )
+
+    def route(self, alphas) -> list[DecodeResult]:
+        """All tags consistent with per-sub-grid generator positions ``alphas``.
+
+        Implements the routing argument: represent each alpha as
+        (j_i, r_i) with alpha = j_i*m_i + r_i mod ell_i and r_i < c_i, pick
+        the split sub-grid i* and offset x_r, align the j_i residues, split
+        j = a*g + b, CRT the a-residues, and verify arithmetically.  A valid
+        braid code yields at most one tag.
+        """
+        g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
+        I = len(parts)
+        js, rs = [], []
+        for alpha, c_i, u_i, gq_i in zip(alphas, c, self.inv, gq):
+            r_i = alpha % c_i
+            js.append(((alpha - r_i) // c_i * u_i) % gq_i)
+            rs.append(r_i)
+
+        nonzero = [i for i, r in enumerate(rs) if r != 0]
+        if len(nonzero) > 1:
+            raise NotACodeword("split-offset", "more than one non-aligned sub-block")
+        if nonzero:
+            i = nonzero[0]
+            candidates = [(i, x_r) for x_r in range(rs[i], parts[i], c[i]) if x_r > 0]
+        else:
+            candidates = [(i, 0) for i in range(I)]
+            for i in range(I):
+                candidates += [(i, x_r) for x_r in range(c[i], parts[i], c[i])]
+
+        results = []
+        for i_star, x_r in candidates:
+            res = []
+            for i in range(I):
+                if i == i_star:
+                    res.append((js[i] - x_r // c[i] * self.inv[i]) % gq[i])
+                elif i < i_star:
+                    res.append((js[i] - 1) % gq[i])
+                else:
+                    res.append(js[i])
+            b_star = res[-1] % g
+            if any(r % g != b_star for r in res):
+                continue
+            a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
+            a_star = generalized_crt(a_vec, q)
+            if a_star is None:
+                continue
+            j_star = a_star * g + b_star
+            # verify: recompute every sub-grid position from the tag
+            ok = True
+            for i in range(I):
+                if i == i_star:
+                    pos = j_star * parts[i] + x_r
+                elif i < i_star:
+                    pos = (j_star + 1) * parts[i]
+                else:
+                    pos = j_star * parts[i]
+                if pos % self.ells[i] != alphas[i]:
+                    ok = False
+                    break
+            if ok:
+                tag = j_star * self.m + self.offsets[i_star] + x_r
+                results.append(DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec))
+        return results
+
+
+def _window_table(gen: dict) -> dict[Codeword, int]:
+    """Sub-codeword -> start position, over one generator period."""
     ell, m_i, colors = gen["ell"], gen["m"], gen["colors"]
-    table = {}
-    for x in range(ell):
-        table[canonical(colors[(x + t) % ell] for t in range(m_i))] = x
-    return table
+    return {canonical(colors[(x + t) % ell] for t in range(m_i)): x for x in range(ell)}
 
 
-def _split_by_subgrid(cmap: ColorMap, w) -> dict[int, list[int]]:
-    sub_of = {}
-    for e in cmap.palette:
-        if e.subgrid is None:
-            continue
-        sub_of[e.id] = e.subgrid[0]
-    groups: dict[int, list[int]] = defaultdict(list)
-    for cid in w:
-        if cid not in sub_of:
-            raise NotACodeword("palette-split", f"unknown color id {cid}")
-        groups[sub_of[cid]].append(cid)
-    return groups
+class _Braid:
+    """Compiled standard 1D braid code: palette split, generator tables, router.
 
-
-def _decode_core(g: int, parts, c, q, alphas) -> list[DecodeResult]:
-    """All tags consistent with per-sub-grid generator positions ``alphas``.
-
-    Implements the routing argument: represent each alpha as
-    (j_i, r_i) with alpha = j_i*m_i + r_i mod ell_i and r_i < c_i, pick
-    the split sub-grid i* and offset x_r, align the j_i residues, split
-    j = a*g + b, CRT the a-residues, and verify arithmetically.  A valid
-    braid code yields at most one tag.
+    The decoder of a standard map; restricted and modified maps route
+    their regular codewords through the one of the map they were cut from.
     """
-    I = len(parts)
-    m = sum(parts)
-    Q = math.lcm(*q)
-    offsets = []
-    acc = 0
-    for p in parts:
-        offsets.append(acc)
-        acc += p
-    ells = [g * c_i * q_i for c_i, q_i in zip(c, q)]
-    gq = [g * q_i for q_i in q]
 
-    js, rs = [], []
-    for alpha, m_i, c_i, ell_i, gq_i in zip(alphas, parts, c, ells, gq):
-        r_i = alpha % c_i
-        j_i = ((alpha - r_i) // c_i * pow(m_i // c_i, -1, gq_i)) % gq_i
-        js.append(j_i)
-        rs.append(r_i)
+    def __init__(self, cmap: ColorMap):
+        params, gens = _braid_of(cmap)
+        self.M, self.parts, self.gens = params.M, params.parts, gens
+        self.sub_of = {
+            e.id: e.subgrid[0]
+            for e in cmap.palette
+            if e.subgrid is not None and 0 <= e.subgrid[0] < params.I
+        }
+        self.tables = tuple(_window_table(gen) for gen in gens)
+        self.router = _Router(params.g, params.parts, params.c, params.q)
 
-    nonzero = [i for i, r in enumerate(rs) if r != 0]
-    if len(nonzero) > 1:
-        raise NotACodeword("split-offset", "more than one non-aligned sub-block")
-    candidates: list[tuple[int, int]] = []  # (i_star, x_r)
-    if nonzero:
-        i = nonzero[0]
-        candidates = [(i, x_r) for x_r in range(rs[i], parts[i], c[i]) if x_r > 0]
-    else:
-        candidates = [(i, 0) for i in range(I)]
-        for i in range(I):
-            candidates += [(i, x_r) for x_r in range(c[i], parts[i], c[i])]
-
-    results = []
-    for i_star, x_r in candidates:
-        res = []
-        ok = True
-        for i in range(I):
-            if i == i_star:
-                k = x_r // c[i]
-                u = pow(parts[i] // c[i], -1, gq[i])  # u*m_i = c_i (mod ell_i)
-                res.append((js[i] - k * u) % gq[i])
-            elif i < i_star:
-                res.append((js[i] - 1) % gq[i])
-            else:
-                res.append(js[i])
-        b_star = res[-1] % g
-        if any(r % g != b_star for r in res):
-            continue
-        a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
-        a_star = generalized_crt(a_vec, q)
-        if a_star is None:
-            continue
-        j_star = a_star * g + b_star
-        tag = j_star * m + offsets[i_star] + x_r
-        # verify: recompute every sub-grid position from the tag
-        for i in range(I):
-            if i == i_star:
-                pos = j_star * parts[i] + x_r
-            elif i < i_star:
-                pos = (j_star + 1) * parts[i]
-            else:
-                pos = j_star * parts[i]
-            if pos % ells[i] != alphas[i]:
-                ok = False
-                break
-        if ok:
-            results.append(
-                DecodeResult(
-                    tag=tag,
-                    j_star=j_star,
-                    i_star=i_star,
-                    r_star=x_r,
-                    a_star=a_star,
-                    b_star=b_star,
-                    a_vec=a_vec,
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+        """Decode a canonical codeword of the standard map."""
+        groups = [[] for _ in self.parts]
+        for cid in w:
+            i = self.sub_of.get(cid)
+            if i is None:
+                raise NotACodeword("palette-split", f"unknown color id {cid}")
+            groups[i].append(cid)
+        for i, (group, m_i) in enumerate(zip(groups, self.parts)):
+            if len(group) != m_i:
+                raise NotACodeword(
+                    "palette-split", f"sub-grid {i} contributed {len(group)} colors, expected {m_i}"
                 )
-            )
-    return results
+        alphas = []
+        for i, (group, table) in enumerate(zip(groups, self.tables)):
+            pos = table.get(tuple(group))  # w is sorted, so each group is canonical
+            if pos is None:
+                raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
+            alphas.append(pos)
+        results = self.router.route(alphas)
+        if not results:
+            raise NotACodeword("crt", "no consistent routing")
+        if len(results) > 1:
+            raise AmbiguousDecode(r.tag for r in results)
+        return results[0]
 
 
-def decode_1d(cmap: ColorMap, w) -> DecodeResult:
-    """Decode a codeword of a standard 1D braid map back to its tag."""
-    params = params_of(cmap)
-    gens = _gen_tables(cmap)
-    w = canonical(w)
-    groups = _split_by_subgrid(cmap, w)
-    for i, m_i in enumerate(params.parts):
-        if len(groups.get(i, [])) != m_i:
-            raise NotACodeword(
-                "palette-split",
-                f"sub-grid {i} contributed {len(groups.get(i, []))} colors, expected {m_i}",
-            )
-    alphas = []
-    for i in range(params.I):
-        table = _decoder_table(gens[i])
-        pos = table.get(canonical(groups[i]))
-        if pos is None:
-            raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
-        alphas.append(pos)
-    results = _decode_core(params.g, params.parts, params.c, params.q, alphas)
-    if not results:
-        raise NotACodeword("crt", "no consistent routing")
-    if len(results) > 1:
-        raise AssertionError(f"ambiguous decode: tags {[r.tag for r in results]}")
-    return results[0]
+def _wrap_scan(cmap: ColorMap, w: Codeword, lo: int) -> DecodeResult | None:
+    """First tag in [lo, M_r) of a 1D map whose codeword is ``w``."""
+    (M_r,) = cmap.grid.dims
+    m = cmap.block.dims[0]
+    for t in range(max(0, lo), M_r):
+        if encode(cmap, (t,)) == w:
+            return DecodeResult(t, t // m, 0, t % m, 0, 0, ())
+    return None
 
 
 # ---------------------------------------------------------------------------
-# Non-standard 1D sizes
+# Compiled decoders, one class per decodable map kind
 
 
-def _base_map(cmap: ColorMap) -> ColorMap:
-    """Reconstruct the standard braid map a restricted/modified map came from."""
-    from .braid1d import construct  # deferred: avoids import cycle at module load
-    from .generators import GeneratorCode
+class _Restricted:
+    """Regular codewords route through the base code; the m-1 wrapping
+    tags are resolved by a bounded scan."""
 
-    base = cmap.params["base"]
-    parts = tuple(base["parts"])
-    q = tuple(base["q"])
-    params = BraidParams1D(
-        M=sum(parts) * base["g"] * math.lcm(*q),
-        parts=parts,
-        g=base["g"],
-        c=tuple(base["c"]),
-        q=q,
-    )
-    gens = []
-    for gp in base["gens"]:
-        colors = gp["colors"]
-        lo = min(colors)
-        gens.append(
-            GeneratorCode(
-                gp["ell"],
-                gp["m"],
-                tuple(c - lo for c in colors),
-                tuple(f"c_{i}" for i in range(max(colors) - lo + 1)),
-            )
-        )
-    built = construct(params, gens)
-    return built
+    def __init__(self, cmap: ColorMap):
+        self.braid = _Braid(cmap)
 
-
-def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
-    """Decode on restricted or modified 1D braid maps.
-
-    Regular codewords are routed through the standard decoder of the
-    underlying braid map; boundary codewords are screened by their
-    repeated-color signature (modification) or resolved by a bounded
-    scan of the m-1 wrapping tags (restriction).
-    """
-    kind = (cmap.params or {}).get("kind")
-    if kind == "braid1d":
-        return decode_1d(cmap, w)
-    if kind not in ("restricted", "modified"):
-        raise ValueError(f"unsupported map kind {kind!r}")
-    w = canonical(w)
-    (M_r,) = cmap.grid.dims
-    m = cmap.block.dims[0]
-    base_map = _base_map(cmap)
-    M = base_map.grid.dims[0]
-
-    def wrap_scan(lo: int) -> DecodeResult | None:
-        for t in range(max(0, lo), M_r):
-            if encode(cmap, (t,)) == w:
-                return DecodeResult(t, t // m, 0, t % m, 0, 0, ())
-        return None
-
-    if kind == "restricted":
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+        (M_r,) = cmap.grid.dims
+        m = cmap.block.dims[0]
         try:
-            res = decode_1d(base_map, w)
+            res = self.braid.decode(cmap, w)
             if res.tag <= M_r - m and encode(cmap, (res.tag,)) == w:
                 return res
         except NotACodeword:
             pass
-        got = wrap_scan(M_r - m + 1)
+        got = _wrap_scan(cmap, w, M_r - m + 1)
         if got is None:
             raise NotACodeword("restricted", "no boundary tag matches")
         return got
 
-    # modified map
-    J = M_r // m
-    cstar = cmap.params["cstar"]
-    fresh = cmap.params.get("fresh")
-    shift = cmap.params["shift"]
-    sub0 = {e.id for e in cmap.palette if e.subgrid == (0,)}
-    counts = Counter(w)
-    if fresh is not None and counts[fresh] > 0:
-        got = wrap_scan((J - 2) * m + 1)
-        if got is None:
-            raise NotACodeword("modified", "fresh-color signature matches no boundary tag")
-        return got
-    if fresh is None:
-        s = sum(n for cid, n in counts.items() if cid in sub0)
-        t = counts[cstar]
-        if s >= 2:
-            tag = (J - 2) * m + t if t == s else (J - 1) * m + (m - t)
-            if 0 <= tag < M_r and encode(cmap, (tag,)) == w:
-                return DecodeResult(tag, tag // m, 0, tag % m, 0, 0, ())
-            raise NotACodeword("modified", "repeated-color signature matches no tag")
-    res = decode_1d(base_map, w)
-    tag = (res.tag - shift) % M
-    if tag < M_r and encode(cmap, (tag,)) == w:
-        return DecodeResult(tag, res.j_star, res.i_star, res.r_star, res.a_star, res.b_star, res.a_vec)
-    raise NotACodeword("modified", "regular routing left the restricted grid")
+
+class _Modified:
+    """Boundary codewords are screened by their repeated-color (or fresh
+    color) signature; regular ones route through the base code, shifted."""
+
+    def __init__(self, cmap: ColorMap):
+        self.braid = _Braid(cmap)
+        p = cmap.params
+        self.cstar, self.fresh, self.shift = p["cstar"], p.get("fresh"), p["shift"]
+        self.sub0 = frozenset(cid for cid, i in self.braid.sub_of.items() if i == 0)
+
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+        (M_r,) = cmap.grid.dims
+        m = cmap.block.dims[0]
+        J = M_r // m
+        counts = Counter(w)
+        if self.fresh is not None and counts[self.fresh] > 0:
+            got = _wrap_scan(cmap, w, (J - 2) * m + 1)
+            if got is None:
+                raise NotACodeword("modified", "fresh-color signature matches no boundary tag")
+            return got
+        if self.fresh is None:
+            s = sum(n for cid, n in counts.items() if cid in self.sub0)
+            t = counts[self.cstar]
+            if s >= 2:
+                tag = (J - 2) * m + t if t == s else (J - 1) * m + (m - t)
+                if 0 <= tag < M_r and encode(cmap, (tag,)) == w:
+                    return DecodeResult(tag, tag // m, 0, tag % m, 0, 0, ())
+                raise NotACodeword("modified", "repeated-color signature matches no tag")
+        res = self.braid.decode(cmap, w)
+        tag = (res.tag - self.shift) % self.braid.M
+        if tag < M_r and encode(cmap, (tag,)) == w:
+            return DecodeResult(tag, res.j_star, res.i_star, res.r_star, res.a_star, res.b_star,
+                                res.a_vec)
+        raise NotACodeword("modified", "regular routing left the restricted grid")
 
 
-# ---------------------------------------------------------------------------
-# n-dimensional decode
+class _Axis:
+    """Routing data of one axis of a unitary n-D braid code.
 
-
-def _axis_decode(params_nd, proj, axis: int) -> DecodeResult:
-    """Decode one axis of a standard unitary nD braid code.
-
-    ``proj`` is the axis projection: (J, factor index) pairs.  The band
-    matrix of the axis is the associated matrix of a 1D unitary braid
-    code with block nu(m); we label its rows (r; J^-) with band r = J_axis
-    outermost and the remaining components row-major, and reuse the 1D
-    routing core.
+    The band matrix of the axis is the associated matrix of a 1D unitary
+    braid code with block nu(m); its rows (r; J^-) are labelled with band
+    r = J_axis outermost and the remaining components row-major, and the
+    1D router is reused on them.
     """
-    from .core import GridSpec
 
-    m = params_nd.m
-    n = params_nd.n
-    nu = math.prod(m)
-    w_band = nu // m[axis]
-    other_axes = [k for k in range(n) if k != axis]
-    other_shape = GridSpec(tuple(m[k] for k in other_axes)) if other_axes else None
+    def __init__(self, params: UnitaryBraidParamsND, axis: int):
+        m = params.m
+        self.axis = axis
+        self.m_axis = m[axis]
+        self.nu = math.prod(m)
+        self.w_band = self.nu // m[axis]
+        others = [k for k in range(params.n) if k != axis]
+        other_shape = GridSpec(tuple(m[k] for k in others)) if others else None
+        self.row: dict[tuple[int, ...], int] = {}
+        self.period: dict[tuple[int, ...], int] = {}  # factor period g*q; == it marks fresh
+        qlist = [0] * self.nu
+        for J, qs in params.qtable.items():
+            r = J[axis]
+            if other_shape is not None:
+                r = r * self.w_band + other_shape.index(tuple(J[k] for k in others))
+            self.row[J] = r
+            self.period[J] = params.g * qs[axis]
+            qlist[r] = qs[axis]
+        self.router = _Router(params.g, (1,) * self.nu, (1,) * self.nu, qlist)
 
-    def row_of(J) -> int:
-        r = J[axis]
-        if other_shape is None:
-            return r
-        rank = other_shape.index(tuple(J[k] for k in other_axes))
-        return r * w_band + rank
-
-    qlist = [0] * nu
-    for J, qs in params_nd.qtable.items():
-        qlist[row_of(J)] = qs[axis]
-    alphas = [None] * nu
-    for J, f in proj:
-        s = row_of(J)
-        if alphas[s] is not None:
-            raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
-        if not 0 <= f < params_nd.g * params_nd.qtable[J][axis]:
-            raise NotACodeword("projection", f"axis {axis}: factor {f} out of range for {J}")
-        alphas[s] = f
-    if any(a is None for a in alphas):
-        raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-
-    results = _decode_core(params_nd.g, (1,) * nu, (1,) * nu, tuple(qlist), alphas)
-    for res in results:
-        j, off = divmod(res.tag, nu)
-        r, rem = divmod(off, w_band)
-        if rem == 0:
-            return DecodeResult(j * m[axis] + r, res.j_star, res.i_star, res.r_star,
-                                res.a_star, res.b_star, res.a_vec)
-    raise NotACodeword("crt", f"axis {axis}: no consistent routing")
+    def decode(self, proj) -> DecodeResult:
+        """Decode the axis from its projection: (J, factor index) pairs."""
+        axis = self.axis
+        alphas = [None] * self.nu
+        for J, f in proj:
+            s = self.row[J]
+            if alphas[s] is not None:
+                raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
+            if not 0 <= f < self.period[J]:
+                raise NotACodeword("projection", f"axis {axis}: factor {f} out of range for {J}")
+            alphas[s] = f
+        if any(a is None for a in alphas):
+            raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
+        for res in self.router.route(alphas):
+            j, off = divmod(res.tag, self.nu)
+            r, rem = divmod(off, self.w_band)
+            if rem == 0:
+                return DecodeResult(j * self.m_axis + r, res.j_star, res.i_star, res.r_star,
+                                    res.a_star, res.b_star, res.a_vec)
+        raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 
-def decode_nd(cmap: ColorMap, w) -> DecodeResultND:
-    """Decode a codeword of an n-dim unitary braid map (or its extension).
+class _UnitaryND:
+    """Each axis decodes independently from the codeword's projection.
 
-    Each axis is decoded independently from the codeword's projection.
     On extended maps, axes whose projection shows fresh factors are
     placed by the fresh-band pattern, and wrapped boundary tags are
     resolved by a bounded candidate scan.
     """
-    params = params_of_nd(cmap)
-    kind = cmap.params.get("kind")
-    w = canonical(w)
-    if len(w) != math.prod(params.m):
-        raise NotACodeword("palette-split", f"codeword size {len(w)} != block volume")
-    L = cmap.grid.dims
-    diags: list[DecodeResult | None] = []
-    axis_cands: list[list[int]] = []
-    for axis in range(params.n):
-        cands: list[int] = []
-        diag = None
-        try:
-            proj = project(cmap, w, axis)
-        except ValueError as e:
-            raise NotACodeword("projection", str(e)) from None
-        fresh_Js = [J for J, f in proj if f == params.ells(J)[axis]]
-        if fresh_Js:
-            x_i = _fresh_axis_position(params, L, axis, fresh_Js)
-            if x_i is not None:
-                cands.append(x_i)
-        else:
-            try:
-                diag = _axis_decode(params, proj, axis)
-                if L[axis] == params.dims[axis] or diag.tag <= L[axis] - params.m[axis]:
-                    cands.append(diag.tag)
-            except NotACodeword:
-                diag = None
-        if kind == "extended-nd" and L[axis] < params.dims[axis]:
-            cands += [t for t in range(L[axis] - params.m[axis] + 1, L[axis]) if t not in cands]
-        if not cands:
-            raise NotACodeword("projection", f"axis {axis}: no position candidates")
-        axis_cands.append(cands)
-        diags.append(diag)
 
-    matches = [x for x in itertools.product(*axis_cands) if encode(cmap, x) == w]
-    if not matches and kind == "extended-nd":
-        # A block that wraps around an axis whose length is not a multiple
-        # of the block size scrambles the sub-grid membership seen by every
-        # other axis, so the per-axis routing above can miss it.  Scan the
-        # thin wrap slabs of such axes directly (at most (m_i - 1) * area /
-        # L_i encodes per axis).
-        seen = set(itertools.product(*axis_cands))
-        for axis in range(params.n):
-            if L[axis] % params.m[axis] == 0:
-                continue
-            ranges = [range(L[k]) for k in range(params.n)]
-            ranges[axis] = range(L[axis] - params.m[axis] + 1, L[axis])
-            for x in itertools.product(*ranges):
-                if x not in seen and encode(cmap, x) == w:
-                    matches.append(x)
-                    seen.add(x)
-    if not matches:
-        raise NotACodeword("verify", "no candidate tag reproduces the codeword")
-    if len(matches) > 1:
-        raise AssertionError(f"ambiguous decode: {matches}")
-    return DecodeResultND(tag=matches[0], per_axis=tuple(diags))
+    def __init__(self, cmap: ColorMap):
+        self.params = params_of_nd(cmap)
+        self.dims = self.params.dims  # of the standard map; the grid may be cut shorter
+        self.extended = cmap.params["kind"] == "extended-nd"
+        self.volume = math.prod(self.params.m)
+        self.factors_of = {
+            e.id: (e.subgrid, e.factors)
+            for e in cmap.palette
+            if e.factors is not None and e.subgrid in self.params.qtable
+        }
+        self.axes = tuple(_Axis(self.params, axis) for axis in range(self.params.n))
+
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResultND:
+        params, dims, m = self.params, self.dims, self.params.m
+        if len(w) != self.volume:
+            raise NotACodeword("palette-split", f"codeword size {len(w)} != block volume")
+        facts = []
+        for cid in w:
+            jf = self.factors_of.get(cid)
+            if jf is None:
+                raise NotACodeword("projection", f"color {cid} has no factor structure")
+            facts.append(jf)
+        L = cmap.grid.dims
+        diags: list[DecodeResult | None] = []
+        axis_cands: list[list[int]] = []
+        for ax in self.axes:
+            axis = ax.axis
+            proj = [(J, f[axis]) for J, f in facts]
+            cands: list[int] = []
+            diag = None
+            fresh_Js = [J for J, f in proj if f == ax.period[J]]
+            if fresh_Js:
+                x_i = _fresh_axis_position(params, L, axis, fresh_Js)
+                if x_i is not None:
+                    cands.append(x_i)
+            else:
+                try:
+                    diag = ax.decode(proj)
+                    if L[axis] == dims[axis] or diag.tag <= L[axis] - m[axis]:
+                        cands.append(diag.tag)
+                except NotACodeword:
+                    diag = None
+            if self.extended and L[axis] < dims[axis]:
+                cands += [t for t in range(L[axis] - m[axis] + 1, L[axis]) if t not in cands]
+            if not cands:
+                raise NotACodeword("projection", f"axis {axis}: no position candidates")
+            axis_cands.append(cands)
+            diags.append(diag)
+
+        matches = [x for x in itertools.product(*axis_cands) if encode(cmap, x) == w]
+        if not matches and self.extended:
+            # A block that wraps around an axis whose length is not a multiple
+            # of the block size scrambles the sub-grid membership seen by every
+            # other axis, so the per-axis routing above can miss it.  Scan the
+            # thin wrap slabs of such axes directly (at most (m_i - 1) * area /
+            # L_i encodes per axis).
+            seen = set(itertools.product(*axis_cands))
+            for axis in range(params.n):
+                if L[axis] % m[axis] == 0:
+                    continue
+                ranges = [range(L[k]) for k in range(params.n)]
+                ranges[axis] = range(L[axis] - m[axis] + 1, L[axis])
+                for x in itertools.product(*ranges):
+                    if x not in seen and encode(cmap, x) == w:
+                        matches.append(x)
+                        seen.add(x)
+        if not matches:
+            raise NotACodeword("verify", "no candidate tag reproduces the codeword")
+        if len(matches) > 1:
+            raise AmbiguousDecode(matches)
+        return DecodeResultND(tag=matches[0], per_axis=tuple(diags))
 
 
 def _fresh_axis_position(params, L, axis: int, fresh_Js) -> int | None:
@@ -564,6 +570,65 @@ def _fresh_axis_position(params, L, axis: int, fresh_Js) -> int | None:
     return None
 
 
+_DECODERS = {
+    "braid1d": _Braid,
+    "restricted": _Restricted,
+    "modified": _Modified,
+    "unitary-braid-nd": _UnitaryND,
+    "extended-nd": _UnitaryND,
+}
+
+
+def compile_decoder(cmap: ColorMap):
+    """The map's compiled decoder: built on first use, then kept on the map.
+
+    Maps are immutable, so the decoder stays valid; it is not a dataclass
+    field, so it does not take part in ``==`` or in JSON.
+    """
+    dec = getattr(cmap, "_decoder", None)
+    if dec is None:
+        kind = (cmap.params or {}).get("kind")
+        build = _DECODERS.get(kind)
+        if build is None:
+            raise ValueError(f"unsupported map kind {kind!r}")
+        dec = build(cmap)
+        object.__setattr__(cmap, "_decoder", dec)
+    return dec
+
+
+def _decoder(cmap: ColorMap, kinds: tuple[type, ...], message: str):
+    dec = compile_decoder(cmap)
+    if not isinstance(dec, kinds):
+        raise ValueError(message)
+    return dec
+
+
+def decode(cmap: ColorMap, w) -> DecodeResult | DecodeResultND:
+    """Decode a codeword of any decodable map back to its tag."""
+    return compile_decoder(cmap).decode(cmap, canonical(w))
+
+
+def decode_1d(cmap: ColorMap, w) -> DecodeResult:
+    """Decode a codeword of a standard 1D braid map back to its tag."""
+    dec = _decoder(cmap, (_Braid,), "not a 1D braid map")
+    return dec.decode(cmap, canonical(w))
+
+
+def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
+    """Decode on standard, restricted or modified 1D braid maps."""
+    dec = _decoder(
+        cmap, (_Braid, _Restricted, _Modified),
+        "not a 1D braid map, nor a restriction or modification of one",
+    )
+    return dec.decode(cmap, canonical(w))
+
+
+def decode_nd(cmap: ColorMap, w) -> DecodeResultND:
+    """Decode a codeword of an n-dim unitary braid map (or its extension)."""
+    dec = _decoder(cmap, (_UnitaryND,), "not an n-dim unitary braid map")
+    return dec.decode(cmap, canonical(w))
+
+
 # ---------------------------------------------------------------------------
 # Erasure decoding (1D unitary)
 
@@ -576,34 +641,26 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     hypothesis; all matching tags are returned along with the spread
     (max pairwise cyclic distance) of the candidate set.
     """
-    kind = (cmap.params or {}).get("kind")
-    if kind == "braid1d":
-        base = cmap.params
-    elif kind == "restricted":
-        base = cmap.params["base"]
-    else:
-        raise ValueError("erasure decoding requires a unitary braid map or restriction")
-    if any(p != 1 for p in base["parts"]):
+    message = "erasure decoding requires a unitary braid map or restriction"
+    dec = _decoder(cmap, (_Braid, _Restricted), message)
+    braid = dec.braid if isinstance(dec, _Restricted) else dec
+    if any(p != 1 for p in braid.parts):
         raise ValueError("erasure decoding requires a unitary map")
     (M_r,) = cmap.grid.dims
-    m = len(base["parts"])
-    g = base["g"]
-    q = tuple(base["q"])
-    gens = base["gens"]
+    m = len(braid.parts)
+    g, q = braid.router.g, braid.router.q
     partial = canonical(partial)
     if not partial or len(partial) > m:
         raise NotACodeword("palette-split", "partial codeword size out of range")
 
-    sub_of = {e.id: e.subgrid[0] for e in cmap.palette if e.subgrid is not None}
     survivors: dict[int, int] = {}
     for cid in partial:
-        if cid not in sub_of:
+        i = braid.sub_of.get(cid)
+        if i is None:
             raise NotACodeword("palette-split", f"unknown color id {cid}")
-        i = sub_of[cid]
         if i in survivors:
             raise NotACodeword("palette-split", f"sub-grid {i} appears twice")
-        pos = gens[i]["colors"].index(cid)
-        survivors[i] = pos
+        survivors[i] = braid.gens[i]["colors"].index(cid)
 
     part_counter = Counter(partial)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 Point = tuple[int, ...]
@@ -122,7 +122,8 @@ class ColorMap:
 
     ``colors`` is the dense row-major array of color ids; ``palette``
     carries one entry per color id; ``params`` is the construction
-    descriptor (None for hand-made maps).
+    descriptor (None for hand-made maps).  Treat a map as immutable,
+    ``params`` included: the codec keeps a compiled decoder on it.
     """
 
     grid: GridSpec
@@ -163,6 +164,8 @@ def block_points(grid: GridSpec, block: BlockSpec, tag: Point) -> list[Point]:
     Cyclic grids wrap; flat grids reject tags outside the coding area.
     """
     block.check_against(grid)
+    if len(tag) != grid.n:
+        raise ValueError(f"tag {tuple(tag)} has {len(tag)} coordinates, grid has {grid.n}")
     if not grid.cyclic:
         if any(not 0 <= t <= M - m for t, M, m in zip(tag, grid.dims, block.dims)):
             raise OutOfCodingAreaError(f"tag {tag} outside flat coding area")

@@ -11,8 +11,6 @@ import math
 import os
 from dataclasses import dataclass
 
-import sympy
-
 from .core import ColorMap, canonical, coding_area, coding_area_size, encode
 
 DEFAULT_LIMIT = 100_000
@@ -121,6 +119,8 @@ class BenchRow:
 
 def prime_window(start_index: int, count: int) -> list[int]:
     """``count`` consecutive primes beginning with the start_index-th (1-based)."""
+    import sympy  # deferred: costs more to import than the rest of the package
+
     return [sympy.prime(start_index + i) for i in range(count)]
 
 

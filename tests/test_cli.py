@@ -1,16 +1,22 @@
 """Command-line interface: subcommands, wire formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from braidcode import encode, from_json
+import braidcode
+from braidcode import encode, extend_arbitrary_size, from_json, is_distinguishable, to_json
 from braidcode.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INFEASIBLE,
     EXIT_INVALID,
     EXIT_NOT_A_CODEWORD,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     main,
 )
 
@@ -66,9 +72,26 @@ def test_encode_json_output(m24_path, capsys):
     assert len(doc["codeword"]) == 2
 
 
+def test_encode_rejects_point_of_wrong_arity(m24_path, capsys):
+    code, out, err = run(capsys, "encode", "--map", str(m24_path), "--point", "1,2")
+    assert code == EXIT_INVALID and not out and "coordinates" in err
+
+
 def test_decode_not_a_codeword(m24_path, capsys):
     code, _, err = run(capsys, "decode", "--map", str(m24_path), "--codeword", "0,1")
     assert code == EXIT_NOT_A_CODEWORD and err
+    code, _, err = run(capsys, "decode", "--map", str(m24_path), "--codeword", "0,x")
+    assert code == EXIT_NOT_A_CODEWORD and "parse" in err
+
+
+def test_decode_ambiguous_codeword_exits_4(tmp_path, capsys, fig_map):
+    cut = extend_arbitrary_size(fig_map, (7, 5))
+    path = tmp_path / "cut.json"
+    path.write_text(to_json(cut))
+    w = is_distinguishable(cut).counterexample[2]
+    code, out, err = run(capsys, "decode", "--map", str(path), "--codeword", ",".join(map(str, w)))
+    assert code == EXIT_VERIFY_FAILED and not out
+    assert "(0, 4)" in err and "(4, 4)" in err
 
 
 def test_decode_dump_matrices(m24_path, capsys):
@@ -89,6 +112,17 @@ def test_erasure_decode(m24_path, capsys):
     )
     assert code == EXIT_OK
     assert "5" in out
+
+
+def test_erasure_decode_rejects_wrong_erasure_count(m24_path, capsys):
+    cmap = from_json(m24_path.read_text())
+    survivor = encode(cmap, (5,))[0]
+    for erasures in ("0", "2"):
+        code, out, err = run(
+            capsys, "erasure-decode", "--map", str(m24_path),
+            "--codeword", str(survivor), "--erasures", erasures,
+        )
+        assert code == EXIT_INVALID and not out and "--erasures" in err
 
 
 def test_verify_ok(m24_path, capsys):
@@ -124,6 +158,24 @@ def test_bench_tsv_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("L\tK")
     assert lines[1].split("\t")[:2] == ["840", "34"]
+
+
+def test_bench_json_output(capsys):
+    code, out, _ = run(capsys, "bench", "--m", "2", "--s", "1,2", "--json")
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [(r["s"], r["L"], r["K"]) for r in rows][0] == (1, 840, 34)
+    assert [r["s"] for r in rows] == [1, 2]
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    src = Path(braidcode.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, braidcode.cli; print('sympy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_construct_nd_and_extend(tmp_path, capsys):

@@ -7,13 +7,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcode import canonical, coding_area, encode
+from braidcode import (
+    braid1d, canonical, coding_area, encode, from_json, is_distinguishable, to_json,
+)
 from braidcode.braid1d import BraidParams1D, construct, modify_general_size, restrict
-from braidcode.braidnd import extend_arbitrary_size
+from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
+    AmbiguousDecode,
     NotACodeword,
     associated_matrix,
     b_matrix,
+    compile_decoder,
+    decode,
     decode_1d,
     decode_1d_general,
     decode_nd,
@@ -73,6 +78,9 @@ def test_matrices_reference_24(m24):
     assert B.rows == ((0, 1, 0, 1, 0, 1), (0, 1, 2, 0, 1, 2))
     dump = dump_matrices(m24).splitlines()
     assert dump[0].split() == [str(v) for v in A.rows[0]]
+    # a restricted or modified map reports the matrices of the map it was cut from
+    base = dump_matrices(m24)
+    assert dump_matrices(restrict(m24, 19)) == dump_matrices(modify_general_size(m24, 20)) == base
 
 
 def test_matrix_rows_have_minimum_period_gq():
@@ -148,6 +156,88 @@ def test_decode_nd_extended(fig_map, L):
 def test_decode_nd_rejects_wrong_size(fig_map):
     with pytest.raises(NotACodeword):
         decode_nd(fig_map, (0, 1, 2))
+
+
+def _unitary_1d(M, q):
+    return construct(BraidParams1D(M=M, parts=(1,) * len(q), g=2, c=(1,) * len(q), q=q))
+
+
+FIG_QTABLE = {(0, 0): (1, 3), (0, 1): (2, 1), (1, 0): (1, 2), (1, 1): (3, 1)}
+
+
+def _fig():
+    return construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=FIG_QTABLE))
+
+
+# Fresh maps, one per kind and shape, so the first decode of each compiles.
+ROUND_TRIP_MAPS = {
+    "braid1d-24": (lambda: _unitary_1d(24, (2, 3)), decode_1d),
+    "braid1d-36": (lambda: _unitary_1d(36, (2, 3, 1)), decode_1d),
+    "braid1d-75-mixed": (
+        lambda: construct(BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))), decode_1d),
+    "braid1d-75-class1": (
+        lambda: construct(BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))), decode_1d),
+    "restricted-19": (lambda: restrict(_unitary_1d(24, (2, 3)), 19), decode_1d_general),
+    "restricted-7": (lambda: restrict(_unitary_1d(12, (1, 3)), 7), decode_1d_general),
+    "modified-20": (lambda: modify_general_size(_unitary_1d(24, (2, 3)), 20), decode_1d_general),
+    "modified-20-fresh": (
+        lambda: modify_general_size(_unitary_1d(24, (2, 3)), 20, fresh=True), decode_1d_general),
+    "modified-30": (lambda: modify_general_size(_unitary_1d(36, (2, 3, 1)), 30), decode_1d_general),
+    "unitary-nd-24x24": (_fig, decode_nd),
+    "extended-12x20": (lambda: extend_arbitrary_size(_fig(), (12, 20)), decode_nd),
+    "extended-21x10": (lambda: extend_arbitrary_size(_fig(), (21, 10)), decode_nd),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_MAPS))
+def test_round_trip_every_tag_compiles_once(name):
+    build, decoder = ROUND_TRIP_MAPS[name]
+    cmap = build()
+    text = to_json(cmap)
+    assert "_decoder" not in vars(cmap)
+    for x in coding_area(cmap.grid, cmap.block):
+        expect = x if len(x) > 1 else x[0]
+        w = encode(cmap, x)
+        assert decoder(cmap, w).tag == expect  # the first call compiles
+        assert decode(cmap, w).tag == expect  # later calls use the kept decoder
+    assert compile_decoder(cmap) is compile_decoder(cmap)
+    # the kept decoder is invisible to equality and serialization
+    assert to_json(cmap) == text
+    assert from_json(text) == cmap == build()
+
+
+def test_non_standard_decode_never_rebuilds_the_base_map(m24, monkeypatch):
+    maps = [restrict(m24, 19), modify_general_size(m24, 20),
+            modify_general_size(m24, 20, fresh=True)]
+
+    def no_construct(*args, **kwargs):
+        raise AssertionError("decode rebuilt the base map")
+
+    monkeypatch.setattr(braid1d, "construct", no_construct)
+    for cmap in maps:
+        for t in range(cmap.grid.dims[0]):
+            assert decode_1d_general(cmap, encode(cmap, (t,))).tag == t
+
+
+def test_decoders_reject_other_map_kinds(m24, fig_map):
+    with pytest.raises(ValueError, match="not a 1D braid map"):
+        decode_1d(restrict(m24, 19), encode(m24, (0,)))
+    with pytest.raises(ValueError, match="not an n-dim"):
+        decode_nd(m24, encode(m24, (0,)))
+    with pytest.raises(ValueError, match="not a 1D braid map"):
+        decode_1d_general(fig_map, encode(fig_map, (0, 0)))
+
+
+def test_ambiguous_decode_names_the_clashing_tags(fig_map):
+    # The smallest re-cut of the 24x24 map the oracle finds not distinguishable:
+    # 7x5 is a plain restriction along both axes, and tags (0,4), (4,4) collide.
+    cut = extend_arbitrary_size(fig_map, (7, 5))
+    report = is_distinguishable(cut)
+    assert not report.ok and report.counterexample[:2] == ((0, 4), (4, 4))
+    w = report.counterexample[2]
+    with pytest.raises(AmbiguousDecode) as err:
+        decode_nd(cut, w)
+    assert set(err.value.tags) == {(0, 4), (4, 4)}
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_block_points_2d():
     assert set(pts) == {(3, 3), (3, 0), (0, 3), (0, 0)}
 
 
+def test_tags_of_the_wrong_arity_are_rejected(m24, fig_map):
+    with pytest.raises(ValueError, match="coordinates"):
+        block_points(GridSpec((6,)), BlockSpec((3,)), (1, 2))
+    with pytest.raises(ValueError, match="coordinates"):
+        encode(m24, (1, 2))
+    with pytest.raises(ValueError, match="coordinates"):
+        encode(fig_map, (5,))
+
+
 def test_encode_sorts_block_colors(m24):
     w = encode(m24, (0,))
     assert w == canonical(w) and len(w) == 2
