@@ -13,11 +13,11 @@ sub-grids with fresh factors so wrapped blocks stay identifiable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, Point
-from .sunmao import UnitaryDecompositionND
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
 
 FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
 
@@ -108,51 +108,65 @@ class UnitaryBraidParamsND:
         return sum(math.prod(self.ells(J)) for J in sorted(self.qtable))
 
 
-def _subgrid_order(params: UnitaryBraidParamsND) -> list[tuple[int, ...]]:
-    return list(GridSpec(params.m).points())
+def _subgrid_layout(params: UnitaryBraidParamsND) -> dict[tuple[int, ...], tuple]:
+    """Per sub-grid J, in palette order: (palette offset, per-axis factor
+    periods ell_J, row-major strides of the factor grid of shape ell_J)."""
+    layout, offset = {}, 0
+    for J in itertools.product(*(range(m_i) for m_i in params.m)):
+        ells = params.ells(J)
+        strides = [1] * len(ells)
+        for i in reversed(range(len(ells) - 1)):
+            strides[i] = strides[i + 1] * ells[i + 1]
+        layout[J] = (offset, ells, tuple(strides))
+        offset += math.prod(ells)
+    return layout
 
 
-def _palette_offsets(params: UnitaryBraidParamsND) -> dict[tuple[int, ...], int]:
-    offsets, acc = {}, 0
-    for J in _subgrid_order(params):
-        offsets[J] = acc
-        acc += math.prod(params.ells(J))
-    return offsets
+def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) -> list[int]:
+    """Colors of the standard map at the points 0 <= x < dims, row-major.
+
+    Point x lies in sub-grid J = x mod m at sub-grid position l = x div m
+    and carries factor tuple f = l mod ell_J, i.e. the color
+    offset_J + sum_i f_i * stride_J,i.  Along the last axis the points of
+    one J form every m_n-th entry of a row, with f_n = l_n mod ell_J,n.
+    """
+    m = params.m
+    *outer, width = dims
+    colors: list[int] = []
+    for prefix in itertools.product(*(range(d) for d in outer)):
+        J_outer = tuple(x % m_i for x, m_i in zip(prefix, m))
+        l_outer = [x // m_i for x, m_i in zip(prefix, m)]
+        row = [0] * width
+        for j in range(m[-1]):
+            offset, ells, strides = layout[J_outer + (j,)]
+            start = offset + sum(l % e * s for l, e, s in zip(l_outer, ells, strides))
+            period = ells[-1]
+            row[j::m[-1]] = [start + l % period for l in range(len(range(j, width, m[-1])))]
+        colors += row
+    return colors
 
 
-def base_factors_at(params: UnitaryBraidParamsND, x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(J, factor tuple) of the standard map at point x."""
-    dec = UnitaryDecompositionND(params.dims, params.m)
-    J, l = dec.split(x)
-    ells = params.ells(J)
-    return J, tuple(li % e for li, e in zip(l, ells))
+def _base_palette(layout) -> list[PaletteEntry]:
+    """One entry per factor tuple of every sub-grid, ids in layout order."""
+    palette = []
+    for J, (offset, ells, _) in layout.items():
+        prefix = "s" + "".join(map(str, J)) + "_"
+        for k, f in enumerate(itertools.product(*(range(e) for e in ells))):
+            palette.append(
+                PaletteEntry(id=offset + k, subgrid=J, factors=f, label=prefix + ",".join(map(str, f)))
+            )
+    return palette
 
 
 def construct_unitary_nd(params: UnitaryBraidParamsND) -> ColorMap:
     """Standard unitary braid code on the grid implied by the q-table."""
-    grid = GridSpec(params.dims)
-    offsets = _palette_offsets(params)
-    colors = []
-    for x in grid.points():
-        J, f = base_factors_at(params, x)
-        colors.append(offsets[J] + GridSpec(params.ells(J)).index(f))
-    palette = []
-    for J in _subgrid_order(params):
-        shape = GridSpec(params.ells(J))
-        for f in shape.points():
-            palette.append(
-                PaletteEntry(
-                    id=offsets[J] + shape.index(f),
-                    subgrid=J,
-                    factors=f,
-                    label="s" + "".join(map(str, J)) + "_" + ",".join(map(str, f)),
-                )
-            )
+    dims = params.dims
+    layout = _subgrid_layout(params)
     return ColorMap(
-        grid=grid,
+        grid=GridSpec(dims),
         block=BlockSpec(params.m),
-        colors=tuple(colors),
-        palette=tuple(palette),
+        colors=tuple(_base_colors(params, layout, dims)),
+        palette=tuple(_base_palette(layout)),
         params=_params_dict(params, None),
     )
 
@@ -195,22 +209,6 @@ def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], 
     return out
 
 
-def extended_factors_at(
-    params: UnitaryBraidParamsND, L: tuple[int, ...], x: Point
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(J, factors) at x on the size-L extension; FRESH marks fresh factors."""
-    J, f = base_factors_at(params, x)
-    f = list(f)
-    for i, (L_i, M_i, m_i) in enumerate(zip(L, params.dims, params.m)):
-        if L_i == M_i or L_i % m_i != 0:
-            continue
-        if any(J[k] != 0 for k in range(params.n) if k != i):
-            continue
-        if x[i] // m_i == L_i // m_i - 1:
-            f[i] = FRESH
-    return J, tuple(f)
-
-
 def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     """Shrink a standard unitary braid map to target dims L.
 
@@ -223,46 +221,40 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     if cmap.params.get("kind") != "unitary-braid-nd":
         raise ValueError("extension starts from a standard unitary braid map")
     L = tuple(int(v) for v in L)
-    for L_i, M_i, m_i in zip(L, params.dims, params.m):
+    dims, m = params.dims, params.m
+    if len(L) != params.n:
+        raise ValueError(f"target L={L} needs {params.n} dims")
+    for L_i, M_i, m_i in zip(L, dims, m):
         if not 2 * m_i <= L_i <= M_i:
             raise ValueError(f"need 2*m_i <= L_i <= M_i, got L={L}")
 
     grid = GridSpec(L)
-    offsets = _palette_offsets(params)
-    base_total = sum(math.prod(params.ells(J)) for J in params.qtable)
-    point_facts = []
-    fresh_combos: dict[tuple, int] = {}
-    for x in grid.points():
-        J, f = extended_factors_at(params, L, x)
-        point_facts.append((J, f))
-        if FRESH in f:
-            fresh_combos[(J, f)] = -1
-    for new_id, key in enumerate(sorted(fresh_combos)):
-        fresh_combos[key] = base_total + new_id
+    layout = _subgrid_layout(params)
+    colors = _base_colors(params, layout, L)
+    # The fresh band of axis i: its last aligned band x_i div m_i = L_i/m_i - 1
+    # in the boundary sub-grids J with J_k = 0 for every other axis k.  A
+    # point in the bands of several axes takes a fresh factor on each.
+    fresh_axes = [i for i in range(params.n) if L[i] != dims[i] and L[i] % m[i] == 0]
+    band: dict[int, tuple] = {}
+    for i in fresh_axes:
+        ranges = [range(0, L_k, m_k) for L_k, m_k in zip(L, m)]
+        ranges[i] = range(L[i] - m[i], L[i])
+        for x in itertools.product(*ranges):
+            J = tuple(c % m_k for c, m_k in zip(x, m))
+            ells = layout[J][1]
+            f = [c // m_k % e for c, m_k, e in zip(x, m, ells)]
+            for a in fresh_axes:
+                if x[a] >= L[a] - m[a] and all(J[k] == 0 for k in range(params.n) if k != a):
+                    f[a] = FRESH
+            band[grid.index(x)] = (J, tuple(f))
+    base_total = params.color_count()
+    fresh_ids = {key: base_total + n for n, key in enumerate(sorted(set(band.values())))}
+    for idx, key in band.items():
+        colors[idx] = fresh_ids[key]
 
-    colors = []
-    for J, f in point_facts:
-        if FRESH in f:
-            colors.append(fresh_combos[(J, f)])
-        else:
-            colors.append(offsets[J] + GridSpec(params.ells(J)).index(f))
-
-    # rebuild base palette entries (ids unchanged) plus fresh composites
-    palette = []
-    for J in _subgrid_order(params):
-        shape = GridSpec(params.ells(J))
-        for f in shape.points():
-            palette.append(
-                PaletteEntry(
-                    id=offsets[J] + shape.index(f),
-                    subgrid=J,
-                    factors=f,
-                    label="s" + "".join(map(str, J)) + "_" + ",".join(map(str, f)),
-                )
-            )
-    for (J, f), cid in sorted(fresh_combos.items(), key=lambda kv: kv[1]):
-        ells = params.ells(J)
-        shown = tuple(ells[i] if fi == FRESH else fi for i, fi in enumerate(f))
+    palette = _base_palette(layout)
+    for (J, f), cid in fresh_ids.items():
+        shown = tuple(e if fi == FRESH else fi for fi, e in zip(f, layout[J][1]))
         palette.append(
             PaletteEntry(
                 id=cid,

@@ -166,13 +166,15 @@ def cmd_verify(args) -> int:
         report = oracle.is_distinguishable(cmap, limit=limit)
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
+    cost = {"elapsed_s": report.elapsed_s, "blocks_per_s": report.blocks_per_s}
     if report.ok:
-        _emit(args, {"ok": True, "checked": report.checked}, f"ok checked={report.checked}")
+        _emit(args, {"ok": True, "checked": report.checked, **cost}, f"ok checked={report.checked}")
         return EXIT_OK
     a, b, w = report.counterexample
     _emit(
         args,
-        {"ok": False, "tags": [list(a), list(b)], "codeword": list(w)},
+        {"ok": False, "tags": [list(a), list(b)], "codeword": list(w), "checked": report.checked,
+         **cost},
         f"counterexample tags={a},{b} codeword={codec.format_codeword(w)}",
     )
     return EXIT_COUNTEREXAMPLE

@@ -133,10 +133,12 @@ def _braid_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
 
     A restricted or modified map decodes on the map it was cut from, with
     M = m * g * lcm(q); only its stored params are read, the map itself
-    is not rebuilt.
+    is not rebuilt.  A standard map's grid must be that period, a cut
+    map's grid no longer.
     """
     p = cmap.params or {}
-    if p.get("kind") in ("restricted", "modified"):
+    cut = p.get("kind") in ("restricted", "modified")
+    if cut:
         p = p.get("base") or {}
     if p.get("kind") != "braid1d":
         raise ValueError("not a 1D braid map, nor a restriction or modification of one")
@@ -146,6 +148,9 @@ def _braid_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
     params = BraidParams1D(
         M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
     )
+    dims = cmap.grid.dims
+    if len(dims) != 1 or dims[0] > params.M or (not cut and dims[0] != params.M):
+        raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
     return params, p["gens"]
 
 
@@ -301,6 +306,43 @@ def _window_table(gen: dict) -> dict[Codeword, int]:
     return {canonical(colors[(x + t) % ell] for t in range(m_i)): x for x in range(ell)}
 
 
+def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail: int) -> None:
+    """Raise ValueError unless the map agrees with the generators it decodes on.
+
+    Every point x but the last ``tail`` must carry the color the
+    generators give to point y = x + shift of the standard map: sub-grid i
+    tiles generator i, so y = j*m + d_i + r has generator color
+    j*m_i + r mod ell_i.  A decoder trusting contradicting generators
+    decodes wrong.  One residue class of x mod m is compared at a time,
+    so the check holds no copy of the whole map.
+    """
+    m = params.m
+    if len(gens) != params.I:
+        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
+    n = len(cmap.colors) - tail
+    bad = []
+    for i, (gen, d, m_i, ell) in enumerate(
+        zip(gens, itertools.accumulate(params.parts, initial=0), params.parts, params.ells)
+    ):
+        colors = gen["colors"]
+        if (gen["ell"], gen["m"], len(colors)) != (ell, m_i, ell):
+            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
+        for r in range(m_i):
+            x0 = (d + r - shift) % m
+            j0 = (x0 + shift) // m
+            want = [colors[((j0 + k) * m_i + r) % ell] for k in range(len(range(x0, n, m)))]
+            got = itertools.islice(cmap.colors, x0, n, m)
+            k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+            if k is not None:
+                bad.append((x0 + k * m, want[k]))
+    if bad:
+        x, expected = min(bad)
+        raise ValueError(
+            f"map contradicts its generators: point {x} has color {cmap.colors[x]}, "
+            f"they give {expected}"
+        )
+
+
 class _Braid:
     """Compiled standard 1D braid code: palette split, generator tables, router.
 
@@ -308,8 +350,9 @@ class _Braid:
     their regular codewords through the one of the map they were cut from.
     """
 
-    def __init__(self, cmap: ColorMap):
+    def __init__(self, cmap: ColorMap, shift: int = 0, tail: int = 0):
         params, gens = _braid_of(cmap)
+        _check_colors(cmap, params, gens, shift, tail)
         self.M, self.parts, self.gens = params.M, params.parts, gens
         self.sub_of = {
             e.id: e.subgrid[0]
@@ -387,8 +430,8 @@ class _Modified:
     color) signature; regular ones route through the base code, shifted."""
 
     def __init__(self, cmap: ColorMap):
-        self.braid = _Braid(cmap)
         p = cmap.params
+        self.braid = _Braid(cmap, shift=p["shift"], tail=cmap.block.dims[0] - 1)
         self.cstar, self.fresh, self.shift = p["cstar"], p.get("fresh"), p["shift"]
         self.sub0 = frozenset(cid for cid, i in self.braid.sub_of.items() if i == 0)
 

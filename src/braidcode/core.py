@@ -56,6 +56,8 @@ class GridSpec:
 
     def index(self, point: Point) -> int:
         """Row-major flat index of a point (axis 1 outermost)."""
+        if len(point) != len(self.dims):
+            raise _arity_error(point, self.dims)
         idx = 0
         for x, d in zip(point, self.dims):
             if not 0 <= x < d:
@@ -75,7 +77,15 @@ class GridSpec:
             yield self.point(i)
 
     def wrap(self, point: Sequence[int]) -> Point:
+        if len(point) != len(self.dims):
+            raise _arity_error(point, self.dims)
         return tuple(x % d for x, d in zip(point, self.dims))
+
+
+def _arity_error(point, dims) -> ValueError:
+    # index and wrap test the length themselves: zip(..., strict=True) costs
+    # several times more per call, and encode calls both for every block point.
+    return ValueError(f"point {tuple(point)} has {len(point)} coordinates, grid has {len(dims)}")
 
 
 @dataclass(frozen=True)

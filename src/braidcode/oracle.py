@@ -1,30 +1,97 @@
 """Independent brute-force verification of distinguishability and structure.
 
-The oracle shares no logic with the constructions: it encodes every tag
-in the coding area and looks for colliding codewords.  It is the ground
-truth for tests and for the ``verify`` CLI command.
+The oracle shares no logic with the constructions: it reads every block
+of the coding area straight from the color array and looks for colliding
+codewords.  It is the ground truth for tests and for the ``verify`` CLI
+command.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from dataclasses import dataclass
+import time
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Iterator
 
-from .core import ColorMap, canonical, coding_area, coding_area_size, encode
+from .core import Codeword, ColorMap, GridSpec, coding_area_size
 
 DEFAULT_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Outcome of a distinguishability check.
+
+    ``elapsed_s`` and ``blocks_per_s`` report the cost of the walk; they
+    take no part in ``==``.
+    """
+
     ok: bool
     checked: int
     counterexample: tuple | None = None  # (tag_a, tag_b, codeword)
+    elapsed_s: float = field(default=0.0, compare=False)
+    blocks_per_s: float = field(default=0.0, compare=False)
 
 
 def verify_limit() -> int:
     return int(os.environ.get("BRAIDCODE_VERIFY_LIMIT", DEFAULT_LIMIT))
+
+
+def _wrap_pad(colors, dims: tuple[int, ...], block: tuple[int, ...]):
+    """The row-major color array extended cyclically along every axis by
+    its first m_i - 1 slices, and the extended dims, so that every block
+    of a cyclic grid is a box of the result."""
+    arr = list(colors)
+    inner = 1
+    padded = list(dims)
+    for i in reversed(range(len(dims))):
+        slab = padded[i] * inner  # axis i and the (already padded) later axes
+        extra = (block[i] - 1) * inner
+        out = []
+        for s in range(0, len(arr), slab):
+            out += arr[s:s + slab]
+            out += arr[s:s + extra]
+        arr = out
+        padded[i] += block[i] - 1
+        inner *= padded[i]
+    return arr, tuple(padded)
+
+
+def _coding_area_shape(cmap: ColorMap) -> GridSpec:
+    grid, block = cmap.grid, cmap.block
+    if grid.cyclic:
+        return grid
+    return GridSpec(tuple(M - m + 1 for M, m in zip(grid.dims, block.dims)))
+
+
+def _codewords(cmap: ColorMap) -> Iterator[Codeword]:
+    """Canonical codeword of every tag of the coding area, in coding-area
+    (row-major) order.
+
+    Blocks are read from the color array, padded first on a cyclic grid;
+    along the last axis the colors at each block offset form one slice,
+    and zipping the slices gives the blocks of a whole row of tags.
+    """
+    grid, block = cmap.grid, cmap.block
+    if grid.cyclic:
+        arr, dims = _wrap_pad(cmap.colors, grid.dims, block.dims)
+    else:
+        arr, dims = cmap.colors, grid.dims
+    strides = [1] * len(dims)
+    for i in reversed(range(len(dims) - 1)):
+        strides[i] = strides[i + 1] * dims[i + 1]
+    offsets = [
+        sum(o * s for o, s in zip(off, strides))
+        for off in itertools.product(*(range(m) for m in block.dims))
+    ]
+    *outer, width = _coding_area_shape(cmap).dims
+    for row in itertools.product(*(range(a) for a in outer)):
+        base = sum(t * s for t, s in zip(row, strides))
+        columns = [arr[base + o:base + o + width] for o in offsets]
+        yield from map(tuple, map(sorted, zip(*columns)))
 
 
 def is_distinguishable(cmap: ColorMap, limit: int | None = None) -> VerifyReport:
@@ -38,15 +105,21 @@ def is_distinguishable(cmap: ColorMap, limit: int | None = None) -> VerifyReport
     size = coding_area_size(cmap.grid, cmap.block)
     if size > limit:
         raise ValueError(f"coding area {size} exceeds verification limit {limit}")
-    seen: dict[tuple, tuple] = {}
-    checked = 0
-    for tag in coding_area(cmap.grid, cmap.block):
-        w = encode(cmap, tag)
-        checked += 1
-        if w in seen:
-            return VerifyReport(False, checked, (seen[w], tag, w))
-        seen[w] = tag
-    return VerifyReport(True, checked, None)
+    t0 = time.perf_counter()
+    seen: dict[Codeword, int] = {}
+    counterexample = None
+    for k, w in enumerate(_codewords(cmap)):
+        first = seen.setdefault(w, k)
+        if first != k:
+            area = _coding_area_shape(cmap)
+            counterexample = (area.point(first), area.point(k), w)
+            break
+    checked = len(seen) + (counterexample is not None)
+    elapsed = time.perf_counter() - t0
+    return VerifyReport(
+        counterexample is None, checked, counterexample,
+        elapsed_s=elapsed, blocks_per_s=checked / elapsed if elapsed > 0 else 0.0,
+    )
 
 
 def count_colors(cmap: ColorMap) -> int:
@@ -69,40 +142,31 @@ def check_structure(cmap: ColorMap) -> StructureReport:
     """
     problems = []
     params = cmap.params or {}
-    if params.get("kind") != "braid1d":
+    if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
         return StructureReport(False, ("not a standard 1D braid map",))
     parts = params["parts"]
-    g = params["g"]
     (M,) = cmap.grid.dims
     m = sum(parts)
     unitary = all(p == 1 for p in parts)
     if unitary:
-        for x in range(M):
-            w = encode(cmap, (x,))
+        for x, w in enumerate(_codewords(cmap)):
             if len(set(w)) != m:
                 problems.append(f"block {x} repeats a color: {w}")
                 break
     # repetitive law: sub-grid i tiles its generator with period ell_i
+    owner = [i for i, p in enumerate(parts) for _ in range(p)]
+    positions: dict[int, list[int]] = defaultdict(list)
+    for x in range(M):
+        positions[owner[x % m]].append(x)
     for i, gen in enumerate(params["gens"]):
-        ell = gen["ell"]
-        sub_positions = [x for x in range(M) if _subgrid_of(x, parts) == i]
-        for rank, x in enumerate(sub_positions):
-            if cmap.colors[x] != gen["colors"][rank % ell]:
+        ell, gen_colors = gen["ell"], gen["colors"]
+        for rank, x in enumerate(positions[i]):
+            if cmap.colors[x] != gen_colors[rank % ell]:
                 problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
                 break
-        if unitary and len(set(gen["colors"])) != ell:
+        if unitary and len(set(gen_colors)) != ell:
             problems.append(f"sub-grid {i}: generator not injective on its period")
     return StructureReport(not problems, tuple(problems))
-
-
-def _subgrid_of(x: int, parts) -> int:
-    r = x % sum(parts)
-    acc = 0
-    for i, p in enumerate(parts):
-        if acc <= r < acc + p:
-            return i
-        acc += p
-    raise AssertionError
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """n-dimensional unitary maps: products, construction, arbitrary sizes."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from braidcode import GridSpec, canonical, coding_area, encode
+from braidcode import GridSpec, canonical, coding_area, encode, to_json
 from braidcode.braidnd import (
     UnitaryBraidParamsND,
     construct_unitary_nd,
@@ -136,3 +137,33 @@ def test_extend_rejects_bad_targets(fig_map):
         extend_arbitrary_size(fig_map, (3, 24))  # below 2*m_i
     with pytest.raises(ValueError):
         extend_arbitrary_size(fig_map, (25, 24))  # beyond the base grid
+    with pytest.raises(ValueError):
+        extend_arbitrary_size(fig_map, (22,))  # wrong number of axes
+
+
+QTABLE_3D = {
+    (0, 0, 0): (1, 3, 1), (0, 0, 1): (2, 1, 1), (0, 1, 0): (1, 1, 1), (0, 1, 1): (1, 3, 1),
+    (1, 0, 0): (2, 1, 1), (1, 0, 1): (1, 1, 1), (1, 1, 0): (1, 3, 1), (1, 1, 1): (2, 1, 1),
+}
+
+# sha256 of to_json of each map, as built by the per-point construction
+# these maps were first made with; the n-D builders must keep every byte.
+PINNED_SHA256 = {
+    "fig": "929ee6f5018001ba4b0896c1a5cfd2e99c83a442c7504e8ea49beaa9cf3c0f08",
+    (22, 22): "080f6d8ba2d60a61b8149c2eee668416de5ee95459db8e6e1033787853f101f3",
+    (21, 24): "b202f1ab0ce701edfc7338b9af6ba1ce8d8ae670096d3d592a9f0ac008beb8d0",
+    (23, 22): "4d047f640e7110c442e5e105127dc585104fa279ad8dcfb5aade3cc857a5d5fb",
+    (20, 17): "61f82719181eefe3b7401c0ae9cf182ee76bf4bef8df8f8c47d1b6ea62faab30",
+    "3d": "4f38884bc143556a36578cdce0aeef197e452e4a466c298ce1cacfd2682d2138",
+    "3d-ext": "604763df25c49df3c371b987e543979d9924406a59ec49ad287e29242a249b60",
+}
+
+
+def test_builders_reproduce_pinned_maps_byte_for_byte(fig_map):
+    cube = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2, 2), g=2, qtable=QTABLE_3D))
+    assert cube.grid.dims == (8, 12, 4)
+    maps = {"fig": fig_map, "3d": cube, "3d-ext": extend_arbitrary_size(cube, (6, 10, 4))}
+    for L in [(22, 22), (21, 24), (23, 22), (20, 17)]:
+        maps[L] = extend_arbitrary_size(fig_map, L)
+    got = {k: hashlib.sha256(to_json(cmap).encode()).hexdigest() for k, cmap in maps.items()}
+    assert got == PINNED_SHA256

@@ -84,6 +84,14 @@ def test_decode_not_a_codeword(m24_path, capsys):
     assert code == EXIT_NOT_A_CODEWORD and "parse" in err
 
 
+def test_decode_rejects_a_map_whose_generators_contradict_its_colors(m24_path, capsys):
+    doc = json.loads(m24_path.read_text())
+    doc["params"]["gens"][0]["colors"].reverse()
+    m24_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "decode", "--map", str(m24_path), "--codeword", "2,5")
+    assert code == EXIT_INVALID and not out and "contradicts its generators: point 0 " in err
+
+
 def test_decode_ambiguous_codeword_exits_4(tmp_path, capsys, fig_map):
     cut = extend_arbitrary_size(fig_map, (7, 5))
     path = tmp_path / "cut.json"
@@ -128,7 +136,11 @@ def test_erasure_decode_rejects_wrong_erasure_count(m24_path, capsys):
 def test_verify_ok(m24_path, capsys):
     code, out, _ = run(capsys, "verify", "--map", str(m24_path), "--json")
     assert code == EXIT_OK
-    assert json.loads(out)["ok"] is True
+    doc = json.loads(out)
+    assert doc["ok"] is True and doc["checked"] == 24
+    assert doc["elapsed_s"] > 0 and doc["blocks_per_s"] > 0
+    code, out, _ = run(capsys, "verify", "--map", str(m24_path))
+    assert code == EXIT_OK and out == "ok checked=24\n"
 
 
 def test_verify_counterexample(tmp_path, capsys):
@@ -142,6 +154,7 @@ def test_verify_counterexample(tmp_path, capsys):
     assert code == EXIT_COUNTEREXAMPLE
     doc = json.loads(out)
     assert doc["ok"] is False and doc["tags"]
+    assert doc["checked"] > 0 and doc["blocks_per_s"] > 0
 
 
 def test_optimize_reports_reference_solution(capsys):

@@ -1,6 +1,7 @@
 """Decoding: CRT, matrices, 1D/nD decoders, erasure location."""
 
 import itertools
+import json
 import math
 import random
 
@@ -11,6 +12,7 @@ from braidcode import (
     braid1d, canonical, coding_area, encode, from_json, is_distinguishable, to_json,
 )
 from braidcode.braid1d import BraidParams1D, construct, modify_general_size, restrict
+from braidcode.core import ColorMap
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,
@@ -293,3 +295,29 @@ def test_erasure_requires_unitary(m24):
     cmap = construct(params)
     with pytest.raises(ValueError):
         erasure_decode(cmap, (0,))
+
+
+def _with_colors(cmap, colors):
+    return ColorMap(grid=cmap.grid, block=cmap.block, colors=tuple(colors),
+                    palette=cmap.palette, params=cmap.params)
+
+
+def test_maps_whose_generators_contradict_their_colors_are_rejected(m24):
+    doc = json.loads(to_json(m24))
+    doc["params"]["gens"][0]["colors"].reverse()
+    reversed_gen = from_json(json.dumps(doc))
+    w = encode(m24, (3,))
+    assert decode_1d(m24, w).tag == 3
+    with pytest.raises(ValueError, match="contradicts its generators: point 0 "):
+        decode_1d(reversed_gen, w)  # used to decode to tag 2
+    cut = restrict(m24, 19)
+    colors = list(cut.colors)
+    colors[5] = colors[7]
+    with pytest.raises(ValueError, match="point 5 "):
+        decode_1d_general(_with_colors(cut, colors), encode(cut, (0,)))
+    # A modified map may differ from its base only in its last m-1 points.
+    mod = modify_general_size(m24, 20)
+    colors = list(mod.colors)
+    colors[18] = colors[16]
+    with pytest.raises(ValueError, match="point 18 "):
+        decode_1d_general(_with_colors(mod, colors), encode(mod, (0,)))

@@ -82,6 +82,15 @@ def test_tags_of_the_wrong_arity_are_rejected(m24, fig_map):
         encode(fig_map, (5,))
 
 
+def test_points_of_the_wrong_arity_are_rejected(m24):
+    with pytest.raises(ValueError, match="coordinates"):
+        m24.color_at((1, 5))  # used to read the color of point 1
+    with pytest.raises(ValueError, match="coordinates"):
+        m24.grid.wrap((25, 3))  # used to give (1,)
+    with pytest.raises(ValueError, match="coordinates"):
+        GridSpec((4, 4)).index((1,))
+
+
 def test_encode_sorts_block_colors(m24):
     w = encode(m24, (0,))
     assert w == canonical(w) and len(w) == 2

@@ -4,11 +4,15 @@ import math
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
+from braidcode import braidnd
 from braidcode.braid1d import BraidParams1D, construct
+from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry, coding_area, encode
 from braidcode.generators import identity_generator
 from braidcode.oracle import (
     DEFAULT_LIMIT,
+    VerifyReport,
     bench_tsv,
     check_structure,
     count_colors,
@@ -17,6 +21,65 @@ from braidcode.oracle import (
     prime_window,
     verify_limit,
 )
+
+
+def reference_is_distinguishable(cmap):
+    """The encode-based verifier: the reference the block walk must match."""
+    seen = {}
+    checked = 0
+    for tag in coding_area(cmap.grid, cmap.block):
+        w = encode(cmap, tag)
+        checked += 1
+        if w in seen:
+            return VerifyReport(False, checked, (seen[w], tag, w))
+        seen[w] = tag
+    return VerifyReport(True, checked, None)
+
+
+@st.composite
+def small_maps(draw):
+    """Random color arrays on 1-3 dim grids, cyclic or flat, blocks of at
+    most 3 per axis and only 2-4 colors, so that collisions are common."""
+    n = draw(st.integers(1, 3))
+    block = tuple(draw(st.integers(1, 3)) for _ in range(n))
+    dims = tuple(m + draw(st.integers(0, 3)) for m in block)
+    k = draw(st.integers(2, 4))
+    colors = draw(st.lists(st.integers(0, k - 1), min_size=math.prod(dims),
+                           max_size=math.prod(dims)))
+    return ColorMap(
+        grid=GridSpec(dims, cyclic=draw(st.booleans())),
+        block=BlockSpec(block),
+        colors=tuple(colors),
+        palette=tuple(PaletteEntry(c) for c in range(k)),
+    )
+
+
+@given(small_maps())
+def test_block_walk_matches_the_reference_verifier(cmap):
+    fast = is_distinguishable(cmap)
+    ref = reference_is_distinguishable(cmap)
+    assert (fast.ok, fast.checked, fast.counterexample) == (ref.ok, ref.checked, ref.counterexample)
+
+
+def test_block_walk_matches_the_reference_on_fixture_maps(m24, fig_map, example_sets):
+    maps = [m24, fig_map] + [construct(p) for p in example_sets]
+    for cmap in maps:
+        assert is_distinguishable(cmap) == reference_is_distinguishable(cmap)
+
+
+def test_block_walk_finds_the_140_map_recut_counterexample():
+    qtable = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
+    base = braidnd.construct_unitary_nd(braidnd.UnitaryBraidParamsND(m=(2, 2), g=2, qtable=qtable))
+    recut = braidnd.extend_arbitrary_size(base, (137, 137))
+    rep = is_distinguishable(recut)
+    assert rep == reference_is_distinguishable(recut)
+    assert not rep.ok and rep.counterexample[:2] == ((0, 136), (20, 136))
+
+
+def test_verify_report_carries_its_cost(m24):
+    rep = is_distinguishable(m24)
+    assert rep.elapsed_s > 0 and rep.blocks_per_s == pytest.approx(rep.checked / rep.elapsed_s)
+    assert rep == VerifyReport(True, 24, None)  # cost fields take no part in ==
 
 
 def test_verify_limit_env_override(monkeypatch):
@@ -66,6 +129,26 @@ def test_check_structure_flags_broken_tiling(m24):
         palette=m24.palette, params=m24.params,
     )
     assert not check_structure(broken).ok
+
+
+def test_check_structure_flags_a_block_with_a_repeated_color(m24):
+    colors = list(m24.colors)
+    colors[1] = colors[0]
+    broken = ColorMap(
+        grid=m24.grid, block=m24.block, colors=tuple(colors),
+        palette=m24.palette, params=m24.params,
+    )
+    rep = check_structure(broken)
+    assert not rep.ok
+    assert rep.problems[0] == f"block 0 repeats a color: {(colors[0], colors[0])}"
+
+
+def test_check_structure_rejects_a_flat_grid(m24):
+    flat = ColorMap(
+        grid=GridSpec(m24.grid.dims, cyclic=False), block=m24.block, colors=m24.colors,
+        palette=m24.palette, params=m24.params,
+    )
+    assert check_structure(flat).problems == ("not a standard 1D braid map",)
 
 
 def test_prime_window():
