@@ -156,18 +156,30 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     )
 
 
-def params_of(cmap: ColorMap) -> BraidParams1D:
-    """Recover BraidParams1D from a braid map's stored params."""
-    p = cmap.params
-    if p is None or p.get("kind") != "braid1d":
-        raise ValueError("not a 1D braid map")
-    return BraidParams1D(
-        M=cmap.grid.dims[0],
-        parts=tuple(p["parts"]),
-        g=p["g"],
-        c=tuple(p["c"]),
-        q=tuple(p["q"]),
+def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
+    """Standard braid parameters and generators a 1D map was built from.
+
+    A restricted or modified map gives those of the map it was cut from,
+    with M = m * g * lcm(q); only its stored params are read, the map
+    itself is not rebuilt.  A standard map's grid must be that period, a
+    cut map's grid no longer.
+    """
+    p = cmap.params or {}
+    cut = p.get("kind") in ("restricted", "modified")
+    if cut:
+        p = p.get("base") or {}
+    if p.get("kind") != "braid1d":
+        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
+    if "gens" not in p:
+        raise ValueError("map carries no generator data")
+    parts, q = tuple(p["parts"]), tuple(p["q"])
+    params = BraidParams1D(
+        M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
     )
+    dims = cmap.grid.dims
+    if len(dims) != 1 or dims[0] > params.M or (not cut and dims[0] != params.M):
+        raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
+    return params, p["gens"]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _load_map(path: str) -> core.ColorMap:
     try:
         with open(path) as f:
             return core.from_json(f.read())
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(EXIT_INVALID, f"cannot load map {path}: {e}")
 
 
@@ -203,7 +203,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        rows = oracle.order_bench(args.m, args.n, _ints(args.s))
+        rows = oracle.order_bench(args.m, _ints(args.s))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     if args.json:
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="prime-window scaling table (TSV)")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--s", default="1,2,3", help="comma-separated window starts")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

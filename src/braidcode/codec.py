@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import ColorMap, Codeword, GridSpec, canonical, encode
-from .braid1d import BraidParams1D
+from .braid1d import BraidParams1D, params_of
 from .braidnd import UnitaryBraidParamsND, params_of_nd
 
 
@@ -128,32 +128,6 @@ class BMatrix:
     q: tuple[int, ...]
 
 
-def _braid_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
-    """Standard braid parameters and generators a 1D map decodes on.
-
-    A restricted or modified map decodes on the map it was cut from, with
-    M = m * g * lcm(q); only its stored params are read, the map itself
-    is not rebuilt.  A standard map's grid must be that period, a cut
-    map's grid no longer.
-    """
-    p = cmap.params or {}
-    cut = p.get("kind") in ("restricted", "modified")
-    if cut:
-        p = p.get("base") or {}
-    if p.get("kind") != "braid1d":
-        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
-    if "gens" not in p:
-        raise ValueError("map carries no generator data")
-    parts, q = tuple(p["parts"]), tuple(p["q"])
-    params = BraidParams1D(
-        M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
-    )
-    dims = cmap.grid.dims
-    if len(dims) != 1 or dims[0] > params.M or (not cut and dims[0] != params.M):
-        raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
-    return params, p["gens"]
-
-
 def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     """A[i][j] = label of the j-th aligned sub-block codeword of sub-grid i.
 
@@ -161,7 +135,7 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     appearance along j.  Derived from generator params only; restricted
     and modified maps give the matrix of the map they were cut from.
     """
-    params, gens = _braid_of(cmap)
+    params, gens = params_of(cmap)
     cols = params.M // params.m
     rows = []
     for gen in gens:
@@ -351,7 +325,7 @@ class _Braid:
     """
 
     def __init__(self, cmap: ColorMap, shift: int = 0, tail: int = 0):
-        params, gens = _braid_of(cmap)
+        params, gens = params_of(cmap)
         _check_colors(cmap, params, gens, shift, tail)
         self.M, self.parts, self.gens = params.M, params.parts, gens
         self.sub_of = {
@@ -523,7 +497,7 @@ class _UnitaryND:
     def __init__(self, cmap: ColorMap):
         self.params = params_of_nd(cmap)
         self.dims = self.params.dims  # of the standard map; the grid may be cut shorter
-        self.extended = cmap.params["kind"] == "extended-nd"
+        self.extended = cmap.grid.dims != self.dims
         self.volume = math.prod(self.params.m)
         self.factors_of = {
             e.id: (e.subgrid, e.factors)
@@ -626,15 +600,20 @@ def compile_decoder(cmap: ColorMap):
     """The map's compiled decoder: built on first use, then kept on the map.
 
     Maps are immutable, so the decoder stays valid; it is not a dataclass
-    field, so it does not take part in ``==`` or in JSON.
+    field, so it does not take part in ``==`` or in JSON.  Stored params
+    of the wrong shape raise ``ValueError``.
     """
     dec = getattr(cmap, "_decoder", None)
     if dec is None:
-        kind = (cmap.params or {}).get("kind")
-        build = _DECODERS.get(kind)
-        if build is None:
-            raise ValueError(f"unsupported map kind {kind!r}")
-        dec = build(cmap)
+        try:
+            kind = (cmap.params or {}).get("kind")
+            build = _DECODERS.get(kind)
+            if build is None:
+                raise ValueError(f"unsupported map kind {kind!r}")
+            dec = build(cmap)
+        except (KeyError, TypeError, AttributeError, IndexError) as e:
+            # the stored params come from outside, e.g. a map file
+            raise ValueError(f"malformed map params: {e!r}") from e
         object.__setattr__(cmap, "_decoder", dec)
     return dec
 

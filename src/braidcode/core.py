@@ -164,9 +164,6 @@ class ColorMap:
     def color_at(self, point: Point) -> int:
         return self.colors[self.grid.index(point)]
 
-    def used_colors(self) -> set[int]:
-        return set(self.colors)
-
 
 def block_points(grid: GridSpec, block: BlockSpec, tag: Point) -> list[Point]:
     """Points of the block tagged at ``tag``, in row-major offset order.
@@ -185,20 +182,22 @@ def block_points(grid: GridSpec, block: BlockSpec, tag: Point) -> list[Point]:
     return [grid.wrap(tuple(t + o for t, o in zip(tag, off))) for off in offsets.points()]
 
 
-def coding_area(grid: GridSpec, block: BlockSpec) -> Iterator[Point]:
-    """Tags at which a block is defined: the whole grid if cyclic."""
+def coding_area_shape(grid: GridSpec, block: BlockSpec) -> GridSpec:
+    """Grid of the tags at which a block is defined: the whole grid if
+    cyclic, else M_i - m_i + 1 tags per axis."""
     block.check_against(grid)
     if grid.cyclic:
-        yield from grid.points()
-    else:
-        area = GridSpec(tuple(M - m + 1 for M, m in zip(grid.dims, block.dims)))
-        yield from area.points()
+        return grid
+    return GridSpec(tuple(M - m + 1 for M, m in zip(grid.dims, block.dims)))
+
+
+def coding_area(grid: GridSpec, block: BlockSpec) -> Iterator[Point]:
+    """Tags at which a block is defined, in row-major order."""
+    return coding_area_shape(grid, block).points()
 
 
 def coding_area_size(grid: GridSpec, block: BlockSpec) -> int:
-    if grid.cyclic:
-        return grid.volume
-    return math.prod(M - m + 1 for M, m in zip(grid.dims, block.dims))
+    return coding_area_shape(grid, block).volume
 
 
 def encode(cmap: ColorMap, tag: Point) -> Codeword:
@@ -236,22 +235,29 @@ def to_json(cmap: ColorMap) -> str:
 
 
 def from_json(text: str) -> ColorMap:
+    """Parse a map document; ValueError for malformed JSON or a document
+    of the wrong shape."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"map document must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')}")
-    palette = tuple(
-        PaletteEntry(
-            id=e["id"],
-            subgrid=tuple(e["subgrid"]) if e.get("subgrid") is not None else None,
-            factors=tuple(e["factors"]) if e.get("factors") is not None else None,
-            label=e.get("label", ""),
+    try:
+        palette = tuple(
+            PaletteEntry(
+                id=e["id"],
+                subgrid=tuple(e["subgrid"]) if e.get("subgrid") is not None else None,
+                factors=tuple(e["factors"]) if e.get("factors") is not None else None,
+                label=e.get("label", ""),
+            )
+            for e in doc["palette"]
         )
-        for e in doc["palette"]
-    )
-    return ColorMap(
-        grid=GridSpec(tuple(doc["grid"]["M"]), doc["grid"]["cyclic"]),
-        block=BlockSpec(tuple(doc["block"]["m"])),
-        colors=tuple(doc["colors"]),
-        palette=palette,
-        params=doc.get("params"),
-    )
+        return ColorMap(
+            grid=GridSpec(tuple(doc["grid"]["M"]), doc["grid"]["cyclic"]),
+            block=BlockSpec(tuple(doc["block"]["m"])),
+            colors=tuple(doc["colors"]),
+            palette=palette,
+            params=doc.get("params"),
+        )
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"malformed map document: {e!r}") from e

@@ -12,6 +12,7 @@ bounded exhaustive search.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -58,9 +59,8 @@ def min_colors(m: int, ell: int) -> MinColors:
     if ell < 2:
         raise ValueError("ell must be at least 2")
     if m <= 3:
-        k = 1
-        while max_cyclic_length(m, k) < ell:
-            k += 1
+        # max_cyclic_length(m, .) is increasing and reaches ell by k = ell
+        k = bisect.bisect_left(range(1, ell + 1), ell, key=lambda k: max_cyclic_length(m, k)) + 1
         return MinColors(k, True)
     # crude search for an upper bound: try growing k until a code is found
     for k in range(1, ell + 1):

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Codeword, ColorMap, GridSpec, coding_area_size
+from .core import Codeword, ColorMap, coding_area_shape, coding_area_size
 
 DEFAULT_LIMIT = 100_000
 
@@ -60,13 +60,6 @@ def _wrap_pad(colors, dims: tuple[int, ...], block: tuple[int, ...]):
     return arr, tuple(padded)
 
 
-def _coding_area_shape(cmap: ColorMap) -> GridSpec:
-    grid, block = cmap.grid, cmap.block
-    if grid.cyclic:
-        return grid
-    return GridSpec(tuple(M - m + 1 for M, m in zip(grid.dims, block.dims)))
-
-
 def _codewords(cmap: ColorMap) -> Iterator[Codeword]:
     """Canonical codeword of every tag of the coding area, in coding-area
     (row-major) order.
@@ -87,7 +80,7 @@ def _codewords(cmap: ColorMap) -> Iterator[Codeword]:
         sum(o * s for o, s in zip(off, strides))
         for off in itertools.product(*(range(m) for m in block.dims))
     ]
-    *outer, width = _coding_area_shape(cmap).dims
+    *outer, width = coding_area_shape(grid, block).dims
     for row in itertools.product(*(range(a) for a in outer)):
         base = sum(t * s for t, s in zip(row, strides))
         columns = [arr[base + o:base + o + width] for o in offsets]
@@ -111,7 +104,7 @@ def is_distinguishable(cmap: ColorMap, limit: int | None = None) -> VerifyReport
     for k, w in enumerate(_codewords(cmap)):
         first = seen.setdefault(w, k)
         if first != k:
-            area = _coding_area_shape(cmap)
+            area = coding_area_shape(cmap.grid, cmap.block)
             counterexample = (area.point(first), area.point(k), w)
             break
     checked = len(seen) + (counterexample is not None)
@@ -182,13 +175,25 @@ class BenchRow:
 
 
 def prime_window(start_index: int, count: int) -> list[int]:
-    """``count`` consecutive primes beginning with the start_index-th (1-based)."""
-    import sympy  # deferred: costs more to import than the rest of the package
+    """``count`` consecutive primes beginning with the start_index-th (1-based).
 
-    return [sympy.prime(start_index + i) for i in range(count)]
+    A sieve of Eratosthenes runs up to Rosser's bound on the last prime
+    wanted, p_n < n (ln n + ln ln n) for n >= 6 (and p_5 = 11 < 13).
+    """
+    if start_index < 1:
+        raise ValueError(f"prime index must be at least 1, got {start_index}")
+    n = start_index + count - 1
+    limit = 13 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = itertools.compress(range(limit + 1), sieve)
+    return list(itertools.islice(primes, start_index - 1, n))
 
 
-def order_bench(m: int, n: int, s_values) -> list[BenchRow]:
+def order_bench(m: int, s_values) -> list[BenchRow]:
     """Color counts over the prime-window grid family, one row per window.
 
     Family s uses the window of 2m consecutive primes starting at the
@@ -198,10 +203,11 @@ def order_bench(m: int, n: int, s_values) -> list[BenchRow]:
     ratio compares K against the family's own growth order L^(1/l),
     where l is the number of independent prime parameters: l = 1 for
     m = 1 (K = L exactly) and l = 2m otherwise.  It stays within
-    [1, 4m], with equality to 1 only at m = 1.
+    [1, 4m], with equality to 1 only at m = 1.  The families are
+    one-dimensional.
     """
-    if n != 1:
-        raise ValueError("the bench is implemented for n=1 families")
+    if m < 1:
+        raise ValueError(f"block size m must be at least 1, got {m}")
     rows = []
     for s in s_values:
         window = prime_window(s, 2 * m)

@@ -131,10 +131,13 @@ def synthesize(dec: Decomposition1D, submaps: list[ColorMap]) -> ColorMap:
             raise PaletteError(f"sub-map {i} palette overlaps earlier sub-maps")
         seen |= ids
 
-    colors = []
-    for x in range(dec.M):
-        i = dec.subgrid_of(x)
-        colors.append(submaps[i].colors[theta(dec, i, x)])
+    # Sub-grid i holds the residue classes d_i + r (mod m), r < m_i, and
+    # theta sends the class in order onto r (mod m_i) of the sub-map.
+    m = dec.m
+    colors = [0] * dec.M
+    for d, m_i, sm in zip(dec.offsets, dec.parts, submaps):
+        for r in range(m_i):
+            colors[d + r::m] = sm.colors[r::m_i]
     palette = []
     for i, sm in enumerate(submaps):
         for e in sm.palette:

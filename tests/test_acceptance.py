@@ -292,7 +292,7 @@ def test_criterion_08_erasure_location():
 
 
 def test_criterion_09_color_order_bench():
-    rows = {(m, row.s): row for m in (1, 2) for row in order_bench(m, 1, [1, 2, 3])}
+    rows = {(m, row.s): row for m in (1, 2) for row in order_bench(m, [1, 2, 3])}
     pinned = rows[(2, 1)]
     assert pinned.L == 840 and pinned.K == 34
     for (m, _), row in rows.items():

@@ -1,11 +1,13 @@
 """1D braid maps: parameter validity, construction, optimization, resizing."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcode import encode
+from braidcode import encode, to_json
 from braidcode.braid1d import (
     BraidParams1D,
     InfeasibleError,
@@ -69,7 +71,46 @@ def test_every_enumerated_parameterization_constructs_distinguishable(M, parts):
 
 
 def test_construct_round_trips_params(m24):
-    assert params_of(m24) == BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
+    assert params_of(m24)[0] == BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
+
+
+def test_params_of_cut_maps_give_the_base_params(m24, fig_map):
+    base = params_of(m24)
+    assert params_of(restrict(m24, 21)) == base
+    assert params_of(modify_general_size(m24, 20)) == base
+    assert params_of(modify_general_size(m24, 20, fresh=True)) == base
+    assert base[1] == m24.params["gens"]
+    for other in (fig_map, replace(m24, params=None), replace(m24, params={"kind": "generator"})):
+        with pytest.raises(ValueError):
+            params_of(other)
+
+
+# sha256 of to_json of each map, as built by the per-point synthesis and
+# the linear min_colors count these maps were first made with.
+PINNED_SHA256 = {
+    "m24": "a654d67c94490e9e06b5390a1940ff4e3811f755324f6751ed0e41875cb9b36d",
+    "4620": "137019eebab38f5192878e51e5a137d7178055f327f991ca9e8e5360a575496b",
+    "41612": "aa79f4335d6cfba593a15123fd89e0b30a85abee4d83447c387544ce9e59c0a2",
+    "opt-4620": "a4aae3ab8748e6a095a27ea96227ea7f5e5583d398049c4f5486c080ce136041",
+    "75-mixed": "43f42aeb5923b632a768959c911da6f979a2632a5754bdc32d4d0a3883a01abe",
+    "r-4001": "d3ecd86947b42a8028d0f22e7b26427357208241278d10d569d35083172a128d",
+    "mod-4000": "0d8c46d3a72580b58fea646ff6c438ed692f4846eaccf8a991ba167e84250751",
+}
+
+
+def test_builders_reproduce_pinned_maps_byte_for_byte(m24):
+    m4620 = construct(BraidParams1D(M=4620, parts=(1, 1), g=2, c=(1, 1), q=(15, 77)))
+    maps = {
+        "m24": m24,
+        "4620": m4620,
+        "41612": construct(BraidParams1D(M=41612, parts=(1, 1), g=2, c=(1, 1), q=(101, 103))),
+        "opt-4620": construct(optimize_generators(4620, (1, 1)).params),
+        "75-mixed": construct(BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))),
+        "r-4001": restrict(m4620, 4001),
+        "mod-4000": modify_general_size(m4620, 4000),
+    }
+    got = {k: hashlib.sha256(to_json(cmap).encode()).hexdigest() for k, cmap in maps.items()}
+    assert got == PINNED_SHA256
 
 
 def test_optimizer_prefers_mixed_over_class1():

@@ -191,6 +191,88 @@ def test_importing_the_cli_does_not_load_sympy():
     assert proc.stdout.strip() == "False"
 
 
+def test_bench_runs_without_sympy():
+    src = Path(braidcode.__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.modules['sympy'] = None; from braidcode.cli import main; "
+        "sys.exit(main(['bench', '--m', '2', '--s', '1,2,3']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "L\tK\tratio\n840\t34\t6.315520\n4620\t52\t6.307291\n20020\t72\t6.052942\n"
+
+
+@pytest.mark.parametrize("argv", [("--m", "2", "--s", "0"), ("--m", "0", "--s", "1")])
+def test_bench_rejects_a_window_out_of_range(capsys, argv):
+    code, out, err = run(capsys, "bench", *argv)
+    assert code == EXIT_INVALID and not out and err.startswith("error:")
+
+
+DELETE = object()
+
+
+def _edited(doc, path, value):
+    """``doc`` with the entry at ``path`` set to ``value`` (removed if DELETE)."""
+    if not path:
+        return value
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# Map files whose document has the wrong shape: every command that loads one exits 2.
+MALFORMED_DOCUMENTS = [
+    (("grid", "M"), "abc"),
+    (("grid", "M"), None),
+    (("colors",), None),
+    (("palette", 0), "a_1"),
+    ((), [1, 2]),
+]
+# Well-shaped documents whose construction params are not: decode exits 2.
+MALFORMED_PARAMS = [
+    ("m24", ("params",), [1]),
+    ("m24", ("params", "gens", 0, "ell"), DELETE),
+    ("m24", ("params", "q"), "ab"),
+    ("fig", ("params", "q"), DELETE),
+    ("fig", ("params", "g"), "x"),
+]
+
+
+MALFORMED_CASES = [
+    ("m24", path, value, command) for path, value in MALFORMED_DOCUMENTS
+    for command in ("encode", "decode", "verify")
+] + [(name, path, value, "decode") for name, path, value in MALFORMED_PARAMS]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,command", MALFORMED_CASES,
+    ids=[f"{command}-{name}-{'.'.join(map(str, path)) or 'doc'}="
+         f"{'deleted' if value is DELETE else json.dumps(value, separators=(',', ':'))}"
+         for name, path, value, command in MALFORMED_CASES],
+)
+def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, value, command):
+    cmap, tag = {"m24": (m24, (7,)), "fig": (fig_map, (0, 0))}[name]
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(_edited(json.loads(to_json(cmap)), path, value)))
+    extra = {
+        "encode": ("--point", ",".join(map(str, tag))),
+        "decode": ("--codeword", ",".join(map(str, encode(cmap, tag)))),
+        "verify": (),
+    }[command]
+    code, out, err = run(capsys, command, "--map", str(file), *extra)
+    assert code == EXIT_INVALID and not out
+    assert err.startswith("error:"), err
+
+
 def test_construct_nd_and_extend(tmp_path, capsys):
     path = tmp_path / "nd.json"
     qtable = json.dumps({"0,0": [1, 3], "0,1": [2, 1], "1,0": [1, 2], "1,1": [3, 1]})

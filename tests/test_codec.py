@@ -155,6 +155,20 @@ def test_decode_nd_extended(fig_map, L):
         assert decode_nd(ext, encode(ext, x)).tag == x
 
 
+def test_extension_to_the_full_size_decodes_like_the_standard_map(fig_map):
+    ext = extend_arbitrary_size(fig_map, fig_map.grid.dims)
+    assert ext.params["kind"] == "extended-nd" and ext.colors == fig_map.colors
+    for x in coding_area(ext.grid, ext.block):
+        assert decode_nd(ext, encode(ext, x)) == decode_nd(fig_map, encode(fig_map, x))
+
+
+def test_malformed_params_raise_value_error(m24):
+    bad = ColorMap(m24.grid, m24.block, m24.colors, m24.palette, params={**m24.params, "q": "ab"})
+    with pytest.raises(ValueError, match="malformed map params") as info:
+        compile_decoder(bad)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_decode_nd_rejects_wrong_size(fig_map):
     with pytest.raises(NotACodeword):
         decode_nd(fig_map, (0, 1, 2))

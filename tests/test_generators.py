@@ -48,6 +48,27 @@ def test_closed_form_matches_exhaustive_search(m, k):
     assert miss.status is SearchStatus.NOT_FOUND
 
 
+def linear_min_colors(m, ell):
+    """Count k up from 1: the reference the bisection in min_colors must match."""
+    k = 1
+    while max_cyclic_length(m, k) < ell:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_min_colors_matches_the_linear_count(m):
+    for ell in range(2, 5001):
+        assert min_colors(m, ell) == (linear_min_colors(m, ell), True), ell
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("ell", [10**6, 10**9])
+def test_min_colors_is_the_first_k_reaching_ell(m, ell):
+    k = min_colors(m, ell).k
+    assert max_cyclic_length(m, k) >= ell > max_cyclic_length(m, k - 1)
+
+
 def test_min_colors_reference_points():
     assert min_colors(2, 6) == (3, True)
     assert min_colors(3, 45) == (6, True)

@@ -156,15 +156,36 @@ def test_prime_window():
     assert prime_window(3, 2) == [5, 7]
 
 
+def trial_division_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_prime_window_sieve_matches_trial_division():
+    ref = trial_division_primes(2000)
+    assert prime_window(1, 2000) == ref
+    # each window ends at its own index n, so the sieve bound is checked at every n
+    for n in range(1, 2001):
+        assert prime_window(n, 1) == [ref[n - 1]], n
+    assert prime_window(1990, 6) == ref[1989:1995]
+    with pytest.raises(ValueError):
+        prime_window(0, 2)
+
+
 def test_order_bench_reference_point():
-    rows = order_bench(2, 1, [1])
+    rows = order_bench(2, [1])
     (row,) = rows
     assert row.L == 840 and row.K == 34
 
 
 def test_order_bench_ratio_band():
     for m in (1, 2):
-        for row in order_bench(m, 1, [1, 2, 3]):
+        for row in order_bench(m, [1, 2, 3]):
             ratio = row.ratio
             if m == 1:
                 assert ratio == 1.0
@@ -173,7 +194,7 @@ def test_order_bench_ratio_band():
 
 
 def test_bench_tsv_shape():
-    rows = order_bench(2, 1, [1, 2])
+    rows = order_bench(2, [1, 2])
     text = bench_tsv(rows)
     lines = text.strip().splitlines()
     assert lines[0].split("\t")[:2] == ["L", "K"]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcode import GridSpec
+from braidcode import BlockSpec, ColorMap, GridSpec, PaletteEntry
 from braidcode.generators import identity_generator
 from braidcode.sunmao import (
     Decomposition1D,
@@ -85,6 +85,23 @@ def test_synthesize_interleaves_subgrid_colors():
     for x in range(12):
         i = dec.subgrid_of(x)
         assert (cmap.colors[x] >= 6) == (i == 1)
+
+
+@given(decomps(), st.data())
+def test_synthesize_places_colors_by_theta(dec, data):
+    """Point x of sub-grid i takes sub-map i's color at theta(x)."""
+    submaps, offset = [], 0
+    for i, (M_i, m_i) in enumerate(zip(dec.subgrid_sizes, dec.parts)):
+        k = data.draw(st.integers(1, 4))
+        colors = data.draw(st.lists(st.integers(offset, offset + k - 1), min_size=M_i, max_size=M_i))
+        palette = tuple(PaletteEntry(id=c, subgrid=(i,)) for c in range(offset, offset + k))
+        submaps.append(ColorMap(GridSpec((M_i,)), BlockSpec((m_i,)), tuple(colors), palette))
+        offset += k
+    cmap = synthesize(dec, submaps)
+    assert cmap.grid.dims == (dec.M,) and cmap.block.dims == (dec.m,)
+    for x in range(dec.M):
+        i = dec.subgrid_of(x)
+        assert cmap.colors[x] == submaps[i].colors[theta(dec, i, x)]
 
 
 def test_nd_membership_one_point_per_subgrid():
