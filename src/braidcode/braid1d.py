@@ -12,6 +12,7 @@ are allowed.  Codes with all parts equal to 1 are called unitary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -84,6 +85,10 @@ def validate(params: BraidParams1D) -> list[str]:
     p = params
     if p.I < 1:
         errs.append("at least one part required")
+        return errs
+    if not len(p.parts) == len(p.c) == len(p.q):
+        errs.append(f"need one c_i and one q_i per part, got {len(p.parts)} parts, "
+                    f"{len(p.c)} c and {len(p.q)} q")
         return errs
     if p.g < 2:
         errs.append(f"g must exceed 1, got {p.g}")
@@ -204,6 +209,8 @@ def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
 
     ``klass`` restricts to class-1 (c_i = m_i) or class-2 (c_i = 1) codes.
     """
+    if not parts or any(m_i < 1 for m_i in parts):
+        raise ValueError(f"parts must be positive, got {parts}")
     m = sum(parts)
     if M % m != 0:
         raise InfeasibleError(f"block size {m} must divide M={M}")
@@ -213,30 +220,35 @@ def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
             continue
         Q = N // g
         qdivs = _divisors(Q)
+        c_opts = {(m_i, q_i): _c_options(m_i, g, q_i, klass, len(parts) == 1)
+                  for m_i in set(parts) for q_i in qdivs}
         for q in itertools.product(qdivs, repeat=len(parts)):
             if math.lcm(*q) != Q:
                 continue
-            c_choices = []
-            for m_i, q_i in zip(parts, q):
-                opts = []
-                for c_i in _divisors(m_i):
-                    if klass == "1" and c_i != m_i:
-                        continue
-                    if klass == "2" and c_i != 1:
-                        continue
-                    if len(parts) == 1 and c_i != m_i:
-                        continue
-                    if g * c_i <= m_i:
-                        continue
-                    if math.gcd(m_i // c_i, g * q_i) != 1:
-                        continue
-                    # gcd(m_i, g*c_i*q_i) must equal c_i
-                    if math.gcd(m_i, g * c_i * q_i) != c_i:
-                        continue
-                    opts.append(c_i)
-                c_choices.append(opts)
+            c_choices = [c_opts[m_i, q_i] for m_i, q_i in zip(parts, q)]
             for c in itertools.product(*c_choices):
                 yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
+
+
+def _c_options(m_i: int, g: int, q_i: int, klass: str, single: bool) -> list[int]:
+    """The c_i a part of size m_i admits with shared factor g and q_i."""
+    opts = []
+    for c_i in _divisors(m_i):
+        if klass == "1" and c_i != m_i:
+            continue
+        if klass == "2" and c_i != 1:
+            continue
+        if single and c_i != m_i:
+            continue
+        if g * c_i <= m_i:
+            continue
+        if math.gcd(m_i // c_i, g * q_i) != 1:
+            continue
+        # gcd(m_i, g*c_i*q_i) must equal c_i
+        if math.gcd(m_i, g * c_i * q_i) != c_i:
+            continue
+        opts.append(c_i)
+    return opts
 
 
 def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> OptimizeResult:
@@ -247,9 +259,10 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
     result is exact when every part is at most 3.
     """
     parts = tuple(parts)
+    fewest = functools.cache(min_colors)  # few distinct (m_i, ell) pairs recur
     best = None
     for params in enumerate_params(M, parts, klass):
-        mcs = [min_colors(m_i, ell) for m_i, ell in zip(params.parts, params.ells)]
+        mcs = [fewest(m_i, ell) for m_i, ell in zip(params.parts, params.ells)]
         cost = sum(mc.k for mc in mcs)
         exact = all(mc.exact for mc in mcs)
         key = (cost, params.ells, params.g)

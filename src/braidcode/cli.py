@@ -60,30 +60,40 @@ def _write_map(args, cmap: core.ColorMap):
 
 
 def cmd_construct(args) -> int:
-    if args.qtable:
-        try:
-            raw = json.loads(args.qtable)
-            qtable = {tuple(int(t) for t in k.split(",")): tuple(v) for k, v in raw.items()}
-            params = braidnd.UnitaryBraidParamsND(m=_ints(args.block), g=args.g, qtable=qtable)
-        except (ValueError, TypeError) as e:
-            raise CliError(EXIT_INVALID, f"bad n-dim parameters: {e}")
-        cmap = braidnd.construct_unitary_nd(params)
-        if args.target:
-            try:
-                cmap = braidnd.extend_arbitrary_size(cmap, _ints(args.target))
-            except ValueError as e:
-                raise CliError(EXIT_INVALID, str(e))
-        _write_map(args, cmap)
-        return EXIT_OK
+    try:
+        cmap = _construct_nd(args) if args.qtable else _construct_1d(args)
+    except (braid1d.InfeasibleError, generators.UnsupportedGeneratorError) as e:
+        raise CliError(EXIT_INFEASIBLE, str(e))
+    except ValueError as e:  # after InfeasibleError, which is one
+        raise CliError(EXIT_INVALID, str(e))
+    _write_map(args, cmap)
+    return EXIT_OK
 
+
+def _construct_nd(args) -> core.ColorMap:
+    if args.block is None or args.g is None:
+        raise CliError(EXIT_INVALID, "--qtable needs --block and --g")
+    try:
+        raw = json.loads(args.qtable)
+        if not isinstance(raw, dict):
+            raise TypeError("--qtable must be a JSON object")
+        qtable = {tuple(int(t) for t in k.split(",")): tuple(v) for k, v in raw.items()}
+        params = braidnd.UnitaryBraidParamsND(m=_ints(args.block), g=args.g, qtable=qtable)
+    except (ValueError, TypeError) as e:
+        raise CliError(EXIT_INVALID, f"bad n-dim parameters: {e}")
+    cmap = braidnd.construct_unitary_nd(params)
+    if args.target:
+        cmap = braidnd.extend_arbitrary_size(cmap, _ints(args.target))
+    return cmap
+
+
+def _construct_1d(args) -> core.ColorMap:
+    if args.dims is None or args.parts is None:
+        raise CliError(EXIT_INVALID, "a 1D map needs --dims and --parts (an n-dim one --qtable)")
     M = _ints(args.dims)[0]
     parts = _ints(args.parts)
-    if args.optimize or args.g is None:
-        try:
-            res = braid1d.optimize_generators(M, parts, klass=args.klass)
-        except braid1d.InfeasibleError as e:
-            raise CliError(EXIT_INFEASIBLE, str(e))
-        params = res.params
+    if args.g is None:
+        params = braid1d.optimize_generators(M, parts, klass=args.klass).params
     else:
         if args.q is None:
             raise CliError(EXIT_INVALID, "--q required with explicit --g")
@@ -92,16 +102,12 @@ def cmd_construct(args) -> int:
         errs = braid1d.validate(params)
         if errs:
             raise CliError(EXIT_INVALID, "; ".join(errs))
-    try:
-        cmap = braid1d.construct(params)
-    except (braid1d.InfeasibleError, generators.UnsupportedGeneratorError) as e:
-        raise CliError(EXIT_INFEASIBLE, str(e))
-    if args.restrict:
+    cmap = braid1d.construct(params)
+    if args.restrict is not None:
         cmap = braid1d.restrict(cmap, args.restrict)
-    elif args.modify:
+    elif args.modify is not None:
         cmap = braid1d.modify_general_size(cmap, args.modify, fresh=args.fresh)
-    _write_map(args, cmap)
-    return EXIT_OK
+    return cmap
 
 
 def cmd_encode(args) -> int:
@@ -161,7 +167,7 @@ def cmd_erasure_decode(args) -> int:
 
 def cmd_verify(args) -> int:
     cmap = _load_map(args.map)
-    limit = None if not args.exhaustive else 10**9
+    limit = 10**9 if args.exhaustive else oracle.DEFAULT_LIMIT
     try:
         report = oracle.is_distinguishable(cmap, limit=limit)
     except ValueError as e:
@@ -187,6 +193,8 @@ def cmd_optimize(args) -> int:
         res = braid1d.optimize_generators(M, parts, klass=args.klass)
     except braid1d.InfeasibleError as e:
         raise CliError(EXIT_INFEASIBLE, str(e))
+    except ValueError as e:  # after InfeasibleError, which is one
+        raise CliError(EXIT_INVALID, str(e))
     p = res.params
     payload = {
         "cost": res.cost,
@@ -220,19 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a braid code map")
     p.add_argument("--dims", help="grid size M (1D)")
     p.add_argument("--parts", help="comma-separated parts m_i (1D)")
-    p.add_argument("--g", type=int)
+    p.add_argument("--g", type=int, help="shared factor g (1D: the optimizer picks g, c, q "
+                   "when omitted)")
     p.add_argument("--c", help="comma-separated c_i")
     p.add_argument("--q", help="comma-separated q_i")
-    p.add_argument("--optimize", action="store_true", help="pick cheapest parameters")
     p.add_argument("--class", dest="klass", choices=["1", "2", "auto"], default="auto")
     p.add_argument("--block", help="block dims (n-dim unitary)")
     p.add_argument("--qtable", help='JSON like {"0,0": [1,3], ...} (n-dim unitary)')
     p.add_argument("--target", help="target dims L for n-dim extension")
-    p.add_argument("--restrict", type=int, help="restrict 1D map to M_r points")
-    p.add_argument("--modify", type=int, help="shrink 1D unitary map to M_r = J*m points")
+    cut = p.add_mutually_exclusive_group()
+    cut.add_argument("--restrict", type=int, help="restrict 1D map to M_r points")
+    cut.add_argument("--modify", type=int, help="shrink 1D unitary map to M_r = J*m points")
     p.add_argument("--fresh", action="store_true", help="use a fresh color when modifying")
     p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("encode", help="codeword of the block at a point")

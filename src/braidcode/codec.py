@@ -334,6 +334,10 @@ class _Braid:
             if e.subgrid is not None and 0 <= e.subgrid[0] < params.I
         }
         self.tables = tuple(_window_table(gen) for gen in gens)
+        for i, (table, m_i, ell) in enumerate(zip(self.tables, params.parts, params.ells)):
+            if len(table) != ell:
+                raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
+                                 f"{ell} windows share a sub-codeword")
         self.router = _Router(params.g, params.parts, params.c, params.q)
 
     def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
@@ -659,9 +663,11 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     """Locate a block from a partial codeword with e colors erased.
 
     The map must be a 1D unitary braid map or a restriction of one.  The
-    survivors pin j modulo g*lcm of their q's for each block-offset
-    hypothesis; all matching tags are returned along with the spread
-    (max pairwise cyclic distance) of the candidate set.
+    color at position alpha of generator i sits at exactly the points
+    x = i + m*(alpha + k*ell_i) < M_r, so each surviving color gives the
+    tags (x - o) mod M_r, o < m, with multiplicity; the candidates are the
+    tags whose block holds every survivor as often as it survives.  They
+    are returned along with their spread (max pairwise cyclic distance).
     """
     message = "erasure decoding requires a unitary braid map or restriction"
     dec = _decoder(cmap, (_Braid, _Restricted), message)
@@ -670,47 +676,20 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
         raise ValueError("erasure decoding requires a unitary map")
     (M_r,) = cmap.grid.dims
     m = len(braid.parts)
-    g, q = braid.router.g, braid.router.q
-    partial = canonical(partial)
-    if not partial or len(partial) > m:
+    need = Counter(partial)
+    if not 0 < sum(need.values()) <= m:
         raise NotACodeword("palette-split", "partial codeword size out of range")
 
-    survivors: dict[int, int] = {}
-    for cid in partial:
+    cands = None
+    for cid, n in need.items():
         i = braid.sub_of.get(cid)
         if i is None:
             raise NotACodeword("palette-split", f"unknown color id {cid}")
-        if i in survivors:
-            raise NotACodeword("palette-split", f"sub-grid {i} appears twice")
-        survivors[i] = braid.gens[i]["colors"].index(cid)
-
-    part_counter = Counter(partial)
-
-    def contains(tag: int) -> bool:
-        full = Counter(encode(cmap, (tag,)))
-        return all(full[cid] >= n for cid, n in part_counter.items())
-
-    cands: set[int] = set()
-    for r in range(m):
-        residues, moduli = [], []
-        for i, alpha in survivors.items():
-            inc = 1 if i < r else 0
-            gq = g * q[i]
-            residues.append((alpha - inc) % gq)
-            moduli.append(gq)
-        j0 = generalized_crt(residues, moduli)
-        if j0 is None:
-            continue
-        step = math.lcm(*moduli)
-        j = j0
-        while j * m + r < M_r:
-            if contains(j * m + r):
-                cands.add(j * m + r)
-            j += step
-    # wrapped boundary tags of restricted maps are checked directly
-    for t in range(max(0, M_r - m + 1), M_r):
-        if contains(t):
-            cands.add(t)
+        alpha = braid.tables[i].get((cid,))  # None: a palette color the generator never uses
+        points = () if alpha is None else range(i + m * alpha, M_r, m * braid.router.ells[i])
+        hits = Counter((x - o) % M_r for x in points for o in range(m))
+        held = {t for t, k in hits.items() if k >= n}
+        cands = held if cands is None else cands & held
 
     if not cands:
         raise NotACodeword("erasure", "no tag contains the partial codeword")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -34,10 +33,6 @@ class VerifyReport:
     counterexample: tuple | None = None  # (tag_a, tag_b, codeword)
     elapsed_s: float = field(default=0.0, compare=False)
     blocks_per_s: float = field(default=0.0, compare=False)
-
-
-def verify_limit() -> int:
-    return int(os.environ.get("BRAIDCODE_VERIFY_LIMIT", DEFAULT_LIMIT))
 
 
 def _wrap_pad(colors, dims: tuple[int, ...], block: tuple[int, ...]):
@@ -87,14 +82,12 @@ def _codewords(cmap: ColorMap) -> Iterator[Codeword]:
         yield from map(tuple, map(sorted, zip(*columns)))
 
 
-def is_distinguishable(cmap: ColorMap, limit: int | None = None) -> VerifyReport:
+def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyReport:
     """Exhaustively check that all block codewords are pairwise distinct.
 
     The first collision (lexicographically smallest tag pair) is
     reported.  Refuses coding areas beyond the limit.
     """
-    if limit is None:
-        limit = verify_limit()
     size = coding_area_size(cmap.grid, cmap.block)
     if size > limit:
         raise ValueError(f"coding area {size} exceeds verification limit {limit}")

@@ -52,7 +52,7 @@ def test_construct_rejects_invalid_params(tmp_path, capsys):
 
 
 def test_construct_infeasible(capsys):
-    code, _, _ = run(capsys, "construct", "--dims", "12", "--parts", "2,3", "--optimize")
+    code, _, _ = run(capsys, "construct", "--dims", "12", "--parts", "2,3")
     assert code == EXIT_INFEASIBLE
 
 
@@ -120,6 +120,54 @@ def test_erasure_decode(m24_path, capsys):
     )
     assert code == EXIT_OK
     assert "5" in out
+
+
+def test_erasure_decode_finds_the_wrapped_block_of_a_restriction(tmp_path, capsys):
+    path = tmp_path / "r19.json"
+    code, _, err = run(
+        capsys, "construct", "--dims", "24", "--parts", "1,1",
+        "--g", "2", "--c", "1,1", "--q", "2,3", "--restrict", "19", "--out", str(path),
+    )
+    assert code == EXIT_OK, err
+    code, out, err = run(capsys, "erasure-decode", "--map", str(path), "--codeword", "0,1")
+    assert code == EXIT_OK, err
+    assert out == "candidates=18 resolution=0\n"
+
+
+@pytest.mark.parametrize("command,codeword", [("decode", "0,4"), ("erasure-decode", "0")])
+def test_a_map_whose_generator_is_not_distinguishable_exits_2(m24_path, capsys, command, codeword):
+    doc = json.loads(m24_path.read_text())
+    doc["params"]["gens"][0]["colors"] = [0, 0, 2, 3]
+    doc["colors"] = [0 if c == 1 else c for c in doc["colors"]]
+    m24_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--map", str(m24_path), "--codeword", codeword)
+    assert code == EXIT_INVALID and not out
+    assert "generator 0 is not 1-distinguishable" in err
+
+
+M24_ARGS = ("--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3")
+BAD_BUILD_ARGS = [
+    ("construct", *M24_ARGS, "--restrict", "50"),
+    ("construct", *M24_ARGS, "--restrict", "0"),
+    ("construct", *M24_ARGS, "--modify", "7"),
+    ("construct", "--parts", "1,1"),
+    ("construct", "--dims", "24"),
+    ("construct", "--block", "2,2", "--g", "2", "--qtable", "[1]"),
+    ("construct", "--g", "2", "--qtable", '{"0": [1], "1": [2]}'),
+    ("construct", "--dims", "24", "--parts", "0"),
+    ("construct", "--dims", "24", "--parts", "1,-1"),
+    ("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--c", "1", "--q", "2,3"),
+    ("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3,5"),
+    ("optimize", "--dims", "24", "--parts", "0"),
+    ("optimize", "--dims", "24", "--parts", "1,-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_BUILD_ARGS, ids=" ".join)
+def test_bad_build_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and not out
+    assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_erasure_decode_rejects_wrong_erasure_count(m24_path, capsys):

@@ -1,9 +1,11 @@
 """Decoding: CRT, matrices, 1D/nD decoders, erasure location."""
 
+import functools
 import itertools
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from braidcode import (
     braid1d, canonical, coding_area, encode, from_json, is_distinguishable, to_json,
 )
 from braidcode.braid1d import BraidParams1D, construct, modify_general_size, restrict
-from braidcode.core import ColorMap
+from braidcode.core import ColorMap, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,
@@ -304,6 +306,64 @@ def test_erasure_non_coprime_q_known_gap():
     assert res.resolution == 12
 
 
+def reference_erasure(cmap, partial):
+    """Every tag whose codeword holds the multiset ``partial``, by brute force."""
+    need = Counter(partial)
+    return tuple(t for t in range(cmap.grid.dims[0]) if not need - Counter(encode(cmap, (t,))))
+
+
+def erasure_or_nothing(cmap, partial):
+    try:
+        return erasure_decode(cmap, partial).candidates
+    except NotACodeword:
+        return ()
+
+
+def test_erasure_matches_brute_force_on_every_restriction_of_the_fixture_map(m24):
+    ids = [e.id for e in m24.palette] + [len(m24.palette)]  # one unknown id
+    multisets = [w for k in (1, 2) for w in itertools.combinations_with_replacement(ids, k)]
+    for M_r in range(3, 25):
+        cmap = m24 if M_r == 24 else restrict(m24, M_r)
+        for w in multisets:
+            assert erasure_or_nothing(cmap, w) == reference_erasure(cmap, w), (M_r, w)
+
+
+@functools.lru_cache(maxsize=None)
+def unitary_map(g, q):
+    m = len(q)
+    return construct(BraidParams1D(M=m * g * math.lcm(*q), parts=(1,) * m, g=g, c=(1,) * m, q=q))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_erasure_matches_brute_force(data):
+    m = data.draw(st.integers(2, 3), label="m")
+    g = data.draw(st.integers(2, 3), label="g")
+    q = tuple(data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m), label="q"))
+    base = unitary_map(g, q)
+    (M,) = base.grid.dims
+    M_r = data.draw(st.integers(m + 1, M), label="M_r")  # M: the map itself
+    cmap = base if M_r == M else restrict(base, M_r)
+    if data.draw(st.booleans(), label="survivors of a block"):
+        w = encode(cmap, (data.draw(st.integers(0, M_r - 1), label="tag"),))
+        partial = data.draw(st.lists(st.sampled_from(range(m)), min_size=1, max_size=m,
+                                     unique=True), label="kept")
+        partial = [w[k] for k in partial]
+    else:
+        ids = [e.id for e in cmap.palette] + [len(cmap.palette)]  # one unknown id
+        partial = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=m),
+                            label="multiset")
+    assert erasure_or_nothing(cmap, partial) == reference_erasure(cmap, partial)
+
+
+def test_erasure_of_a_palette_color_no_point_carries(m24):
+    unused = PaletteEntry(id=10, subgrid=(0,), factors=None, label="c_10")
+    cmap = ColorMap(grid=m24.grid, block=m24.block, colors=m24.colors,
+                    palette=m24.palette + (unused,), params=m24.params)
+    with pytest.raises(NotACodeword, match="erasure"):
+        erasure_decode(cmap, (10,))
+
+
 def test_erasure_requires_unitary(m24):
     params = BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))
     cmap = construct(params)
@@ -335,3 +395,4 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24):
     colors[18] = colors[16]
     with pytest.raises(ValueError, match="point 18 "):
         decode_1d_general(_with_colors(mod, colors), encode(mod, (0,)))
+

@@ -11,7 +11,6 @@ from braidcode.braid1d import BraidParams1D, construct
 from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry, coding_area, encode
 from braidcode.generators import identity_generator
 from braidcode.oracle import (
-    DEFAULT_LIMIT,
     VerifyReport,
     bench_tsv,
     check_structure,
@@ -19,7 +18,6 @@ from braidcode.oracle import (
     is_distinguishable,
     order_bench,
     prime_window,
-    verify_limit,
 )
 
 
@@ -80,12 +78,6 @@ def test_verify_report_carries_its_cost(m24):
     rep = is_distinguishable(m24)
     assert rep.elapsed_s > 0 and rep.blocks_per_s == pytest.approx(rep.checked / rep.elapsed_s)
     assert rep == VerifyReport(True, 24, None)  # cost fields take no part in ==
-
-
-def test_verify_limit_env_override(monkeypatch):
-    assert verify_limit() == DEFAULT_LIMIT
-    monkeypatch.setenv("BRAIDCODE_VERIFY_LIMIT", "1234")
-    assert verify_limit() == 1234
 
 
 def test_is_distinguishable_reports_counterexample():
