@@ -59,7 +59,36 @@ def _write_map(args, cmap: core.ColorMap):
         print(text)
 
 
+def _size_1d(text: str) -> int:
+    dims = _ints(text)
+    if len(dims) != 1:
+        raise CliError(EXIT_INVALID, f"a 1D map takes one --dims value, got {text!r}")
+    return dims[0]
+
+
+def _refuse_ignored_options(args) -> None:
+    """Refuse an option that the map being built would silently ignore."""
+    if args.qtable:
+        what = "an n-dim map (--qtable)"
+        ignored = {"--dims": args.dims, "--parts": args.parts, "--c": args.c, "--q": args.q,
+                   "--restrict": args.restrict, "--modify": args.modify}
+    elif args.g is None:
+        what = "a 1D map built by the optimizer (no --g)"
+        ignored = {"--block": args.block, "--target": args.target, "--c": args.c, "--q": args.q}
+    else:
+        what = "a 1D map"
+        ignored = {"--block": args.block, "--target": args.target}
+    for name, value in ignored.items():
+        if value is not None:
+            raise CliError(EXIT_INVALID, f"{name} does not apply to {what}")
+    if args.g is not None and args.klass != "auto":
+        raise CliError(EXIT_INVALID, "--class applies only to the optimizer (no --g)")
+    if args.fresh and args.modify is None:
+        raise CliError(EXIT_INVALID, "--fresh applies only with --modify")
+
+
 def cmd_construct(args) -> int:
+    _refuse_ignored_options(args)
     try:
         cmap = _construct_nd(args) if args.qtable else _construct_1d(args)
     except (braid1d.InfeasibleError, generators.UnsupportedGeneratorError) as e:
@@ -90,7 +119,7 @@ def _construct_nd(args) -> core.ColorMap:
 def _construct_1d(args) -> core.ColorMap:
     if args.dims is None or args.parts is None:
         raise CliError(EXIT_INVALID, "a 1D map needs --dims and --parts (an n-dim one --qtable)")
-    M = _ints(args.dims)[0]
+    M = _size_1d(args.dims)
     parts = _ints(args.parts)
     if args.g is None:
         params = braid1d.optimize_generators(M, parts, klass=args.klass).params
@@ -187,7 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    M = _ints(args.dims)[0]
+    M = _size_1d(args.dims)
     parts = _ints(args.parts)
     try:
         res = braid1d.optimize_generators(M, parts, klass=args.klass)
@@ -277,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bench", help="prime-window scaling table (TSV)")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help="half the block size b = 2m; L is half the standard M = b*g*lcm(q)")
     p.add_argument("--s", default="1,2,3", help="comma-separated window starts")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -111,7 +111,7 @@ class GeneratorCode:
         return ColorMap(
             grid=GridSpec((self.ell,)),
             block=BlockSpec((self.m,)),
-            colors=tuple(c + id_offset for c in self.colors),
+            colors=tuple(map(id_offset.__add__, self.colors)),
             palette=palette,
             params={"kind": "generator", "ell": self.ell, "m": self.m},
         )
@@ -207,7 +207,7 @@ def repetitive_extend(gen: GeneratorCode, M: int) -> GeneratorCode:
     """Tile a generator around G^c_M (requires ell | M)."""
     if M % gen.ell != 0:
         raise ValueError(f"generator length {gen.ell} must divide {M}")
-    return GeneratorCode(M, gen.m, tuple(gen.colors[x % gen.ell] for x in range(M)), gen.labels)
+    return GeneratorCode(M, gen.m, gen.colors * (M // gen.ell), gen.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from .core import Codeword, ColorMap, coding_area_shape, coding_area_size
+from .core import ColorMap, coding_area_shape, coding_area_size
 
 DEFAULT_LIMIT = 100_000
 
@@ -55,52 +54,59 @@ def _wrap_pad(colors, dims: tuple[int, ...], block: tuple[int, ...]):
     return arr, tuple(padded)
 
 
-def _codewords(cmap: ColorMap) -> Iterator[Codeword]:
-    """Canonical codeword of every tag of the coding area, in coding-area
-    (row-major) order.
-
-    Blocks are read from the color array, padded first on a cyclic grid;
-    along the last axis the colors at each block offset form one slice,
-    and zipping the slices gives the blocks of a whole row of tags.
-    """
-    grid, block = cmap.grid, cmap.block
-    if grid.cyclic:
-        arr, dims = _wrap_pad(cmap.colors, grid.dims, block.dims)
-    else:
-        arr, dims = cmap.colors, grid.dims
-    strides = [1] * len(dims)
-    for i in reversed(range(len(dims) - 1)):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    offsets = [
-        sum(o * s for o, s in zip(off, strides))
-        for off in itertools.product(*(range(m) for m in block.dims))
-    ]
-    *outer, width = coding_area_shape(grid, block).dims
-    for row in itertools.product(*(range(a) for a in outer)):
-        base = sum(t * s for t, s in zip(row, strides))
-        columns = [arr[base + o:base + o + width] for o in offsets]
-        yield from map(tuple, map(sorted, zip(*columns)))
+def _first_true(flags) -> int | None:
+    """Index of the first true item, or None; the scan runs in C."""
+    return next(itertools.compress(itertools.count(), flags), None)
 
 
 def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyReport:
     """Exhaustively check that all block codewords are pairwise distinct.
 
-    The first collision (lexicographically smallest tag pair) is
-    reported.  Refuses coding areas beyond the limit.
+    Each color id gets its own prime, and each tag the product of the
+    primes of its block: by unique factorization two tags share a key
+    exactly when their blocks hold the same color multiset.  The products
+    are built one block axis at a time, each factor one shifted slice of
+    the (cyclically padded) prime array.  The first collision in
+    coding-area order (lexicographically smallest tag pair) is reported.
+    Refuses coding areas beyond the limit.
     """
     size = coding_area_size(cmap.grid, cmap.block)
     if size > limit:
         raise ValueError(f"coding area {size} exceeds verification limit {limit}")
     t0 = time.perf_counter()
-    seen: dict[Codeword, int] = {}
+    grid, block = cmap.grid, cmap.block
+    ids = sorted(set(cmap.colors))
+    prime_of = dict(zip(ids, prime_window(1, len(ids))))
+    arr, dims = list(map(prime_of.__getitem__, cmap.colors)), grid.dims
+    if grid.cyclic:
+        arr, dims = _wrap_pad(arr, dims, block.dims)
+    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    prods = arr
+    for m, s in zip(block.dims, strides):
+        n = len(prods) - (m - 1) * s
+        head, prods = prods, prods[:n]
+        for a in range(s, m * s, s):
+            prods = list(map(operator.mul, prods, head[a:a + n]))
+    area = coding_area_shape(grid, block)
+    *outer, width = area.dims
+    keys = prods  # on a 1D grid every product belongs to a tag
+    if outer:  # keep the first ``width`` products of each row of tags
+        bases = map(sum, itertools.product(*(range(0, a * s, s) for a, s in zip(outer, strides))))
+        keys = list(itertools.chain.from_iterable(prods[t:t + width] for t in bases))
     counterexample = None
-    for k, w in enumerate(_codewords(cmap)):
-        first = seen.setdefault(w, k)
-        if first != k:
-            area = coding_area_shape(cmap.grid, cmap.block)
-            counterexample = (area.point(first), area.point(k), w)
-            break
-    checked = len(seen) + (counterexample is not None)
+    checked = len(keys)
+    if len(set(keys)) != checked:
+        seen: dict[int, int] = {}
+        k = next(k for k, key in enumerate(keys) if seen.setdefault(key, k) != k)
+        checked = k + 1
+        tag = area.point(k)
+        base = sum(t * s for t, s in zip(tag, strides))
+        id_of = dict(zip(prime_of.values(), prime_of))
+        w = tuple(sorted(
+            id_of[arr[base + sum(o * s for o, s in zip(off, strides))]]
+            for off in itertools.product(*map(range, block.dims))
+        ))
+        counterexample = (area.point(seen[keys[k]]), tag, w)
     elapsed = time.perf_counter() - t0
     return VerifyReport(
         counterexample is None, checked, counterexample,
@@ -131,25 +137,42 @@ def check_structure(cmap: ColorMap) -> StructureReport:
     if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
         return StructureReport(False, ("not a standard 1D braid map",))
     parts = params["parts"]
+    colors = cmap.colors
     (M,) = cmap.grid.dims
     m = sum(parts)
     unitary = all(p == 1 for p in parts)
     if unitary:
-        for x, w in enumerate(_codewords(cmap)):
-            if len(set(w)) != m:
-                problems.append(f"block {x} repeats a color: {w}")
-                break
-    # repetitive law: sub-grid i tiles its generator with period ell_i
-    owner = [i for i, p in enumerate(parts) for _ in range(p)]
-    positions: dict[int, list[int]] = defaultdict(list)
-    for x in range(M):
-        positions[owner[x % m]].append(x)
+        (b,) = cmap.block.dims
+        padded = colors + colors[:b - 1]
+        if b == m:
+            # a pair of equal colors at distance d < m, the first at y, lies in
+            # the blocks y - (m - 1 - d) .. y; any() skips the search when none
+            x = min((
+                max(0, _first_true(map(operator.eq, padded, padded[d:])) - (m - 1 - d))
+                for d in range(1, m) if any(map(operator.eq, padded, padded[d:]))
+            ), default=None)
+        else:
+            x = _first_true(len(set(padded[t:t + b])) != m for t in range(M))
+        if x is not None:
+            problems.append(f"block {x} repeats a color: {tuple(sorted(padded[x:x + b]))}")
+    # repetitive law: sub-grid i tiles its generator with period ell_i; its
+    # residue r < m_i holds the points d_i + r + k*m, of rank r + k*m_i
+    starts = list(itertools.accumulate(parts, initial=0))
     for i, gen in enumerate(params["gens"]):
+        d, p = (starts[i], parts[i]) if i < len(parts) else (0, 0)
         ell, gen_colors = gen["ell"], gen["colors"]
-        for rank, x in enumerate(positions[i]):
-            if cmap.colors[x] != gen_colors[rank % ell]:
-                problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
-                break
+        count = len(range(d, M, m)) * p
+        # indexing, not gen_colors[:ell]: a generator shorter than ell raises
+        tiled = tuple(gen_colors[k] for k in range(ell)) * -(-count // ell)
+        x = None
+        for r in range(p):
+            got = colors[d + r::m]
+            want = tiled[r::p][:len(got)]
+            if got != want:  # one C-level comparison in the common case
+                y = d + r + m * _first_true(map(operator.ne, got, want))
+                x = y if x is None else min(x, y)
+        if x is not None:
+            problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
         if unitary and len(set(gen_colors)) != ell:
             problems.append(f"sub-grid {i}: generator not injective on its period")
     return StructureReport(not problems, tuple(problems))
@@ -192,8 +215,19 @@ def order_bench(m: int, s_values) -> list[BenchRow]:
     Family s uses the window of 2m consecutive primes starting at the
     s-th prime as braid q-parameters with g = 2: grid size
     L_s = 2m * prod(window) and color count K = 2 * sum(window)
-    (K = L for m = 1, where every point needs its own color).  The
-    ratio compares K against the family's own growth order L^(1/l),
+    (K = L for m = 1, where every point needs its own color).
+
+    For m >= 2, ``m`` is half the block size.  A row describes the
+    unitary braid map with b = 2m parts of size 1 (blocks of b points),
+    g = 2 and q = window, whose standard grid size is
+    M = b * g * lcm(q) = 2 * L_s: L_s is half of it.  For m = 2, s = 1
+    that map has M = 1680 and K = 34 colors, and its first 840 points,
+    taken as a cyclic map, are distinguishable too.  At block size m
+    itself a row cannot be met: K colors give only C(K + m - 1, m) < L_s
+    multisets of size m (m = 2, s = 1: C(35, 2) = 595 < 840).  The rows
+    are closed forms; no map is built.
+
+    The ratio compares K against the family's own growth order L^(1/l),
     where l is the number of independent prime parameters: l = 1 for
     m = 1 (K = L exactly) and l = 2m otherwise.  It stays within
     [1, 4m], with equality to 1 only at m = 1.  The families are

@@ -170,6 +170,34 @@ def test_bad_build_arguments_exit_2(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err, err
 
 
+ND8_ARGS = ("--block", "2", "--g", "2", "--qtable", '{"0": [1], "1": [2]}')
+IGNORED_OPTION_ARGS = [
+    ("construct", *M24_ARGS, "--fresh"),
+    ("construct", *ND8_ARGS, "--restrict", "5"),
+    ("construct", *ND8_ARGS, "--modify", "4"),
+    ("construct", *M24_ARGS, "--target", "12"),
+    ("construct", *M24_ARGS, "--block", "2"),
+    ("construct", "--dims", "24,7", "--parts", "1,1", "--g", "2", "--q", "2,3"),
+    ("construct", "--dims", "24", "--parts", "1,1", "--c", "1,1"),
+    ("construct", "--dims", "24", "--parts", "1,1", "--q", "2,3"),
+    ("construct", *M24_ARGS, "--class", "1"),
+    ("construct", *ND8_ARGS, "--dims", "8"),
+    ("construct", *ND8_ARGS, "--parts", "1"),
+    ("construct", *ND8_ARGS, "--c", "1"),
+    ("construct", *ND8_ARGS, "--q", "1"),
+    ("optimize", "--dims", "24,7", "--parts", "1,1"),
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_OPTION_ARGS, ids=" ".join)
+def test_an_option_the_map_would_ignore_exits_2(tmp_path, capsys, argv):
+    out_path = tmp_path / "map.json"
+    out_args = ("--out", str(out_path)) if argv[0] == "construct" else ()
+    code, out, err = run(capsys, *argv, *out_args)
+    assert code == EXIT_INVALID and not out and not out_path.exists()
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_erasure_decode_rejects_wrong_erasure_count(m24_path, capsys):
     cmap = from_json(m24_path.read_text())
     survivor = encode(cmap, (5,))[0]

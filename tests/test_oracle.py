@@ -1,16 +1,20 @@
 """Brute-force verification, structure checks, and the scaling bench."""
 
+import copy
+import functools
 import math
 import os
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidcode import braidnd
+from braidcode import braid1d, braidnd
 from braidcode.braid1d import BraidParams1D, construct
 from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry, coding_area, encode
 from braidcode.generators import identity_generator
 from braidcode.oracle import (
+    StructureReport,
     VerifyReport,
     bench_tsv,
     check_structure,
@@ -52,11 +56,52 @@ def small_maps(draw):
     )
 
 
-@given(small_maps())
+@st.composite
+def sparse_maps(draw):
+    """Hand-made maps with sparse, large color ids and blocks of volume up to
+    9.  The grid opens with ``low`` points of distinct small ids and goes on
+    with a sequence of larger ids repeated with some period, so that blocks
+    collide.  With ``low`` past 50, a block of 9 in the repeats multiplies
+    primes beyond 2**64."""
+    n = draw(st.integers(1, 3))
+    block = []
+    for _ in range(n):
+        block.append(draw(st.integers(1, 9 // math.prod(block))))
+    dims = [m + draw(st.integers(0, 3)) for m in block]
+    low = draw(st.one_of(st.integers(0, 3), st.integers(51, 60)))
+    dims[0] += -(-(low + draw(st.integers(0, 30))) // math.prod(dims[1:]))
+    volume = math.prod(dims)
+    ids = sorted(draw(st.lists(st.integers(0, 2**40), min_size=low + 2, max_size=low + 40,
+                               unique=True)))
+    period = draw(st.integers(1, volume - low))
+    seq = draw(st.lists(st.sampled_from(ids[low:]), min_size=period, max_size=period))
+    return ColorMap(
+        grid=GridSpec(tuple(dims), cyclic=draw(st.booleans())),
+        block=BlockSpec(tuple(block)),
+        colors=tuple(ids[:low] + [seq[i % period] for i in range(volume - low)]),
+        palette=tuple(PaletteEntry(c) for c in ids),
+    )
+
+
+@given(st.one_of(small_maps(), sparse_maps()))
 def test_block_walk_matches_the_reference_verifier(cmap):
     fast = is_distinguishable(cmap)
     ref = reference_is_distinguishable(cmap)
     assert (fast.ok, fast.checked, fast.counterexample) == (ref.ok, ref.checked, ref.counterexample)
+
+
+def test_block_keys_beyond_64_bits_stay_exact():
+    # ids ranked 52nd to 60th get the primes 239..281, and 239**9 > 2**64
+    assert prime_window(52, 9)[0] == 239 and 239**9 > 2**64
+    ids = [10**12 + 7 * i for i in range(60)]
+    colors = ids + ids[:50:-1]  # the 9 largest colors, once more in reverse
+    cmap = ColorMap(
+        grid=GridSpec((len(colors),), cyclic=False), block=BlockSpec((9,)),
+        colors=tuple(colors), palette=tuple(PaletteEntry(c) for c in ids),
+    )
+    rep = is_distinguishable(cmap)
+    assert rep == reference_is_distinguishable(cmap)
+    assert not rep.ok and min(rep.counterexample[2]) >= ids[51]
 
 
 def test_block_walk_matches_the_reference_on_fixture_maps(m24, fig_map, example_sets):
@@ -104,6 +149,79 @@ def test_is_distinguishable_respects_limit(m24):
 
 def test_count_colors(m24):
     assert count_colors(m24) == 10  # 4 + 6 color identity generators
+
+
+def reference_check_structure(cmap):
+    """The per-point structure check the slice-based one must match."""
+    problems = []
+    params = cmap.params or {}
+    if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
+        return StructureReport(False, ("not a standard 1D braid map",))
+    parts = params["parts"]
+    (M,) = cmap.grid.dims
+    m = sum(parts)
+    unitary = all(p == 1 for p in parts)
+    if unitary:
+        for x in range(M):
+            w = encode(cmap, (x,))
+            if len(set(w)) != m:
+                problems.append(f"block {x} repeats a color: {w}")
+                break
+    owner = [i for i, p in enumerate(parts) for _ in range(p)]
+    positions = defaultdict(list)
+    for x in range(M):
+        positions[owner[x % m]].append(x)
+    for i, gen in enumerate(params["gens"]):
+        ell, gen_colors = gen["ell"], gen["colors"]
+        for rank, x in enumerate(positions[i]):
+            if cmap.colors[x] != gen_colors[rank % ell]:
+                problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
+                break
+        if unitary and len(set(gen_colors)) != ell:
+            problems.append(f"sub-grid {i}: generator not injective on its period")
+    return StructureReport(not problems, tuple(problems))
+
+
+# standard 1D maps with parts of at most 3 and periods of at most 12
+STANDARD_1D = [
+    p
+    for parts in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (3, 1), (2, 2), (2, 3), (3, 3),
+                  (1, 1, 1), (1, 2, 3)]
+    for n in range(2, 25)
+    for p in braid1d.enumerate_params(sum(parts) * n, parts)
+    if max(p.ells) <= 12
+]
+_standard_map = functools.lru_cache(maxsize=None)(construct)
+
+
+@st.composite
+def mutated_standard_maps(draw):
+    """A standard 1D map, possibly with two colors swapped, one color
+    replaced by another palette id, one generator color changed, or a
+    block size that differs from the parts."""
+    cmap = _standard_map(draw(st.sampled_from(STANDARD_1D)))
+    colors, params, block = list(cmap.colors), cmap.params, cmap.block
+    index = st.integers(0, len(colors) - 1)
+    ids = [e.id for e in cmap.palette]
+    kind = draw(st.sampled_from(["none", "swap", "replace", "generator", "block"]))
+    if kind == "swap":
+        a, b = draw(index), draw(index)
+        colors[a], colors[b] = colors[b], colors[a]
+    elif kind == "replace":
+        colors[draw(index)] = draw(st.sampled_from(ids))
+    elif kind == "generator":
+        params = copy.deepcopy(params)
+        gen = draw(st.sampled_from(params["gens"]))
+        gen["colors"][draw(st.integers(0, gen["ell"] - 1))] = draw(st.sampled_from(ids))
+    elif kind == "block":
+        block = BlockSpec((draw(st.integers(1, len(colors))),))
+    return ColorMap(grid=cmap.grid, block=block, colors=tuple(colors),
+                    palette=cmap.palette, params=params)
+
+
+@given(mutated_standard_maps())
+def test_check_structure_matches_the_reference(cmap):
+    assert check_structure(cmap) == reference_check_structure(cmap)
 
 
 def test_check_structure_passes_braid_map(m24):
