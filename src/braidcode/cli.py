@@ -12,7 +12,11 @@ import dataclasses
 import json
 import sys
 
-from . import braid1d, braidnd, codec, core, generators, oracle
+# Only ``core`` is imported here.  Each command imports the modules it
+# runs, so that a call pays for compiling and loading those alone:
+# ``encode`` needs no other module, ``verify`` and ``bench`` the oracle,
+# the decoders the codec (which loads the constructions it decodes).
+from . import core
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -88,6 +92,8 @@ def _refuse_ignored_options(args) -> None:
 
 
 def cmd_construct(args) -> int:
+    from . import braid1d, generators
+
     _refuse_ignored_options(args)
     try:
         cmap = _construct_nd(args) if args.qtable else _construct_1d(args)
@@ -100,6 +106,8 @@ def cmd_construct(args) -> int:
 
 
 def _construct_nd(args) -> core.ColorMap:
+    from . import braidnd
+
     if args.block is None or args.g is None:
         raise CliError(EXIT_INVALID, "--qtable needs --block and --g")
     try:
@@ -117,6 +125,8 @@ def _construct_nd(args) -> core.ColorMap:
 
 
 def _construct_1d(args) -> core.ColorMap:
+    from . import braid1d
+
     if args.dims is None or args.parts is None:
         raise CliError(EXIT_INVALID, "a 1D map needs --dims and --parts (an n-dim one --qtable)")
     M = _size_1d(args.dims)
@@ -146,15 +156,17 @@ def cmd_encode(args) -> int:
         w = core.encode(cmap, point)
     except (core.OutOfCodingAreaError, ValueError) as e:
         raise CliError(EXIT_INVALID, str(e))
-    _emit(args, {"codeword": list(w)}, codec.format_codeword(w))
+    _emit(args, {"codeword": list(w)}, core.format_codeword(w))
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
+    from . import codec
+
     cmap = _load_map(args.map)
     try:
-        res = codec.decode(cmap, codec.parse_codeword(args.codeword))
-    except codec.NotACodeword as e:
+        res = codec.decode(cmap, core.parse_codeword(args.codeword))
+    except core.NotACodeword as e:
         raise CliError(EXIT_NOT_A_CODEWORD, str(e))
     except codec.AmbiguousDecode as e:
         raise CliError(EXIT_VERIFY_FAILED, str(e))
@@ -172,9 +184,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_erasure_decode(args) -> int:
+    from . import codec
+
     cmap = _load_map(args.map)
     try:
-        partial = codec.parse_codeword(args.codeword)
+        partial = core.parse_codeword(args.codeword)
         if args.erasures is not None and args.erasures != cmap.block.volume - len(partial):
             raise CliError(
                 EXIT_INVALID,
@@ -182,7 +196,7 @@ def cmd_erasure_decode(args) -> int:
                 f"of a block of {cmap.block.volume}",
             )
         res = codec.erasure_decode(cmap, partial)
-    except codec.NotACodeword as e:
+    except core.NotACodeword as e:
         raise CliError(EXIT_NOT_A_CODEWORD, str(e))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
@@ -195,6 +209,8 @@ def cmd_erasure_decode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     cmap = _load_map(args.map)
     limit = 10**9 if args.exhaustive else oracle.DEFAULT_LIMIT
     try:
@@ -210,12 +226,14 @@ def cmd_verify(args) -> int:
         args,
         {"ok": False, "tags": [list(a), list(b)], "codeword": list(w), "checked": report.checked,
          **cost},
-        f"counterexample tags={a},{b} codeword={codec.format_codeword(w)}",
+        f"counterexample tags={a},{b} codeword={core.format_codeword(w)}",
     )
     return EXIT_COUNTEREXAMPLE
 
 
 def cmd_optimize(args) -> int:
+    from . import braid1d
+
     M = _size_1d(args.dims)
     parts = _ints(args.parts)
     try:
@@ -239,6 +257,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import oracle
+
     try:
         rows = oracle.order_bench(args.m, _ints(args.s))
     except ValueError as e:

@@ -20,17 +20,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import ColorMap, Codeword, GridSpec, canonical, encode
+from .core import ColorMap, Codeword, GridSpec, NotACodeword, canonical, encode
+from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .braid1d import BraidParams1D, params_of
 from .braidnd import UnitaryBraidParamsND, params_of_nd
-
-
-class NotACodeword(ValueError):
-    """Input multiset is not a codeword; ``step`` names the failing stage."""
-
-    def __init__(self, step: str, detail: str = ""):
-        self.step = step
-        super().__init__(f"not a codeword ({step}){': ' + detail if detail else ''}")
 
 
 class AmbiguousDecode(ValueError):
@@ -175,21 +168,6 @@ def dump_matrices(cmap: ColorMap) -> str:
     lines.append("")
     lines += [" ".join(map(str, row)) for row in B.rows]
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Codeword wire format
-
-
-def format_codeword(w) -> str:
-    return ",".join(map(str, canonical(w)))
-
-
-def parse_codeword(text: str) -> Codeword:
-    try:
-        return canonical(int(t) for t in text.split(",") if t.strip() != "")
-    except ValueError as e:
-        raise NotACodeword("parse", str(e)) from None
 
 
 # ---------------------------------------------------------------------------

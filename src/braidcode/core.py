@@ -29,9 +29,31 @@ class PaletteError(ValueError):
     """Palette ids overlap or are otherwise inconsistent."""
 
 
+class NotACodeword(ValueError):
+    """Input multiset is not a codeword; ``step`` names the failing stage."""
+
+    def __init__(self, step: str, detail: str = ""):
+        self.step = step
+        super().__init__(f"not a codeword ({step}){': ' + detail if detail else ''}")
+
+
 def canonical(colors) -> Codeword:
     """Canonical form of a color multiset: ascending tuple."""
     return tuple(sorted(colors))
+
+
+# Codeword wire format: comma-separated color ids, in canonical order.
+
+
+def format_codeword(w) -> str:
+    return ",".join(map(str, canonical(w)))
+
+
+def parse_codeword(text: str) -> Codeword:
+    try:
+        return canonical(int(t) for t in text.split(",") if t.strip() != "")
+    except ValueError as e:
+        raise NotACodeword("parse", str(e)) from None
 
 
 @dataclass(frozen=True)

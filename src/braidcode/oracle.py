@@ -128,38 +128,38 @@ class StructureReport:
 def check_structure(cmap: ColorMap) -> StructureReport:
     """Structural checks for unitary 1D braid maps.
 
-    Verifies multiplicity-1 codewords (each sub-grid contributes one
-    color per block) and the periodicity law: two points of sub-grid i
-    share a color iff their distance is a multiple of ell_i.
+    Verifies one generator per sub-grid and blocks of sum(parts) points,
+    multiplicity-1 codewords (each sub-grid contributes one color per
+    block) and the periodicity law: two points of sub-grid i share a
+    color iff their distance is a multiple of ell_i.
     """
     problems = []
     params = cmap.params or {}
     if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
         return StructureReport(False, ("not a standard 1D braid map",))
-    parts = params["parts"]
+    parts, gens = params["parts"], params["gens"]
     colors = cmap.colors
     (M,) = cmap.grid.dims
+    (b,) = cmap.block.dims
     m = sum(parts)
     unitary = all(p == 1 for p in parts)
-    if unitary:
-        (b,) = cmap.block.dims
-        padded = colors + colors[:b - 1]
-        if b == m:
-            # a pair of equal colors at distance d < m, the first at y, lies in
-            # the blocks y - (m - 1 - d) .. y; any() skips the search when none
-            x = min((
-                max(0, _first_true(map(operator.eq, padded, padded[d:])) - (m - 1 - d))
-                for d in range(1, m) if any(map(operator.eq, padded, padded[d:]))
-            ), default=None)
-        else:
-            x = _first_true(len(set(padded[t:t + b])) != m for t in range(M))
+    if len(gens) != len(parts):
+        problems.append(f"map lists {len(gens)} generators for {len(parts)} sub-grids")
+    if b != m:
+        problems.append(f"block size {b} differs from sum(parts) {m}")
+    elif unitary:
+        padded = colors + colors[:m - 1]
+        # a pair of equal colors at distance d < m, the first at y, lies in
+        # the blocks y - (m - 1 - d) .. y; any() skips the search when none
+        x = min((
+            max(0, _first_true(map(operator.eq, padded, padded[d:])) - (m - 1 - d))
+            for d in range(1, m) if any(map(operator.eq, padded, padded[d:]))
+        ), default=None)
         if x is not None:
-            problems.append(f"block {x} repeats a color: {tuple(sorted(padded[x:x + b]))}")
+            problems.append(f"block {x} repeats a color: {tuple(sorted(padded[x:x + m]))}")
     # repetitive law: sub-grid i tiles its generator with period ell_i; its
     # residue r < m_i holds the points d_i + r + k*m, of rank r + k*m_i
-    starts = list(itertools.accumulate(parts, initial=0))
-    for i, gen in enumerate(params["gens"]):
-        d, p = (starts[i], parts[i]) if i < len(parts) else (0, 0)
+    for i, (gen, d, p) in enumerate(zip(gens, itertools.accumulate(parts, initial=0), parts)):
         ell, gen_colors = gen["ell"], gen["colors"]
         count = len(range(d, M, m)) * p
         # indexing, not gen_colors[:ell]: a generator shorter than ell raises

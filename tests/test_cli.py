@@ -281,6 +281,51 @@ def test_bench_runs_without_sympy():
     assert proc.stdout == "L\tK\tratio\n840\t34\t6.315520\n4620\t52\t6.307291\n20020\t72\t6.052942\n"
 
 
+# A child runs one command and prints, on its last stderr line, the
+# package modules the call loaded.
+LOADED_MODULES = """\
+import json, sys
+import braidcode.cli as cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "braidcode")), file=sys.stderr)
+sys.exit(code)
+"""
+BASE = {"braidcode", "braidcode.core", "braidcode.cli"}
+CONSTRUCTION = {"braidcode.braid1d", "braidcode.generators", "braidcode.sunmao"}
+
+
+@pytest.mark.parametrize("argv, code, loaded, not_loaded", [
+    pytest.param(("encode", "--point", "7"), EXIT_OK, BASE, None, id="encode"),
+    pytest.param(("verify",), EXIT_OK, BASE | {"braidcode.oracle"}, None, id="verify"),
+    pytest.param(("bench", "--m", "2", "--s", "1"), EXIT_OK, BASE | {"braidcode.oracle"}, None,
+                 id="bench"),
+    pytest.param(("decode", "--codeword", "3,6"), EXIT_OK, None, {"braidcode.oracle"},
+                 id="decode"),
+    pytest.param(("decode", "--codeword", "3,x"), EXIT_NOT_A_CODEWORD, None, {"braidcode.oracle"},
+                 id="decode-unparsable"),
+    pytest.param(("erasure-decode", "--codeword", "3"), EXIT_OK, None, {"braidcode.oracle"},
+                 id="erasure-decode"),
+    pytest.param(("optimize", "--dims", "75", "--parts", "2,3"), EXIT_OK, BASE | CONSTRUCTION,
+                 None, id="optimize"),
+    pytest.param(("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3"),
+                 EXIT_OK, None, {"braidcode.codec", "braidcode.oracle"}, id="construct"),
+])
+def test_each_command_loads_only_the_modules_it_runs(m24_path, argv, code, loaded, not_loaded):
+    if argv[0] not in ("bench", "optimize", "construct"):
+        argv = (argv[0], "--map", str(m24_path), *argv[1:])
+    src = Path(braidcode.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    if loaded is not None:
+        assert modules == loaded
+    if not_loaded is not None:
+        assert modules >= BASE and not modules & not_loaded
+
+
 @pytest.mark.parametrize("argv", [("--m", "2", "--s", "0"), ("--m", "0", "--s", "1")])
 def test_bench_rejects_a_window_out_of_range(capsys, argv):
     code, out, err = run(capsys, "bench", *argv)

@@ -157,11 +157,16 @@ def reference_check_structure(cmap):
     params = cmap.params or {}
     if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
         return StructureReport(False, ("not a standard 1D braid map",))
-    parts = params["parts"]
+    parts, gens = params["parts"], params["gens"]
     (M,) = cmap.grid.dims
+    (b,) = cmap.block.dims
     m = sum(parts)
     unitary = all(p == 1 for p in parts)
-    if unitary:
+    if len(gens) != len(parts):
+        problems.append(f"map lists {len(gens)} generators for {len(parts)} sub-grids")
+    if b != m:
+        problems.append(f"block size {b} differs from sum(parts) {m}")
+    elif unitary:
         for x in range(M):
             w = encode(cmap, (x,))
             if len(set(w)) != m:
@@ -171,7 +176,7 @@ def reference_check_structure(cmap):
     positions = defaultdict(list)
     for x in range(M):
         positions[owner[x % m]].append(x)
-    for i, gen in enumerate(params["gens"]):
+    for i, gen in enumerate(gens[:len(parts)]):
         ell, gen_colors = gen["ell"], gen["colors"]
         for rank, x in enumerate(positions[i]):
             if cmap.colors[x] != gen_colors[rank % ell]:
@@ -197,13 +202,14 @@ _standard_map = functools.lru_cache(maxsize=None)(construct)
 @st.composite
 def mutated_standard_maps(draw):
     """A standard 1D map, possibly with two colors swapped, one color
-    replaced by another palette id, one generator color changed, or a
-    block size that differs from the parts."""
+    replaced by another palette id, one generator color changed, a
+    generator dropped or repeated, or a block size that differs from the
+    parts."""
     cmap = _standard_map(draw(st.sampled_from(STANDARD_1D)))
     colors, params, block = list(cmap.colors), cmap.params, cmap.block
     index = st.integers(0, len(colors) - 1)
     ids = [e.id for e in cmap.palette]
-    kind = draw(st.sampled_from(["none", "swap", "replace", "generator", "block"]))
+    kind = draw(st.sampled_from(["none", "swap", "replace", "generator", "gens", "block"]))
     if kind == "swap":
         a, b = draw(index), draw(index)
         colors[a], colors[b] = colors[b], colors[a]
@@ -213,6 +219,13 @@ def mutated_standard_maps(draw):
         params = copy.deepcopy(params)
         gen = draw(st.sampled_from(params["gens"]))
         gen["colors"][draw(st.integers(0, gen["ell"] - 1))] = draw(st.sampled_from(ids))
+    elif kind == "gens":
+        params = copy.deepcopy(params)
+        k = draw(st.integers(0, len(params["gens"]) - 1))
+        if draw(st.booleans()):
+            del params["gens"][k]
+        else:
+            params["gens"].append(params["gens"][k])
     elif kind == "block":
         block = BlockSpec((draw(st.integers(1, len(colors))),))
     return ColorMap(grid=cmap.grid, block=block, colors=tuple(colors),
@@ -251,6 +264,28 @@ def test_check_structure_flags_a_block_with_a_repeated_color(m24):
     rep = check_structure(broken)
     assert not rep.ok
     assert rep.problems[0] == f"block 0 repeats a color: {(colors[0], colors[0])}"
+
+
+def test_check_structure_counts_the_generators(m24):
+    colors = list(m24.colors)
+    colors[1], colors[3] = colors[3], colors[1]  # two sub-grid-1 colors
+    params = copy.deepcopy(m24.params)
+    del params["gens"][1:]
+    cut = ColorMap(grid=m24.grid, block=m24.block, colors=tuple(colors),
+                   palette=m24.palette, params=params)
+    assert not is_distinguishable(cut).ok
+    assert check_structure(cut).problems == ("map lists 1 generators for 2 sub-grids",)
+    params = copy.deepcopy(m24.params)
+    params["gens"].append(params["gens"][0])
+    extra = ColorMap(grid=m24.grid, block=m24.block, colors=m24.colors,
+                     palette=m24.palette, params=params)
+    assert check_structure(extra).problems == ("map lists 3 generators for 2 sub-grids",)
+
+
+def test_check_structure_reports_a_block_size_off_the_parts(m24):
+    small = ColorMap(grid=m24.grid, block=BlockSpec((1,)), colors=m24.colors,
+                     palette=m24.palette, params=m24.params)
+    assert check_structure(small).problems == ("block size 1 differs from sum(parts) 2",)
 
 
 def test_check_structure_rejects_a_flat_grid(m24):
