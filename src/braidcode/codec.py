@@ -3,24 +3,27 @@
 Decoding a braid codeword never scans the full grid.  The codeword is
 split by sub-grid palette, each piece is decoded on its small generator,
 and the resulting sub-grid positions are routed through a generalized
-Chinese-remainder step to the unique block tag.  Non-standard sizes
-(restrictions, modifications, extensions) add a bounded candidate scan
-near the boundary.
+Chinese-remainder step to the unique block tag.  A map cut to a
+non-standard size (restriction, modification, extension) changes only
+the blocks at or past a seam on each cut axis; their codewords are read
+into a seam table, and a decode takes the routed tag when it lies before
+the seam, plus every seam tag the table lists for the codeword.
 
 Everything a decode needs that depends only on the map (palette split,
-generator tables, routing constants) is compiled once per map by
-``compile_decoder`` and kept on the map, so a decode costs O(ell), not
-O(M).
+generator tables, routing constants, seam table) is compiled once per
+map by ``compile_decoder`` and kept on the map, so a decode costs
+O(ell), not O(M).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import ColorMap, Codeword, GridSpec, NotACodeword, canonical, encode
+from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical, encode
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .braid1d import BraidParams1D, params_of
 from .braidnd import UnitaryBraidParamsND, params_of_nd
@@ -42,7 +45,9 @@ class DecodeResult:
     ``i_star`` is the (0-based) sub-grid holding the split/non-aligned
     sub-block, ``r_star`` its offset, ``a_star``/``b_star`` the CRT
     quotient and shared remainder j* = a*g + b*, and ``a_vec`` the
-    B-matrix column residues fed to the CRT.
+    B-matrix column residues fed to the CRT.  ``path`` is ``"routing"``,
+    or ``"seam"`` for a tag read from a cut map's seam table, whose
+    routing fields are then placeholders.
     """
 
     tag: int
@@ -52,12 +57,17 @@ class DecodeResult:
     a_star: int
     b_star: int
     a_vec: tuple[int, ...]
+    path: str
 
 
 @dataclass(frozen=True)
 class DecodeResultND:
+    """Decoded tag, per-axis routing (None on every axis for a seam tag)
+    and the path, ``"routing"`` or ``"seam"``."""
+
     tag: tuple[int, ...]
     per_axis: tuple[DecodeResult | None, ...]
+    path: str
 
 
 @dataclass(frozen=True)
@@ -248,7 +258,8 @@ class _Router:
                     break
             if ok:
                 tag = j_star * self.m + self.offsets[i_star] + x_r
-                results.append(DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec))
+                results.append(
+                    DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec, "routing"))
         return results
 
 
@@ -295,17 +306,57 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
         )
 
 
+def _one(hits: list, step: str, detail: str):
+    """The single hit; ``AmbiguousDecode`` naming every hit when there
+    are several; ``NotACodeword`` when there is none."""
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        raise AmbiguousDecode(sorted(h.tag for h in hits))
+    raise NotACodeword(step, detail)
+
+
+def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
+    """Codeword -> tags, over the tags at or past the seam of some axis.
+
+    ``seams[k]`` is the first coordinate on axis k whose block the cut
+    changed, or None for an axis the cut left whole; a standard map has
+    no seam and an empty table.  Blocks are read straight from the color
+    array, their flat indices built one axis at a time, so tags that
+    share leading coordinates share that part of the work.
+    """
+    dims, m, colors = cmap.grid.dims, cmap.block.dims, cmap.colors
+    strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+    seams = [None if s is None else max(s, 0) for s in seams]  # params may come from a file
+    table: dict[Codeword, list[Point]] = {}
+    for k, seam in enumerate(seams):
+        if seam is None:
+            continue
+        # tags past the seam of axis k but of no earlier axis, so none is read twice
+        ranges = [range(L) if j > k or s is None else range(s)
+                  for j, (L, s) in enumerate(zip(dims, seams))]
+        ranges[k] = range(seam, dims[k])
+        blocks = [((), [0])]
+        for r, L, m_j, stride in zip(ranges, dims, m, strides):
+            blocks = [(x + (c,), [i + (c + o) % L * stride for i in idx for o in range(m_j)])
+                      for x, idx in blocks for c in r]
+        for x, idx in blocks:
+            table.setdefault(canonical(colors[i] for i in idx), []).append(x)
+    return {w: tuple(tags) for w, tags in table.items()}
+
+
 class _Braid:
     """Compiled standard 1D braid code: palette split, generator tables, router.
 
-    The decoder of a standard map; restricted and modified maps route
-    their regular codewords through the one of the map they were cut from.
+    The decoder of a standard map; a map cut from one routes the
+    codewords before its seam through the one of the map it was cut from.
     """
 
     def __init__(self, cmap: ColorMap, shift: int = 0, tail: int = 0):
         params, gens = params_of(cmap)
         _check_colors(cmap, params, gens, shift, tail)
         self.M, self.parts, self.gens = params.M, params.parts, gens
+        self.shift, self.tail = shift, tail
         self.sub_of = {
             e.id: e.subgrid[0]
             for e in cmap.palette
@@ -318,8 +369,8 @@ class _Braid:
                                  f"{ell} windows share a sub-codeword")
         self.router = _Router(params.g, params.parts, params.c, params.q)
 
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
-        """Decode a canonical codeword of the standard map."""
+    def route(self, w: Codeword) -> list[DecodeResult]:
+        """Every tag of the standard map whose codeword is canonical ``w``."""
         groups = [[] for _ in self.parts]
         for cid in w:
             i = self.sub_of.get(cid)
@@ -337,84 +388,52 @@ class _Braid:
             if pos is None:
                 raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
             alphas.append(pos)
-        results = self.router.route(alphas)
-        if not results:
-            raise NotACodeword("crt", "no consistent routing")
-        if len(results) > 1:
-            raise AmbiguousDecode(r.tag for r in results)
-        return results[0]
+        return self.router.route(alphas)
 
-
-def _wrap_scan(cmap: ColorMap, w: Codeword, lo: int) -> DecodeResult | None:
-    """First tag in [lo, M_r) of a 1D map whose codeword is ``w``."""
-    (M_r,) = cmap.grid.dims
-    m = cmap.block.dims[0]
-    for t in range(max(0, lo), M_r):
-        if encode(cmap, (t,)) == w:
-            return DecodeResult(t, t // m, 0, t % m, 0, 0, ())
-    return None
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+        """Decode a canonical codeword of the standard map."""
+        results = self.route(w)
+        return results[0] if len(results) == 1 else _one(results, "crt", "no consistent routing")
 
 
 # ---------------------------------------------------------------------------
-# Compiled decoders, one class per decodable map kind
+# Compiled decoders of cut and n-D maps
 
 
-class _Restricted:
-    """Regular codewords route through the base code; the m-1 wrapping
-    tags are resolved by a bounded scan."""
+class _Cut:
+    """Compiled 1D map cut from a standard braid map: a restriction, or a
+    modification (``modified``), which rotates it by ``shift`` and
+    recolors its last m-1 points.
 
-    def __init__(self, cmap: ColorMap):
-        self.braid = _Braid(cmap)
+    A tag before the seam carries the block of the standard map at
+    tag + shift, which ``_check_colors`` has proved, so its codeword
+    routes; the blocks that wrap or cover the recolored tail start at or
+    past the seam and are read into the seam table.
+    """
 
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+    def __init__(self, cmap: ColorMap, modified: bool = False):
         (M_r,) = cmap.grid.dims
         m = cmap.block.dims[0]
+        tail = m - 1 if modified else 0
+        self.braid = _Braid(cmap, cmap.params["shift"] if modified else 0, tail)
+        self.seam = M_r - m + 1 - tail
+        self.table = _seam_table(cmap, (self.seam,))
+
+    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
+        m = cmap.block.dims[0]
+        hits = [DecodeResult(t, t // m, 0, t % m, 0, 0, (), "seam")
+                for (t,) in self.table.get(w, ())]
         try:
-            res = self.braid.decode(cmap, w)
-            if res.tag <= M_r - m and encode(cmap, (res.tag,)) == w:
-                return res
+            routed = self.braid.route(w)
         except NotACodeword:
-            pass
-        got = _wrap_scan(cmap, w, M_r - m + 1)
-        if got is None:
-            raise NotACodeword("restricted", "no boundary tag matches")
-        return got
-
-
-class _Modified:
-    """Boundary codewords are screened by their repeated-color (or fresh
-    color) signature; regular ones route through the base code, shifted."""
-
-    def __init__(self, cmap: ColorMap):
-        p = cmap.params
-        self.braid = _Braid(cmap, shift=p["shift"], tail=cmap.block.dims[0] - 1)
-        self.cstar, self.fresh, self.shift = p["cstar"], p.get("fresh"), p["shift"]
-        self.sub0 = frozenset(cid for cid, i in self.braid.sub_of.items() if i == 0)
-
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
-        (M_r,) = cmap.grid.dims
-        m = cmap.block.dims[0]
-        J = M_r // m
-        counts = Counter(w)
-        if self.fresh is not None and counts[self.fresh] > 0:
-            got = _wrap_scan(cmap, w, (J - 2) * m + 1)
-            if got is None:
-                raise NotACodeword("modified", "fresh-color signature matches no boundary tag")
-            return got
-        if self.fresh is None:
-            s = sum(n for cid, n in counts.items() if cid in self.sub0)
-            t = counts[self.cstar]
-            if s >= 2:
-                tag = (J - 2) * m + t if t == s else (J - 1) * m + (m - t)
-                if 0 <= tag < M_r and encode(cmap, (tag,)) == w:
-                    return DecodeResult(tag, tag // m, 0, tag % m, 0, 0, ())
-                raise NotACodeword("modified", "repeated-color signature matches no tag")
-        res = self.braid.decode(cmap, w)
-        tag = (res.tag - self.shift) % self.braid.M
-        if tag < M_r and encode(cmap, (tag,)) == w:
-            return DecodeResult(tag, res.j_star, res.i_star, res.r_star, res.a_star, res.b_star,
-                                res.a_vec)
-        raise NotACodeword("modified", "regular routing left the restricted grid")
+            if not hits:
+                raise
+        else:
+            for res in routed:
+                tag = (res.tag - self.braid.shift) % self.braid.M
+                if tag < self.seam:
+                    hits.append(replace(res, tag=tag))
+        return _one(hits, "seam", "the routed tag is past the seam and no seam tag matches")
 
 
 class _Axis:
@@ -464,22 +483,20 @@ class _Axis:
             r, rem = divmod(off, self.w_band)
             if rem == 0:
                 return DecodeResult(j * self.m_axis + r, res.j_star, res.i_star, res.r_star,
-                                    res.a_star, res.b_star, res.a_vec)
+                                    res.a_star, res.b_star, res.a_vec, res.path)
         raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 
 class _UnitaryND:
     """Each axis decodes independently from the codeword's projection.
 
-    On extended maps, axes whose projection shows fresh factors are
-    placed by the fresh-band pattern, and wrapped boundary tags are
-    resolved by a bounded candidate scan.
+    The routed tag is confirmed with one ``encode``.  An extended map's
+    blocks change from L_i - 2m_i + 1 on each shortened axis, where the
+    fresh band or the wrap starts; those are read into the seam table.
     """
 
     def __init__(self, cmap: ColorMap):
         self.params = params_of_nd(cmap)
-        self.dims = self.params.dims  # of the standard map; the grid may be cut shorter
-        self.extended = cmap.grid.dims != self.dims
         self.volume = math.prod(self.params.m)
         self.factors_of = {
             e.id: (e.subgrid, e.factors)
@@ -487,92 +504,38 @@ class _UnitaryND:
             if e.factors is not None and e.subgrid in self.params.qtable
         }
         self.axes = tuple(_Axis(self.params, axis) for axis in range(self.params.n))
+        self.seams = tuple(
+            None if L_i == M_i else L_i - 2 * m_i + 1
+            for L_i, M_i, m_i in zip(cmap.grid.dims, self.params.dims, self.params.m)
+        )
+        self.table = _seam_table(cmap, self.seams)
 
     def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResultND:
-        params, dims, m = self.params, self.dims, self.params.m
         if len(w) != self.volume:
             raise NotACodeword("palette-split", f"codeword size {len(w)} != block volume")
-        facts = []
-        for cid in w:
-            jf = self.factors_of.get(cid)
-            if jf is None:
-                raise NotACodeword("projection", f"color {cid} has no factor structure")
-            facts.append(jf)
-        L = cmap.grid.dims
-        diags: list[DecodeResult | None] = []
-        axis_cands: list[list[int]] = []
-        for ax in self.axes:
-            axis = ax.axis
-            proj = [(J, f[axis]) for J, f in facts]
-            cands: list[int] = []
-            diag = None
-            fresh_Js = [J for J, f in proj if f == ax.period[J]]
-            if fresh_Js:
-                x_i = _fresh_axis_position(params, L, axis, fresh_Js)
-                if x_i is not None:
-                    cands.append(x_i)
-            else:
-                try:
-                    diag = ax.decode(proj)
-                    if L[axis] == dims[axis] or diag.tag <= L[axis] - m[axis]:
-                        cands.append(diag.tag)
-                except NotACodeword:
-                    diag = None
-            if self.extended and L[axis] < dims[axis]:
-                cands += [t for t in range(L[axis] - m[axis] + 1, L[axis]) if t not in cands]
-            if not cands:
-                raise NotACodeword("projection", f"axis {axis}: no position candidates")
-            axis_cands.append(cands)
-            diags.append(diag)
-
-        matches = [x for x in itertools.product(*axis_cands) if encode(cmap, x) == w]
-        if not matches and self.extended:
-            # A block that wraps around an axis whose length is not a multiple
-            # of the block size scrambles the sub-grid membership seen by every
-            # other axis, so the per-axis routing above can miss it.  Scan the
-            # thin wrap slabs of such axes directly (at most (m_i - 1) * area /
-            # L_i encodes per axis).
-            seen = set(itertools.product(*axis_cands))
-            for axis in range(params.n):
-                if L[axis] % m[axis] == 0:
-                    continue
-                ranges = [range(L[k]) for k in range(params.n)]
-                ranges[axis] = range(L[axis] - m[axis] + 1, L[axis])
-                for x in itertools.product(*ranges):
-                    if x not in seen and encode(cmap, x) == w:
-                        matches.append(x)
-                        seen.add(x)
-        if not matches:
-            raise NotACodeword("verify", "no candidate tag reproduces the codeword")
-        if len(matches) > 1:
-            raise AmbiguousDecode(matches)
-        return DecodeResultND(tag=matches[0], per_axis=tuple(diags))
-
-
-def _fresh_axis_position(params, L, axis: int, fresh_Js) -> int | None:
-    """Axis position implied by which boundary sub-grids show fresh factors.
-
-    A block at x_i = (R-1)m + j covers bands (R-1, R) and shows fresh
-    factors for offsets j..m-1 (a suffix); at x_i = (R-2)m + j, j >= 1,
-    for offsets 0..j-1 (a prefix).  R = L_i / m_i.
-    """
-    m_i = params.m[axis]
-    R = L[axis] // m_i
-    for J in fresh_Js:
-        if any(J[k] != 0 for k in range(params.n) if k != axis):
-            return None
-    ks = sorted({J[axis] for J in fresh_Js})
-    if ks == list(range(ks[0], m_i)):  # suffix -> band R-1
-        return (R - 1) * m_i + ks[0]
-    if ks == list(range(0, len(ks))):  # prefix -> band R-2
-        return (R - 2) * m_i + len(ks)
-    return None
+        hits = [DecodeResultND(x, (None,) * len(x), "seam") for x in self.table.get(w, ())]
+        try:
+            facts = []
+            for cid in w:
+                jf = self.factors_of.get(cid)
+                if jf is None:
+                    raise NotACodeword("projection", f"color {cid} has no factor structure")
+                facts.append(jf)
+            diags = tuple(ax.decode([(J, f[ax.axis]) for J, f in facts]) for ax in self.axes)
+        except NotACodeword:
+            if not hits:
+                raise
+        else:
+            tag = tuple(d.tag for d in diags)
+            if all(s is None or t < s for t, s in zip(tag, self.seams)) and encode(cmap, tag) == w:
+                hits.append(DecodeResultND(tag, diags, "routing"))
+        return _one(hits, "verify", "no candidate tag reproduces the codeword")
 
 
 _DECODERS = {
     "braid1d": _Braid,
-    "restricted": _Restricted,
-    "modified": _Modified,
+    "restricted": _Cut,
+    "modified": functools.partial(_Cut, modified=True),
     "unitary-braid-nd": _UnitaryND,
     "extended-nd": _UnitaryND,
 }
@@ -621,7 +584,7 @@ def decode_1d(cmap: ColorMap, w) -> DecodeResult:
 def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
     """Decode on standard, restricted or modified 1D braid maps."""
     dec = _decoder(
-        cmap, (_Braid, _Restricted, _Modified),
+        cmap, (_Braid, _Cut),
         "not a 1D braid map, nor a restriction or modification of one",
     )
     return dec.decode(cmap, canonical(w))
@@ -648,8 +611,10 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     are returned along with their spread (max pairwise cyclic distance).
     """
     message = "erasure decoding requires a unitary braid map or restriction"
-    dec = _decoder(cmap, (_Braid, _Restricted), message)
-    braid = dec.braid if isinstance(dec, _Restricted) else dec
+    dec = _decoder(cmap, (_Braid, _Cut), message)
+    braid = dec.braid if isinstance(dec, _Cut) else dec
+    if braid.shift or braid.tail:  # a modified map
+        raise ValueError(message)
     if any(p != 1 for p in braid.parts):
         raise ValueError("erasure decoding requires a unitary map")
     (M_r,) = cmap.grid.dims

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import braidcode
-from braidcode import encode, extend_arbitrary_size, from_json, is_distinguishable, to_json
+from braidcode import (
+    encode, extend_arbitrary_size, from_json, is_distinguishable, restrict, to_json,
+)
 from braidcode.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INFEASIBLE,
@@ -62,7 +64,11 @@ def test_encode_decode_round_trip(m24_path, capsys):
     codeword = out.strip()
     code, out, _ = run(capsys, "decode", "--map", str(m24_path), "--codeword", codeword)
     assert code == EXIT_OK
-    assert out.strip().startswith("7")
+    assert out == "7\n"
+    code, out, _ = run(capsys, "decode", "--map", str(m24_path), "--codeword", codeword, "--json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert (doc["tag"], doc["path"]) == (7, "routing")
 
 
 def test_encode_json_output(m24_path, capsys):
@@ -92,14 +98,21 @@ def test_decode_rejects_a_map_whose_generators_contradict_its_colors(m24_path, c
     assert code == EXIT_INVALID and not out and "contradicts its generators: point 0 " in err
 
 
-def test_decode_ambiguous_codeword_exits_4(tmp_path, capsys, fig_map):
-    cut = extend_arbitrary_size(fig_map, (7, 5))
+@pytest.mark.parametrize("cut, codeword, tags", [
+    # a re-cut of the 24x24 map along both axes; the oracle's counterexample
+    (lambda m24, fig: extend_arbitrary_size(fig, (7, 5)), None, ("(0, 4)", "(4, 4)")),
+    # a restriction of the 24-point map whose tags 0 and 13 share a codeword
+    (lambda m24, fig: restrict(m24, 14), "0,4", ("[0, 13]",)),
+], ids=["extended-7x5", "restricted-14"])
+def test_decode_ambiguous_codeword_exits_4(tmp_path, capsys, m24, fig_map, cut, codeword, tags):
+    cmap = cut(m24, fig_map)
     path = tmp_path / "cut.json"
-    path.write_text(to_json(cut))
-    w = is_distinguishable(cut).counterexample[2]
-    code, out, err = run(capsys, "decode", "--map", str(path), "--codeword", ",".join(map(str, w)))
+    path.write_text(to_json(cmap))
+    if codeword is None:
+        codeword = ",".join(map(str, is_distinguishable(cmap).counterexample[2]))
+    code, out, err = run(capsys, "decode", "--map", str(path), "--codeword", codeword)
     assert code == EXIT_VERIFY_FAILED and not out
-    assert "(0, 4)" in err and "(4, 4)" in err
+    assert all(tag in err for tag in tags)
 
 
 def test_decode_dump_matrices(m24_path, capsys):
@@ -257,16 +270,6 @@ def test_bench_json_output(capsys):
     assert [r["s"] for r in rows] == [1, 2]
 
 
-def test_importing_the_cli_does_not_load_sympy():
-    src = Path(braidcode.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, braidcode.cli; print('sympy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 def test_bench_runs_without_sympy():
     src = Path(braidcode.__file__).resolve().parents[1]
     script = (
@@ -282,12 +285,13 @@ def test_bench_runs_without_sympy():
 
 
 # A child runs one command and prints, on its last stderr line, the
-# package modules the call loaded.
+# package modules the call loaded and whether sympy was loaded.
 LOADED_MODULES = """\
 import json, sys
 import braidcode.cli as cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "braidcode")), file=sys.stderr)
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "braidcode")
+print(json.dumps({"modules": modules, "sympy": "sympy" in sys.modules}), file=sys.stderr)
 sys.exit(code)
 """
 BASE = {"braidcode", "braidcode.core", "braidcode.cli"}
@@ -319,7 +323,9 @@ def test_each_command_loads_only_the_modules_it_runs(m24_path, argv, code, loade
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
-    modules = set(json.loads(proc.stderr.splitlines()[-1]))
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["sympy"] is False  # the package has no sympy dependency
+    modules = set(report["modules"])
     if loaded is not None:
         assert modules == loaded
     if not_loaded is not None:

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from braidcode import (
     braid1d, canonical, coding_area, encode, from_json, is_distinguishable, to_json,
 )
-from braidcode.braid1d import BraidParams1D, construct, modify_general_size, restrict
+from braidcode.braid1d import (
+    BraidParams1D, InfeasibleError, construct, modify_general_size, restrict,
+)
 from braidcode.core import ColorMap, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
@@ -258,6 +260,87 @@ def test_ambiguous_decode_names_the_clashing_tags(fig_map):
     assert set(err.value.tags) == {(0, 4), (4, 4)}
 
 
+def codeword_tags(cmap):
+    """Codeword -> every tag carrying it, by encoding each tag."""
+    tags = {}
+    for x in coding_area(cmap.grid, cmap.block):
+        tags.setdefault(encode(cmap, x), []).append(x if len(x) > 1 else x[0])
+    return tags
+
+
+def assert_decodes_like_encode(cmap):
+    """One tag: decode returns it.  Several: AmbiguousDecode names them all."""
+    for w, tags in codeword_tags(cmap).items():
+        if len(tags) == 1:
+            assert decode(cmap, w).tag == tags[0], (cmap.params["kind"], cmap.grid.dims, w)
+        else:
+            with pytest.raises(AmbiguousDecode) as err:
+                decode(cmap, w)
+            assert err.value.tags == tuple(sorted(tags)), (cmap.grid.dims, w)
+
+
+def cuts_1d(M, q):
+    """Every restriction and every feasible modification, plain and fresh."""
+    base = _unitary_1d(M, q)
+    m = len(q)
+    yield from (restrict(base, M_r) for M_r in range(m + 1, M))
+    for M_r in range(2 * m, M, m):
+        for fresh in (False, True):
+            try:
+                yield modify_general_size(base, M_r, fresh=fresh)
+            except InfeasibleError:
+                pass
+
+
+@pytest.mark.parametrize("M,q", [(12, (1, 3)), (24, (2, 3)), (36, (2, 3, 1)), (60, (3, 5)),
+                                 (84, (3, 7))])
+def test_every_cut_of_a_unitary_map_decodes_like_encode(M, q):
+    # covers modified maps with shift 1 and restrictions that are not distinguishable
+    for cmap in cuts_1d(M, q):
+        assert_decodes_like_encode(cmap)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_every_one_axis_recut_of_the_fixture_map_decodes_like_encode(fig_map, axis):
+    # the re-cuts with L odd are plain restrictions, and some share codewords
+    for L in range(4, 25):
+        dims = [24, 24]
+        dims[axis] = L
+        assert_decodes_like_encode(extend_arbitrary_size(fig_map, tuple(dims)))
+
+
+@pytest.mark.parametrize("cut, seam_tags", [
+    (lambda m24, fig: restrict(m24, 19), [(18,)]),
+    (lambda m24, fig: modify_general_size(m24, 20), [(18,), (19,)]),
+    (lambda m24, fig: extend_arbitrary_size(fig, (12, 21)), None),
+], ids=["restricted", "modified", "extended"])
+def test_seam_table_holds_the_encoded_blocks_past_the_seam(m24, fig_map, cut, seam_tags):
+    cmap = cut(m24, fig_map)
+    table = compile_decoder(cmap).table
+    if seam_tags is None:  # the tags with x_0 >= 12 - 4 + 1 or x_1 >= 21 - 4 + 1
+        seam_tags = [x for x in coding_area(cmap.grid, cmap.block) if x[0] >= 9 or x[1] >= 18]
+        assert len(seam_tags) == 3 * 21 + 12 * 3 - 3 * 3
+    expect = {}
+    for x in seam_tags:
+        expect.setdefault(encode(cmap, x), []).append(x)
+    assert {w: sorted(tags) for w, tags in table.items()} == expect
+    assert compile_decoder(fig_map).table == {}  # a standard map has no seam
+
+
+def test_decode_reports_its_path(m24, fig_map):
+    r = restrict(m24, 19)
+    assert decode(m24, encode(m24, (18,))).path == "routing"
+    assert decode(r, encode(r, (3,))).path == "routing"
+    seam = decode(r, encode(r, (18,)))
+    assert (seam.tag, seam.path) == (18, "seam")
+    assert decode(fig_map, encode(fig_map, (23, 23))).path == "routing"
+    ext = extend_arbitrary_size(fig_map, (12, 20))
+    res = decode(ext, encode(ext, (2, 3)))
+    assert (res.path, [d.tag for d in res.per_axis]) == ("routing", [2, 3])
+    res = decode(ext, encode(ext, (11, 3)))
+    assert (res.tag, res.path, res.per_axis) == ((11, 3), "seam", (None, None))
+
+
 # ---------------------------------------------------------------------------
 # erasure location
 
@@ -364,11 +447,13 @@ def test_erasure_of_a_palette_color_no_point_carries(m24):
         erasure_decode(cmap, (10,))
 
 
-def test_erasure_requires_unitary(m24):
-    params = BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))
-    cmap = construct(params)
+@pytest.mark.parametrize("build", [
+    lambda m24: construct(BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))),
+    lambda m24: modify_general_size(m24, 20),
+], ids=["mixed-class", "modified"])
+def test_erasure_requires_unitary(m24, build):
     with pytest.raises(ValueError):
-        erasure_decode(cmap, (0,))
+        erasure_decode(build(m24), (0,))
 
 
 def _with_colors(cmap, colors):
