@@ -161,17 +161,19 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     )
 
 
-def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
-    """Standard braid parameters and generators a 1D map was built from.
+def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
+    """Standard braid parameters and generators a 1D map was built from,
+    and its window on that map: every point x but the last ``tail``
+    carries the standard color at x + ``shift``.
 
-    A restricted or modified map gives those of the map it was cut from,
-    with M = m * g * lcm(q); only its stored params are read, the map
-    itself is not rebuilt.  A standard map's grid must be that period, a
-    cut map's grid no longer.
+    A restricted or modified map, or a cut of one, gives those of the
+    standard map it was cut from, on M = m * g * lcm(q) points (a cut map
+    has fewer); only stored params are read, no map is rebuilt.
     """
     p = cmap.params or {}
-    cut = p.get("kind") in ("restricted", "modified")
-    if cut:
+    cuts = []
+    while p.get("kind") in ("restricted", "modified"):
+        cuts.append(p)
         p = p.get("base") or {}
     if p.get("kind") != "braid1d":
         raise ValueError("not a 1D braid map, nor a restriction or modification of one")
@@ -182,9 +184,17 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict]]:
         M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
     )
     dims = cmap.grid.dims
-    if len(dims) != 1 or dims[0] > params.M or (not cut and dims[0] != params.M):
+    if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
         raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
-    return params, p["gens"]
+    # n: how many leading points carry standard colors, cut by cut from the root
+    shift, n = 0, params.M
+    for cut in reversed(cuts):
+        if cut["kind"] == "restricted":  # keeps the first M_r points
+            n = min(n, cut["M_r"])
+        else:  # rotates by its shift, keeps M_r points and recolors the last m-1
+            shift += cut["shift"]
+            n = min(n - cut["shift"], cut["M_r"] - params.m + 1)
+    return params, p["gens"], shift, dims[0] - max(0, min(n, dims[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +291,21 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     """Restrict a 1D map to the first M_r points of its grid, kept cyclic.
 
-    Distinguishability is guaranteed for unitary braid maps when the
-    block size does not divide M_r; otherwise the result may collide and
-    should be checked with the oracle.
+    Distinguishability is guaranteed for unitary braid maps, and for
+    restrictions of one, when the block size does not divide M_r;
+    otherwise the result may collide and should be checked with the oracle.
     """
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]
     if not m < M_r < M:
         raise ValueError(f"need m < M_r < M, got M_r={M_r}")
-    base = cmap.params
+    base = root = cmap.params
+    while root is not None and root.get("kind") == "restricted":
+        root = root.get("base")  # a restriction of a restriction is one of the root
     guaranteed = (
-        base is not None
-        and base.get("kind") == "braid1d"
-        and all(p == 1 for p in base["parts"])
+        root is not None
+        and root.get("kind") == "braid1d"
+        and all(p == 1 for p in root["parts"])
         and M_r % m != 0
     )
     return ColorMap(
@@ -311,8 +323,8 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     Rotates the map so the first and last aligned blocks differ at offset
     0, restricts to M_r, then overwrites the last m-1 points with the
     color of the last aligned point (or a globally fresh color when
-    ``fresh``).  The overwritten run makes wrapped blocks identifiable
-    by their repeated-color signature.
+    ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
+    the overwritten run; the decoder reads them into its seam table.
     """
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]

@@ -213,9 +213,9 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     """Shrink a standard unitary braid map to target dims L.
 
     Per axis: plain restriction when m_i does not divide L_i (wrapped
-    blocks are then identifiable by sub-grid counts), otherwise the last
-    aligned band of each boundary sub-grid (l; 0, ..., 0) gets a fresh
-    axis factor.  Requires 2*m_i <= L_i <= M_i.
+    blocks may then collide, as on the 137x137 re-cut of the 140x140 map),
+    otherwise the last aligned band of each boundary sub-grid (l; 0, ..., 0)
+    gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.
     """
     params = params_of_nd(cmap)
     if cmap.params.get("kind") != "unitary-braid-nd":

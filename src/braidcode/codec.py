@@ -3,11 +3,11 @@
 Decoding a braid codeword never scans the full grid.  The codeword is
 split by sub-grid palette, each piece is decoded on its small generator,
 and the resulting sub-grid positions are routed through a generalized
-Chinese-remainder step to the unique block tag.  A map cut to a
-non-standard size (restriction, modification, extension) changes only
-the blocks at or past a seam on each cut axis; their codewords are read
-into a seam table, and a decode takes the routed tag when it lies before
-the seam, plus every seam tag the table lists for the codeword.
+Chinese-remainder step to the unique block tag.  A map cut to another
+size (restriction, modification, extension, a cut of a cut) changes only
+the blocks at or past a seam on each cut axis, read into a seam table;
+one rule decodes every cyclic map: the routed tag when it lies before
+every seam, plus every seam tag the table lists for the codeword.
 
 Everything a decode needs that depends only on the map (palette split,
 generator tables, routing constants, seam table) is compiled once per
@@ -17,7 +17,6 @@ O(ell), not O(M).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -135,10 +134,10 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     """A[i][j] = label of the j-th aligned sub-block codeword of sub-grid i.
 
     Labels number distinct sub-grid codewords in order of first
-    appearance along j.  Derived from generator params only; restricted
-    and modified maps give the matrix of the map they were cut from.
+    appearance along j.  Derived from generator params only; a cut map
+    (or a cut of one) gives the matrix of the standard map it was cut from.
     """
-    params, gens = params_of(cmap)
+    params, gens, _, _ = params_of(cmap)
     cols = params.M // params.m
     rows = []
     for gen in gens:
@@ -282,6 +281,8 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
     m = params.m
     if len(gens) != params.I:
         raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
+    if cmap.block.dims != (m,):
+        raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
     n = len(cmap.colors) - tail
     bad = []
     for i, (gen, d, m_i, ell) in enumerate(
@@ -306,14 +307,28 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
         )
 
 
-def _one(hits: list, step: str, detail: str):
-    """The single hit; ``AmbiguousDecode`` naming every hit when there
-    are several; ``NotACodeword`` when there is none."""
+def _decide(dec, w: Codeword, confirm=None):
+    """The decode rule of every map: ``dec``'s seam-table tags for ``w``,
+    plus each ``dec.route(w)`` result before every seam that ``confirm``
+    (if given) accepts.  Returns the single hit; raises ``AmbiguousDecode``
+    naming them all, or ``NotACodeword`` (the routing's own, if it failed)."""
+    seam_tags = dec.table.get(w, ())
+    try:
+        routed = dec.route(w)
+    except NotACodeword:
+        if not seam_tags:
+            raise
+        routed = ()
+    hits = [dec.seam_result(x) for x in seam_tags] if seam_tags else []
+    for res in routed:
+        x = res.tag if isinstance(res.tag, tuple) else (res.tag,)
+        if all(s is None or t < s for t, s in zip(x, dec.seams)) and (confirm is None or confirm(res)):
+            hits.append(res)
     if len(hits) == 1:
         return hits[0]
     if hits:
         raise AmbiguousDecode(sorted(h.tag for h in hits))
-    raise NotACodeword(step, detail)
+    raise NotACodeword("verify", "no seam tag carries the codeword, nor a routed tag before the seam")
 
 
 def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
@@ -346,17 +361,21 @@ def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
 
 
 class _Braid:
-    """Compiled standard 1D braid code: palette split, generator tables, router.
+    """Compiled 1D braid code, standard or cut: palette split, generator
+    tables, router, seam table.
 
-    The decoder of a standard map; a map cut from one routes the
-    codewords before its seam through the one of the map it was cut from.
+    A tag before the seam carries the block of the standard map at
+    tag + shift (the window ``_check_colors`` proves), so its codeword
+    routes; blocks that wrap or cover the tail start at or past the seam.
     """
 
-    def __init__(self, cmap: ColorMap, shift: int = 0, tail: int = 0):
-        params, gens = params_of(cmap)
-        _check_colors(cmap, params, gens, shift, tail)
-        self.M, self.parts, self.gens = params.M, params.parts, gens
-        self.shift, self.tail = shift, tail
+    def __init__(self, cmap: ColorMap):
+        params, gens, self.shift, self.tail = params_of(cmap)
+        _check_colors(cmap, params, gens, self.shift, self.tail)
+        (L,) = cmap.grid.dims
+        self.M, self.m, self.parts = params.M, params.m, params.parts
+        self.seams = (None if L == params.M and not self.tail else L - params.m + 1 - self.tail,)
+        self.table = _seam_table(cmap, self.seams)
         self.sub_of = {
             e.id: e.subgrid[0]
             for e in cmap.palette
@@ -370,7 +389,7 @@ class _Braid:
         self.router = _Router(params.g, params.parts, params.c, params.q)
 
     def route(self, w: Codeword) -> list[DecodeResult]:
-        """Every tag of the standard map whose codeword is canonical ``w``."""
+        """The standard map's tags with canonical codeword ``w``, moved back by ``shift``."""
         groups = [[] for _ in self.parts]
         for cid in w:
             i = self.sub_of.get(cid)
@@ -388,52 +407,22 @@ class _Braid:
             if pos is None:
                 raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
             alphas.append(pos)
-        return self.router.route(alphas)
+        results = self.router.route(alphas)
+        if not results:
+            raise NotACodeword("crt", "no consistent routing")
+        if self.shift:
+            results = [replace(res, tag=(res.tag - self.shift) % self.M) for res in results]
+        return results
+
+    def seam_result(self, x: Point) -> DecodeResult:
+        return DecodeResult(x[0], x[0] // self.m, 0, x[0] % self.m, 0, 0, (), "seam")
 
     def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
-        """Decode a canonical codeword of the standard map."""
-        results = self.route(w)
-        return results[0] if len(results) == 1 else _one(results, "crt", "no consistent routing")
+        return _decide(self, w)
 
 
 # ---------------------------------------------------------------------------
-# Compiled decoders of cut and n-D maps
-
-
-class _Cut:
-    """Compiled 1D map cut from a standard braid map: a restriction, or a
-    modification (``modified``), which rotates it by ``shift`` and
-    recolors its last m-1 points.
-
-    A tag before the seam carries the block of the standard map at
-    tag + shift, which ``_check_colors`` has proved, so its codeword
-    routes; the blocks that wrap or cover the recolored tail start at or
-    past the seam and are read into the seam table.
-    """
-
-    def __init__(self, cmap: ColorMap, modified: bool = False):
-        (M_r,) = cmap.grid.dims
-        m = cmap.block.dims[0]
-        tail = m - 1 if modified else 0
-        self.braid = _Braid(cmap, cmap.params["shift"] if modified else 0, tail)
-        self.seam = M_r - m + 1 - tail
-        self.table = _seam_table(cmap, (self.seam,))
-
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
-        m = cmap.block.dims[0]
-        hits = [DecodeResult(t, t // m, 0, t % m, 0, 0, (), "seam")
-                for (t,) in self.table.get(w, ())]
-        try:
-            routed = self.braid.route(w)
-        except NotACodeword:
-            if not hits:
-                raise
-        else:
-            for res in routed:
-                tag = (res.tag - self.braid.shift) % self.braid.M
-                if tag < self.seam:
-                    hits.append(replace(res, tag=tag))
-        return _one(hits, "seam", "the routed tag is past the seam and no seam tag matches")
+# Compiled decoder of n-D maps
 
 
 class _Axis:
@@ -492,11 +481,13 @@ class _UnitaryND:
 
     The routed tag is confirmed with one ``encode``.  An extended map's
     blocks change from L_i - 2m_i + 1 on each shortened axis, where the
-    fresh band or the wrap starts; those are read into the seam table.
+    fresh band or the wrap starts: its last m_i points count as a tail.
     """
 
     def __init__(self, cmap: ColorMap):
         self.params = params_of_nd(cmap)
+        if cmap.block.dims != self.params.m:
+            raise ValueError(f"block {cmap.block.dims} does not match the generators' {self.params.m}")
         self.volume = math.prod(self.params.m)
         self.factors_of = {
             e.id: (e.subgrid, e.factors)
@@ -505,37 +496,32 @@ class _UnitaryND:
         }
         self.axes = tuple(_Axis(self.params, axis) for axis in range(self.params.n))
         self.seams = tuple(
-            None if L_i == M_i else L_i - 2 * m_i + 1
+            None if L_i == M_i else L_i - m_i + 1 - m_i
             for L_i, M_i, m_i in zip(cmap.grid.dims, self.params.dims, self.params.m)
         )
         self.table = _seam_table(cmap, self.seams)
 
+    def seam_result(self, x: Point) -> DecodeResultND:
+        return DecodeResultND(x, (None,) * len(x), "seam")
+
+    def route(self, w: Codeword) -> list[DecodeResultND]:
+        try:
+            facts = [self.factors_of[cid] for cid in w]
+        except KeyError as e:
+            raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
+        diags = tuple(ax.decode([(J, f[ax.axis]) for J, f in facts]) for ax in self.axes)
+        return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
+
     def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResultND:
         if len(w) != self.volume:
             raise NotACodeword("palette-split", f"codeword size {len(w)} != block volume")
-        hits = [DecodeResultND(x, (None,) * len(x), "seam") for x in self.table.get(w, ())]
-        try:
-            facts = []
-            for cid in w:
-                jf = self.factors_of.get(cid)
-                if jf is None:
-                    raise NotACodeword("projection", f"color {cid} has no factor structure")
-                facts.append(jf)
-            diags = tuple(ax.decode([(J, f[ax.axis]) for J, f in facts]) for ax in self.axes)
-        except NotACodeword:
-            if not hits:
-                raise
-        else:
-            tag = tuple(d.tag for d in diags)
-            if all(s is None or t < s for t, s in zip(tag, self.seams)) and encode(cmap, tag) == w:
-                hits.append(DecodeResultND(tag, diags, "routing"))
-        return _one(hits, "verify", "no candidate tag reproduces the codeword")
+        return _decide(self, w, confirm=lambda res: encode(cmap, res.tag) == w)
 
 
 _DECODERS = {
     "braid1d": _Braid,
-    "restricted": _Cut,
-    "modified": functools.partial(_Cut, modified=True),
+    "restricted": _Braid,
+    "modified": _Braid,
     "unitary-braid-nd": _UnitaryND,
     "extended-nd": _UnitaryND,
 }
@@ -546,10 +532,12 @@ def compile_decoder(cmap: ColorMap):
 
     Maps are immutable, so the decoder stays valid; it is not a dataclass
     field, so it does not take part in ``==`` or in JSON.  Stored params
-    of the wrong shape raise ``ValueError``.
+    of the wrong shape, and a flat grid, raise ``ValueError``.
     """
     dec = getattr(cmap, "_decoder", None)
     if dec is None:
+        if not cmap.grid.cyclic:
+            raise ValueError("decoding requires a cyclic grid")
         try:
             kind = (cmap.params or {}).get("kind")
             build = _DECODERS.get(kind)
@@ -563,9 +551,9 @@ def compile_decoder(cmap: ColorMap):
     return dec
 
 
-def _decoder(cmap: ColorMap, kinds: tuple[type, ...], message: str):
+def _decoder(cmap: ColorMap, kind: type, message: str):
     dec = compile_decoder(cmap)
-    if not isinstance(dec, kinds):
+    if not isinstance(dec, kind):
         raise ValueError(message)
     return dec
 
@@ -577,22 +565,21 @@ def decode(cmap: ColorMap, w) -> DecodeResult | DecodeResultND:
 
 def decode_1d(cmap: ColorMap, w) -> DecodeResult:
     """Decode a codeword of a standard 1D braid map back to its tag."""
-    dec = _decoder(cmap, (_Braid,), "not a 1D braid map")
+    dec = _decoder(cmap, _Braid, "not a 1D braid map")
+    if dec.seams != (None,):  # a cut map
+        raise ValueError("not a 1D braid map")
     return dec.decode(cmap, canonical(w))
 
 
 def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
     """Decode on standard, restricted or modified 1D braid maps."""
-    dec = _decoder(
-        cmap, (_Braid, _Cut),
-        "not a 1D braid map, nor a restriction or modification of one",
-    )
+    dec = _decoder(cmap, _Braid, "not a 1D braid map, nor a restriction or modification of one")
     return dec.decode(cmap, canonical(w))
 
 
 def decode_nd(cmap: ColorMap, w) -> DecodeResultND:
     """Decode a codeword of an n-dim unitary braid map (or its extension)."""
-    dec = _decoder(cmap, (_UnitaryND,), "not an n-dim unitary braid map")
+    dec = _decoder(cmap, _UnitaryND, "not an n-dim unitary braid map")
     return dec.decode(cmap, canonical(w))
 
 
@@ -611,9 +598,8 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     are returned along with their spread (max pairwise cyclic distance).
     """
     message = "erasure decoding requires a unitary braid map or restriction"
-    dec = _decoder(cmap, (_Braid, _Cut), message)
-    braid = dec.braid if isinstance(dec, _Cut) else dec
-    if braid.shift or braid.tail:  # a modified map
+    braid = _decoder(cmap, _Braid, message)
+    if braid.shift or braid.tail:  # a modified map, or a cut of one
         raise ValueError(message)
     if any(p != 1 for p in braid.parts):
         raise ValueError("erasure decoding requires a unitary map")

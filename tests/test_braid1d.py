@@ -76,10 +76,27 @@ def test_construct_round_trips_params(m24):
 
 def test_params_of_cut_maps_give_the_base_params(m24, fig_map):
     base = params_of(m24)
-    assert params_of(restrict(m24, 21)) == base
-    assert params_of(modify_general_size(m24, 20)) == base
-    assert params_of(modify_general_size(m24, 20, fresh=True)) == base
-    assert base[1] == m24.params["gens"]
+    assert base[1:] == (m24.params["gens"], 0, 0)
+    m36 = construct(BraidParams1D(M=36, parts=(1, 1, 1), g=2, c=(1, 1, 1), q=(2, 3, 1)))
+    mod24, mod36 = modify_general_size(m24, 20), modify_general_size(m36, 30)
+    s24, s36 = mod24.params["shift"], mod36.params["shift"]
+    # every cut, nested or not: the base params and gens, plus its (shift, tail)
+    for std, cut, window in [
+        (m24, restrict(m24, 21), (0, 0)),
+        (m24, mod24, (s24, 1)),
+        (m24, modify_general_size(m24, 20, fresh=True), (s24, 1)),
+        (m24, restrict(restrict(m24, 19), 15), (0, 0)),
+        (m24, restrict(mod24, 19), (s24, 0)),
+        (m24, restrict(mod24, 15), (s24, 0)),
+        (m36, mod36, (s36, 2)),
+        (m36, restrict(mod36, 29), (s36, 1)),
+        (m36, restrict(restrict(mod36, 29), 28), (s36, 0)),
+    ]:
+        params, gens, shift, tail = params_of(cut)
+        assert (params, gens) == params_of(std)[:2] and (shift, tail) == window
+        # the window: every point but the last tail carries the standard color at x + shift
+        (L,), (M,) = cut.grid.dims, std.grid.dims
+        assert all(cut.colors[x] == std.colors[(x + shift) % M] for x in range(L - tail))
     for other in (fig_map, replace(m24, params=None), replace(m24, params={"kind": "generator"})):
         with pytest.raises(ValueError):
             params_of(other)
@@ -150,6 +167,11 @@ def test_restrict_unitary_non_multiple_lengths(m24):
         assert r.grid.dims == (M_r,)
         assert is_distinguishable(r).ok
         assert r.colors == m24.colors[:M_r]
+        assert r.params["guaranteed"]
+        # a restriction of a restriction is one of the root map, whatever the middle length
+        nested = restrict(restrict(m24, 20), M_r) if M_r < 20 else r
+        assert nested.colors == r.colors and nested.params["guaranteed"]
+    assert not restrict(modify_general_size(m24, 20), 15).params["guaranteed"]
 
 
 def test_restrict_multiple_length_can_collide(m24):

@@ -158,6 +158,17 @@ def test_a_map_whose_generator_is_not_distinguishable_exits_2(m24_path, capsys, 
     assert "generator 0 is not 1-distinguishable" in err
 
 
+@pytest.mark.parametrize("command,codeword", [("decode", "0,9"), ("erasure-decode", "0")])
+def test_a_map_on_a_flat_grid_exits_2(m24_path, capsys, command, codeword):
+    # tag 23's block wraps past the end of a flat grid; decoding used to return it
+    doc = json.loads(m24_path.read_text())
+    doc["grid"]["cyclic"] = False
+    m24_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--map", str(m24_path), "--codeword", codeword)
+    assert code == EXIT_INVALID and not out
+    assert "decoding requires a cyclic grid" in err
+
+
 M24_ARGS = ("--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3")
 BAD_BUILD_ARGS = [
     ("construct", *M24_ARGS, "--restrict", "50"),
@@ -371,6 +382,9 @@ MALFORMED_PARAMS = [
     ("m24", ("params", "q"), "ab"),
     ("fig", ("params", "q"), DELETE),
     ("fig", ("params", "g"), "x"),
+    # a block size other than the generators': decoded as NotACodeword, or wrong on a cut map
+    ("m24", ("block", "m"), [3]),
+    ("fig", ("block", "m"), [2, 3]),
 ]
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from braidcode import (
 from braidcode.braid1d import (
     BraidParams1D, InfeasibleError, construct, modify_general_size, restrict,
 )
-from braidcode.core import ColorMap, PaletteEntry
+from braidcode.core import ColorMap, GridSpec, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,
@@ -84,9 +85,11 @@ def test_matrices_reference_24(m24):
     assert B.rows == ((0, 1, 0, 1, 0, 1), (0, 1, 2, 0, 1, 2))
     dump = dump_matrices(m24).splitlines()
     assert dump[0].split() == [str(v) for v in A.rows[0]]
-    # a restricted or modified map reports the matrices of the map it was cut from
+    # a restricted or modified map, or a cut of one, reports the matrices of the map it was cut from
     base = dump_matrices(m24)
     assert dump_matrices(restrict(m24, 19)) == dump_matrices(modify_general_size(m24, 20)) == base
+    assert dump_matrices(restrict(restrict(m24, 19), 15)) == base
+    assert dump_matrices(restrict(modify_general_size(m24, 20), 15)) == base
 
 
 def test_matrix_rows_have_minimum_period_gq():
@@ -171,6 +174,24 @@ def test_malformed_params_raise_value_error(m24):
     with pytest.raises(ValueError, match="malformed map params") as info:
         compile_decoder(bad)
     assert isinstance(info.value.__cause__, TypeError)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda m24, fig: m24,
+    lambda m24, fig: restrict(m24, 19),
+    lambda m24, fig: fig,
+    lambda m24, fig: extend_arbitrary_size(fig, (12, 20)),
+], ids=["braid1d", "restricted", "unitary-nd", "extended"])
+def test_decoders_refuse_a_flat_grid(m24, fig_map, cut):
+    # The decoders assume a cyclic grid: on a flat one, the 1D ones returned
+    # tags whose block wraps past the end, and the n-D confirming encode raised.
+    cmap = cut(m24, fig_map)
+    flat = replace(cmap, grid=GridSpec(cmap.grid.dims, cyclic=False))
+    with pytest.raises(ValueError, match="decoding requires a cyclic grid"):
+        decode(flat, encode(flat, (0,) * flat.grid.n))
+    if flat.grid.n == 1:
+        with pytest.raises(ValueError, match="decoding requires a cyclic grid"):
+            erasure_decode(flat, encode(flat, (0,))[:1])
 
 
 def test_decode_nd_rejects_wrong_size(fig_map):
@@ -280,16 +301,21 @@ def assert_decodes_like_encode(cmap):
 
 
 def cuts_1d(M, q):
-    """Every restriction and every feasible modification, plain and fresh."""
+    """Every restriction and every feasible modification, plain and fresh,
+    and every restriction of those modifications and of one restriction."""
     base = _unitary_1d(M, q)
     m = len(q)
     yield from (restrict(base, M_r) for M_r in range(m + 1, M))
+    longest = restrict(base, M - 1)
+    yield from (restrict(longest, M_r) for M_r in range(m + 1, M - 1))
     for M_r in range(2 * m, M, m):
         for fresh in (False, True):
             try:
-                yield modify_general_size(base, M_r, fresh=fresh)
+                cut = modify_general_size(base, M_r, fresh=fresh)
             except InfeasibleError:
-                pass
+                continue
+            yield cut
+            yield from (restrict(cut, L) for L in range(m + 1, M_r))
 
 
 @pytest.mark.parametrize("M,q", [(12, (1, 3)), (24, (2, 3)), (36, (2, 3, 1)), (60, (3, 5)),
@@ -406,9 +432,12 @@ def test_erasure_matches_brute_force_on_every_restriction_of_the_fixture_map(m24
     ids = [e.id for e in m24.palette] + [len(m24.palette)]  # one unknown id
     multisets = [w for k in (1, 2) for w in itertools.combinations_with_replacement(ids, k)]
     for M_r in range(3, 25):
-        cmap = m24 if M_r == 24 else restrict(m24, M_r)
-        for w in multisets:
-            assert erasure_or_nothing(cmap, w) == reference_erasure(cmap, w), (M_r, w)
+        cuts = [m24] if M_r == 24 else [restrict(m24, M_r)]
+        # and of restrictions of it, through a middle length of each parity
+        cuts += [restrict(restrict(m24, L), M_r) for L in (22, 23) if M_r < L]
+        for cmap in cuts:
+            for w in multisets:
+                assert erasure_or_nothing(cmap, w) == reference_erasure(cmap, w), (M_r, w)
 
 
 @functools.lru_cache(maxsize=None)
