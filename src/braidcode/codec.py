@@ -1,31 +1,32 @@
 """Decoding: associated matrices, CRT routing, and erasure handling.
 
 Decoding a braid codeword never scans the full grid.  The codeword is
-split by sub-grid palette, each piece is decoded on its small generator,
-and the resulting sub-grid positions are routed through a generalized
+split by sub-grid, each piece is decoded on its small generator, and the
+resulting sub-grid positions are routed through a generalized
 Chinese-remainder step to the unique block tag.  A map cut to another
 size (restriction, modification, extension, a cut of a cut) changes only
 the blocks at or past a seam on each cut axis, read into a seam table;
 one rule decodes every cyclic map: the routed tag when it lies before
 every seam, plus every seam tag the table lists for the codeword.
 
-Everything a decode needs that depends only on the map (palette split,
+Everything a decode needs that depends only on the map (sub-grid split,
 generator tables, routing constants, seam table) is compiled once per
 map by ``compile_decoder`` and kept on the map, so a decode costs
-O(ell), not O(M).
+O(ell), not O(M).  Decoders read the params and colors, not the palette.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical, encode
+from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .braid1d import BraidParams1D, params_of
-from .braidnd import UnitaryBraidParamsND, params_of_nd
+from .braidnd import UnitaryBraidParamsND, _base_colors, _subgrid_layout, params_of_nd
 
 
 class AmbiguousDecode(ValueError):
@@ -307,11 +308,11 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
         )
 
 
-def _decide(dec, w: Codeword, confirm=None):
+def _decide(dec, w: Codeword):
     """The decode rule of every map: ``dec``'s seam-table tags for ``w``,
-    plus each ``dec.route(w)`` result before every seam that ``confirm``
-    (if given) accepts.  Returns the single hit; raises ``AmbiguousDecode``
-    naming them all, or ``NotACodeword`` (the routing's own, if it failed)."""
+    plus each ``dec.route(w)`` result before every seam.  Returns the
+    single hit; raises ``AmbiguousDecode`` naming them all, or
+    ``NotACodeword`` (the routing's own, if it failed)."""
     seam_tags = dec.table.get(w, ())
     try:
         routed = dec.route(w)
@@ -322,7 +323,10 @@ def _decide(dec, w: Codeword, confirm=None):
     hits = [dec.seam_result(x) for x in seam_tags] if seam_tags else []
     for res in routed:
         x = res.tag if isinstance(res.tag, tuple) else (res.tag,)
-        if all(s is None or t < s for t, s in zip(x, dec.seams)) and (confirm is None or confirm(res)):
+        for t, s in zip(x, dec.seams):
+            if s is not None and t >= s:
+                break
+        else:
             hits.append(res)
     if len(hits) == 1:
         return hits[0]
@@ -361,7 +365,7 @@ def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
 
 
 class _Braid:
-    """Compiled 1D braid code, standard or cut: palette split, generator
+    """Compiled 1D braid code, standard or cut: sub-grid split, generator
     tables, router, seam table.
 
     A tag before the seam carries the block of the standard map at
@@ -376,11 +380,7 @@ class _Braid:
         self.M, self.m, self.parts = params.M, params.m, params.parts
         self.seams = (None if L == params.M and not self.tail else L - params.m + 1 - self.tail,)
         self.table = _seam_table(cmap, self.seams)
-        self.sub_of = {
-            e.id: e.subgrid[0]
-            for e in cmap.palette
-            if e.subgrid is not None and 0 <= e.subgrid[0] < params.I
-        }
+        self.sub_of = {cid: i for i, gen in enumerate(gens) for cid in gen["colors"]}
         self.tables = tuple(_window_table(gen) for gen in gens)
         for i, (table, m_i, ell) in enumerate(zip(self.tables, params.parts, params.ells)):
             if len(table) != ell:
@@ -417,9 +417,6 @@ class _Braid:
     def seam_result(self, x: Point) -> DecodeResult:
         return DecodeResult(x[0], x[0] // self.m, 0, x[0] % self.m, 0, 0, (), "seam")
 
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResult:
-        return _decide(self, w)
-
 
 # ---------------------------------------------------------------------------
 # Compiled decoder of n-D maps
@@ -443,14 +440,12 @@ class _Axis:
         others = [k for k in range(params.n) if k != axis]
         other_shape = GridSpec(tuple(m[k] for k in others)) if others else None
         self.row: dict[tuple[int, ...], int] = {}
-        self.period: dict[tuple[int, ...], int] = {}  # factor period g*q; == it marks fresh
         qlist = [0] * self.nu
         for J, qs in params.qtable.items():
             r = J[axis]
             if other_shape is not None:
                 r = r * self.w_band + other_shape.index(tuple(J[k] for k in others))
             self.row[J] = r
-            self.period[J] = params.g * qs[axis]
             qlist[r] = qs[axis]
         self.router = _Router(params.g, (1,) * self.nu, (1,) * self.nu, qlist)
 
@@ -462,8 +457,6 @@ class _Axis:
             s = self.row[J]
             if alphas[s] is not None:
                 raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
-            if not 0 <= f < self.period[J]:
-                raise NotACodeword("projection", f"axis {axis}: factor {f} out of range for {J}")
             alphas[s] = f
         if any(a is None for a in alphas):
             raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
@@ -479,26 +472,33 @@ class _Axis:
 class _UnitaryND:
     """Each axis decodes independently from the codeword's projection.
 
-    The routed tag is confirmed with one ``encode``.  An extended map's
-    blocks change from L_i - 2m_i + 1 on each shortened axis, where the
-    fresh band or the wrap starts: its last m_i points count as a tail.
+    Compiling proves that every point carries the color the params give,
+    save in the tail (last m_i points) of each shortened axis, so a tag
+    routed before the seam L_i - 2m_i + 1 needs no ``encode``.  Factors come
+    from the params: a fresh color has none, and only the seam table reads it.
     """
 
     def __init__(self, cmap: ColorMap):
-        self.params = params_of_nd(cmap)
-        if cmap.block.dims != self.params.m:
-            raise ValueError(f"block {cmap.block.dims} does not match the generators' {self.params.m}")
-        self.volume = math.prod(self.params.m)
+        params = params_of_nd(cmap)
+        if cmap.block.dims != params.m:
+            raise ValueError(f"block {cmap.block.dims} does not match the generators' {params.m}")
+        dims = cmap.grid.dims
+        ends = tuple(None if L_i == M_i else L_i - m_i
+                     for L_i, M_i, m_i in zip(dims, params.dims, params.m))
+        layout = _subgrid_layout(params)
+        want = _base_colors(params, layout, dims)
+        for k in itertools.compress(itertools.count(), map(operator.ne, cmap.colors, want)):
+            x = cmap.grid.point(k)
+            if all(e is None or x_i < e for x_i, e in zip(x, ends)):
+                raise ValueError(f"map contradicts its params: point {x} has color "
+                                 f"{cmap.colors[k]}, they give {want[k]}")
         self.factors_of = {
-            e.id: (e.subgrid, e.factors)
-            for e in cmap.palette
-            if e.factors is not None and e.subgrid in self.params.qtable
+            offset + k: (J, f)
+            for J, (offset, ells, _) in layout.items()
+            for k, f in enumerate(itertools.product(*map(range, ells)))
         }
-        self.axes = tuple(_Axis(self.params, axis) for axis in range(self.params.n))
-        self.seams = tuple(
-            None if L_i == M_i else L_i - m_i + 1 - m_i
-            for L_i, M_i, m_i in zip(cmap.grid.dims, self.params.dims, self.params.m)
-        )
+        self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
+        self.seams = tuple(None if e is None else e - m_i + 1 for e, m_i in zip(ends, params.m))
         self.table = _seam_table(cmap, self.seams)
 
     def seam_result(self, x: Point) -> DecodeResultND:
@@ -511,11 +511,6 @@ class _UnitaryND:
             raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
         diags = tuple(ax.decode([(J, f[ax.axis]) for J, f in facts]) for ax in self.axes)
         return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
-
-    def decode(self, cmap: ColorMap, w: Codeword) -> DecodeResultND:
-        if len(w) != self.volume:
-            raise NotACodeword("palette-split", f"codeword size {len(w)} != block volume")
-        return _decide(self, w, confirm=lambda res: encode(cmap, res.tag) == w)
 
 
 _DECODERS = {
@@ -560,7 +555,7 @@ def _decoder(cmap: ColorMap, kind: type, message: str):
 
 def decode(cmap: ColorMap, w) -> DecodeResult | DecodeResultND:
     """Decode a codeword of any decodable map back to its tag."""
-    return compile_decoder(cmap).decode(cmap, canonical(w))
+    return _decide(compile_decoder(cmap), canonical(w))
 
 
 def decode_1d(cmap: ColorMap, w) -> DecodeResult:
@@ -568,19 +563,19 @@ def decode_1d(cmap: ColorMap, w) -> DecodeResult:
     dec = _decoder(cmap, _Braid, "not a 1D braid map")
     if dec.seams != (None,):  # a cut map
         raise ValueError("not a 1D braid map")
-    return dec.decode(cmap, canonical(w))
+    return _decide(dec, canonical(w))
 
 
 def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
     """Decode on standard, restricted or modified 1D braid maps."""
     dec = _decoder(cmap, _Braid, "not a 1D braid map, nor a restriction or modification of one")
-    return dec.decode(cmap, canonical(w))
+    return _decide(dec, canonical(w))
 
 
 def decode_nd(cmap: ColorMap, w) -> DecodeResultND:
     """Decode a codeword of an n-dim unitary braid map (or its extension)."""
     dec = _decoder(cmap, _UnitaryND, "not an n-dim unitary braid map")
-    return dec.decode(cmap, canonical(w))
+    return _decide(dec, canonical(w))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +609,8 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
         i = braid.sub_of.get(cid)
         if i is None:
             raise NotACodeword("palette-split", f"unknown color id {cid}")
-        alpha = braid.tables[i].get((cid,))  # None: a palette color the generator never uses
-        points = () if alpha is None else range(i + m * alpha, M_r, m * braid.router.ells[i])
+        alpha = braid.tables[i][(cid,)]
+        points = range(i + m * alpha, M_r, m * braid.router.ells[i])
         hits = Counter((x - o) % M_r for x in points for o in range(m))
         held = {t for t, k in hits.items() if k >= n}
         cands = held if cands is None else cands & held

@@ -385,6 +385,8 @@ MALFORMED_PARAMS = [
     # a block size other than the generators': decoded as NotACodeword, or wrong on a cut map
     ("m24", ("block", "m"), [3]),
     ("fig", ("block", "m"), [2, 3]),
+    # a color the params contradict: decoded as NotACodeword
+    ("fig", ("colors", 0), 12),
 ]
 
 

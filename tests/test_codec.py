@@ -269,6 +269,63 @@ def test_decoders_reject_other_map_kinds(m24, fig_map):
         decode_1d_general(fig_map, encode(fig_map, (0, 0)))
 
 
+def test_decoders_ignore_the_palette(m24, fig_map):
+    # Decoders read the params and the colors: a palette entry that lies
+    # about a color's sub-grid or factors changes no decode.
+    for cmap, lie in [(m24, {"subgrid": (1,)}), (fig_map, {"factors": (1, 1)})]:
+        palette = tuple(replace(e, **lie) if e.id == 0 else e for e in cmap.palette)
+        lying = ColorMap(grid=cmap.grid, block=cmap.block, colors=cmap.colors,
+                         palette=palette, params=cmap.params)
+        assert lying.palette_by_id[0] != cmap.palette_by_id[0]
+        for x in coding_area(cmap.grid, cmap.block):
+            w = encode(cmap, x)
+            assert decode(lying, w) == decode(cmap, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _fig_recut(L):
+    return _fig() if L == (24, 24) else extend_arbitrary_size(_fig(), L)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_decode_of_any_multiset_is_a_tag_that_encodes_to_it(data):
+    # No decode calls encode, so this checks the n-D decoder's answers:
+    # whatever the multiset, it names only tags whose block holds exactly it.
+    # 12x20 has a fresh band on both axes, 21x10 on one, 13x11 on neither.
+    cmap = _fig_recut(data.draw(st.sampled_from([(24, 24), (12, 20), (21, 10), (13, 11)]),
+                                label="dims"))
+    dims, m = cmap.grid.dims, cmap.block.dims
+    tag = st.tuples(*(st.integers(0, L - 1) for L in dims))
+    x = data.draw(tag, label="tag")
+    ids = st.integers(0, max(cmap.colors) + 1)  # one unknown id
+    w = list(encode(cmap, x))
+    kind = data.draw(st.sampled_from(["substitute", "other sub-grid", "random", "size"]),
+                     label="kind")
+    if kind == "substitute":
+        w[data.draw(st.integers(0, len(w) - 1), label="at")] = data.draw(ids, label="id")
+    elif kind == "other sub-grid":
+        # the color sub-grid J has in the block of another tag y
+        y = data.draw(tag, label="y")
+        J = data.draw(st.tuples(*(st.integers(0, m_i - 1) for m_i in m)), label="J")
+        def at(t):
+            p = tuple((t_i + (J_i - t_i) % m_i) % L for t_i, J_i, m_i, L in zip(t, J, m, dims))
+            return cmap.color_at(p)
+        w.remove(at(x))
+        w.append(at(y))
+    elif kind == "random":
+        w = data.draw(st.lists(ids, min_size=len(w), max_size=len(w)), label="multiset")
+    else:
+        w = w[:-1] if data.draw(st.booleans(), label="drop") else w + [data.draw(ids, label="id")]
+    w = canonical(w)
+    try:
+        assert encode(cmap, decode(cmap, w).tag) == w
+    except NotACodeword:
+        pass
+    except AmbiguousDecode as err:
+        assert all(encode(cmap, t) == w for t in err.tags)
+
+
 def test_ambiguous_decode_names_the_clashing_tags(fig_map):
     # The smallest re-cut of the 24x24 map the oracle finds not distinguishable:
     # 7x5 is a plain restriction along both axes, and tags (0,4), (4,4) collide.
@@ -472,7 +529,8 @@ def test_erasure_of_a_palette_color_no_point_carries(m24):
     unused = PaletteEntry(id=10, subgrid=(0,), factors=None, label="c_10")
     cmap = ColorMap(grid=m24.grid, block=m24.block, colors=m24.colors,
                     palette=m24.palette + (unused,), params=m24.params)
-    with pytest.raises(NotACodeword, match="erasure"):
+    # no generator uses the color, so the decoder does not know it
+    with pytest.raises(NotACodeword, match="palette-split"):
         erasure_decode(cmap, (10,))
 
 
@@ -490,7 +548,7 @@ def _with_colors(cmap, colors):
                     palette=cmap.palette, params=cmap.params)
 
 
-def test_maps_whose_generators_contradict_their_colors_are_rejected(m24):
+def test_maps_whose_generators_contradict_their_colors_are_rejected(m24, fig_map):
     doc = json.loads(to_json(m24))
     doc["params"]["gens"][0]["colors"].reverse()
     reversed_gen = from_json(json.dumps(doc))
@@ -509,4 +567,20 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24):
     colors[18] = colors[16]
     with pytest.raises(ValueError, match="point 18 "):
         decode_1d_general(_with_colors(mod, colors), encode(mod, (0,)))
+    # An n-D map is checked against its params, but for the last m_i points
+    # of each shortened axis, where an extension's fresh band lies.
+    colors = list(fig_map.colors)
+    colors[0] = 12
+    with pytest.raises(ValueError, match=r"contradicts its params: point \(0, 0\) has color 12, "
+                                         r"they give 0"):
+        decode_nd(_with_colors(fig_map, colors), encode(fig_map, (5, 5)))
+    ext = extend_arbitrary_size(fig_map, (12, 20))
+    before, inside = ext.grid.index((9, 17)), ext.grid.index((10, 3))
+    colors = list(ext.colors)
+    colors[before] = colors[before + 1]
+    with pytest.raises(ValueError, match=r"point \(9, 17\) "):
+        decode_nd(_with_colors(ext, colors), encode(ext, (0, 0)))
+    colors = list(ext.colors)
+    colors[inside] = colors[inside + 2]
+    assert_decodes_like_encode(_with_colors(ext, colors))  # the seam table reads the tail
 
