@@ -185,13 +185,23 @@ def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dic
 
 
 def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
+    """Parameters an n-dim unitary braid map, or an extension, was built from.
+
+    The grid must fit their period M: equal to it on a standard map, no
+    longer on any axis of an extension, as ``braid1d.params_of`` requires.
+    """
     p = cmap.params
     if p is None or p.get("kind") not in ("unitary-braid-nd", "extended-nd"):
         raise ValueError("not an n-dim unitary braid map")
     qtable = {
         tuple(int(t) for t in key.split(",")): tuple(qs) for key, qs in p["q"].items()
     }
-    return UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=qtable)
+    params = UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=qtable)
+    dims = cmap.grid.dims
+    if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
+            or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):
+        raise ValueError(f"grid {dims} does not fit the params' period M={params.dims}")
+    return params
 
 
 def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], int]]:

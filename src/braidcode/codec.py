@@ -3,7 +3,9 @@
 Decoding a braid codeword never scans the full grid.  The codeword is
 split by sub-grid, each piece is decoded on its small generator, and the
 resulting sub-grid positions are routed through a generalized
-Chinese-remainder step to the unique block tag.  A map cut to another
+Chinese-remainder step to the unique block tag: their residues mod g name
+the split sub-grid and its offset, so a decode makes one CRT on unitary
+rows (every n-D axis) and at most two otherwise.  A map cut to another
 size (restriction, modification, extension, a cut of a cut) changes only
 the blocks at or past a seam on each cut axis, read into a seam table;
 one rule decodes every cyclic map: the routed tag when it lies before
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .braid1d import BraidParams1D, params_of
+from .braid1d import BraidParams1D, params_of, validate
 from .braidnd import UnitaryBraidParamsND, _base_colors, _subgrid_layout, params_of_nd
 
 
@@ -42,12 +44,14 @@ class AmbiguousDecode(ValueError):
 class DecodeResult:
     """Decoded tag plus routing diagnostics.
 
-    ``i_star`` is the (0-based) sub-grid holding the split/non-aligned
-    sub-block, ``r_star`` its offset, ``a_star``/``b_star`` the CRT
-    quotient and shared remainder j* = a*g + b*, and ``a_vec`` the
-    B-matrix column residues fed to the CRT.  ``path`` is ``"routing"``,
-    or ``"seam"`` for a tag read from a cut map's seam table, whose
-    routing fields are then placeholders.
+    ``i_star`` (0-based) is the split sub-grid: the block starts inside
+    its sub-block j*, at offset ``r_star`` < m_i*, so tag = m j* + d + r*
+    with d the sub-grid's first point in a block.  The sub-grids before it
+    contribute their sub-block j*+1, those after it their sub-block j*.
+    ``a_star``/``b_star`` are the CRT quotient and shared remainder
+    j* = a*g + b*, and ``a_vec`` the B-matrix column residues fed to the
+    CRT.  ``path`` is ``"routing"``, or ``"seam"`` for a tag read from a
+    cut map's seam table, whose routing fields are then placeholders.
     """
 
     tag: int
@@ -185,7 +189,8 @@ def dump_matrices(cmap: ColorMap) -> str:
 
 
 class _Router:
-    """Routing constants of one braid parameter set, and the routing step."""
+    """Routing constants of one braid parameter set, and the routing step:
+    generator positions to tags, in closed form."""
 
     def __init__(self, g: int, parts, c, q):
         self.g, self.parts, self.c, self.q = g, tuple(parts), tuple(c), tuple(q)
@@ -201,11 +206,19 @@ class _Router:
     def route(self, alphas) -> list[DecodeResult]:
         """All tags consistent with per-sub-grid generator positions ``alphas``.
 
-        Implements the routing argument: represent each alpha as
-        (j_i, r_i) with alpha = j_i*m_i + r_i mod ell_i and r_i < c_i, pick
-        the split sub-grid i* and offset x_r, align the j_i residues, split
-        j = a*g + b, CRT the a-residues, and verify arithmetically.  A valid
-        braid code yields at most one tag.
+        Each alpha is read as (j_i, r_i): alpha = j_i*m_i + r_i mod ell_i,
+        r_i < c_i.  The block at tag j*m + d_i* + x_r, x_r = r_i* + k*c_i*,
+        gives j_i = j+1 before the split sub-grid i*, j after it and
+        j + k*u_i* at it.  So with b* = j mod g, the j_i mod g read b*+1
+        before i* and b* after it.  b* is read off the last sub-grid, and
+        i* is where the readings change from b*+1 to b*: the last sub-grid
+        before the closing run of b*, or the first in it.  Only a last
+        sub-grid split with k > 0 reads otherwise; then b* is one less than
+        the first sub-grid's reading.  At most two (i*, b*) fit.  At i*,
+        k = (j_i* - b*)*(m_i*/c_i*) mod g, unique because k < m_i*/c_i* < g
+        (the braid condition g*c_i > m_i).  One CRT of the a-residues of
+        j = a*g + b* then gives the tag, which carries every alpha by
+        construction.  A valid braid code yields at most one tag.
         """
         g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
         I = len(parts)
@@ -218,48 +231,32 @@ class _Router:
         nonzero = [i for i, r in enumerate(rs) if r != 0]
         if len(nonzero) > 1:
             raise NotACodeword("split-offset", "more than one non-aligned sub-block")
-        if nonzero:
-            i = nonzero[0]
-            candidates = [(i, x_r) for x_r in range(rs[i], parts[i], c[i]) if x_r > 0]
-        else:
-            candidates = [(i, 0) for i in range(I)]
-            for i in range(I):
-                candidates += [(i, x_r) for x_r in range(c[i], parts[i], c[i])]
-
+        es = [j % g for j in js]
+        b, ahead = es[-1], (es[-1] + 1) % g
+        p = 0  # sub-grids before p read b+1
+        while p < I and es[p] == ahead:
+            p += 1
+        s = I - 1  # sub-grids from s on read b
+        while s and es[s - 1] == b:
+            s -= 1
+        splits = [(i, b) for i in range(max(s - 1, 0), min(p, I - 1) + 1)]
+        if es[0] != ahead and I > 1 and es[:-1].count(es[0]) == I - 1:
+            splits.append((I - 1, (es[0] - 1) % g))  # the last sub-grid split, k > 0
         results = []
-        for i_star, x_r in candidates:
-            res = []
-            for i in range(I):
-                if i == i_star:
-                    res.append((js[i] - x_r // c[i] * self.inv[i]) % gq[i])
-                elif i < i_star:
-                    res.append((js[i] - 1) % gq[i])
-                else:
-                    res.append(js[i])
-            b_star = res[-1] % g
-            if any(r % g != b_star for r in res):
+        for i_star, b_star in splits:
+            k = (es[i_star] - b_star) * (parts[i_star] // c[i_star]) % g
+            x_r = rs[i_star] + k * c[i_star]
+            if x_r >= parts[i_star] or nonzero and nonzero != [i_star]:
                 continue
+            res = [js[i] - (i < i_star) for i in range(I)]
+            res[i_star] -= k * self.inv[i_star]
             a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
             a_star = generalized_crt(a_vec, q)
             if a_star is None:
                 continue
             j_star = a_star * g + b_star
-            # verify: recompute every sub-grid position from the tag
-            ok = True
-            for i in range(I):
-                if i == i_star:
-                    pos = j_star * parts[i] + x_r
-                elif i < i_star:
-                    pos = (j_star + 1) * parts[i]
-                else:
-                    pos = j_star * parts[i]
-                if pos % self.ells[i] != alphas[i]:
-                    ok = False
-                    break
-            if ok:
-                tag = j_star * self.m + self.offsets[i_star] + x_r
-                results.append(
-                    DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec, "routing"))
+            tag = j_star * self.m + self.offsets[i_star] + x_r
+            results.append(DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec, "routing"))
         return results
 
 
@@ -375,6 +372,9 @@ class _Braid:
 
     def __init__(self, cmap: ColorMap):
         params, gens, self.shift, self.tail = params_of(cmap)
+        errs = validate(params)  # the routing needs g > 1 and g*c_i > m_i
+        if errs:
+            raise ValueError("not braid params: " + "; ".join(errs))
         _check_colors(cmap, params, gens, self.shift, self.tail)
         (L,) = cmap.grid.dims
         self.M, self.m, self.parts = params.M, params.m, params.parts

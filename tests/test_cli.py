@@ -12,6 +12,7 @@ import braidcode
 from braidcode import (
     encode, extend_arbitrary_size, from_json, is_distinguishable, restrict, to_json,
 )
+from braidcode.core import ColorMap, GridSpec
 from braidcode.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_INFEASIBLE,
@@ -353,7 +354,8 @@ DELETE = object()
 
 
 def _edited(doc, path, value):
-    """``doc`` with the entry at ``path`` set to ``value`` (removed if DELETE)."""
+    """``doc`` with the entry at ``path`` set to ``value`` (removed if DELETE,
+    updated with it if ``value`` is a dict)."""
     if not path:
         return value
     *head, last = path
@@ -362,6 +364,8 @@ def _edited(doc, path, value):
         target = target[key]
     if value is DELETE:
         del target[last]
+    elif isinstance(value, dict):
+        target[last].update(value)
     else:
         target[last] = value
     return doc
@@ -387,6 +391,8 @@ MALFORMED_PARAMS = [
     ("fig", ("block", "m"), [2, 3]),
     # a color the params contradict: decoded as NotACodeword
     ("fig", ("colors", 0), 12),
+    # not braid params, though they keep ells and M: g = 1 leaves the routing no residue to read
+    ("m24", ("params",), {"g": 1, "q": [4, 6]}),
 ]
 
 
@@ -414,6 +420,19 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, 
     code, out, err = run(capsys, command, "--map", str(file), *extra)
     assert code == EXIT_INVALID and not out
     assert err.startswith("error:"), err
+
+
+def test_an_nd_map_longer_than_its_period_exits_2(tmp_path, capsys, fig_map):
+    # The 24x24 map's params and colors on a 48x24 grid: tags (0, 0) and
+    # (24, 0) share a codeword, which decoded to (0, 0) with exit 0.
+    long = ColorMap(GridSpec((48, 24)), fig_map.block, fig_map.colors * 2, fig_map.palette,
+                    params={**fig_map.params, "kind": "extended-nd", "L": [48, 24]})
+    file = tmp_path / "long.json"
+    file.write_text(to_json(long))
+    w = ",".join(map(str, encode(long, (24, 0))))
+    code, out, err = run(capsys, "decode", "--map", str(file), "--codeword", w)
+    assert code == EXIT_INVALID and not out
+    assert "does not fit the params' period" in err
 
 
 def test_construct_nd_and_extend(tmp_path, capsys):

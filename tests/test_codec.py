@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcode import (
-    braid1d, canonical, coding_area, encode, from_json, is_distinguishable, to_json,
+    braid1d, canonical, codec, coding_area, encode, from_json, is_distinguishable, to_json,
 )
 from braidcode.braid1d import (
     BraidParams1D, InfeasibleError, construct, modify_general_size, restrict,
@@ -21,7 +21,9 @@ from braidcode.core import ColorMap, GridSpec, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,
+    DecodeResult,
     NotACodeword,
+    _Router,
     associated_matrix,
     b_matrix,
     compile_decoder,
@@ -110,6 +112,189 @@ def test_codeword_formatting_round_trip():
     assert parse_codeword(format_codeword(w)) == w
     with pytest.raises(ValueError):
         parse_codeword("1,two,3")
+
+
+# ---------------------------------------------------------------------------
+# routing
+
+
+def reference_route(self, alphas):
+    """The candidate search ``_Router.route`` replaced, kept verbatim as its
+    reference: every (i*, x_r) pair gets its own residues, CRT and
+    arithmetic check."""
+    g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
+    I = len(parts)
+    js, rs = [], []
+    for alpha, c_i, u_i, gq_i in zip(alphas, c, self.inv, gq):
+        r_i = alpha % c_i
+        js.append(((alpha - r_i) // c_i * u_i) % gq_i)
+        rs.append(r_i)
+
+    nonzero = [i for i, r in enumerate(rs) if r != 0]
+    if len(nonzero) > 1:
+        raise NotACodeword("split-offset", "more than one non-aligned sub-block")
+    if nonzero:
+        i = nonzero[0]
+        candidates = [(i, x_r) for x_r in range(rs[i], parts[i], c[i]) if x_r > 0]
+    else:
+        candidates = [(i, 0) for i in range(I)]
+        for i in range(I):
+            candidates += [(i, x_r) for x_r in range(c[i], parts[i], c[i])]
+
+    results = []
+    for i_star, x_r in candidates:
+        res = []
+        for i in range(I):
+            if i == i_star:
+                res.append((js[i] - x_r // c[i] * self.inv[i]) % gq[i])
+            elif i < i_star:
+                res.append((js[i] - 1) % gq[i])
+            else:
+                res.append(js[i])
+        b_star = res[-1] % g
+        if any(r % g != b_star for r in res):
+            continue
+        a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
+        a_star = generalized_crt(a_vec, q)
+        if a_star is None:
+            continue
+        j_star = a_star * g + b_star
+        # verify: recompute every sub-grid position from the tag
+        ok = True
+        for i in range(I):
+            if i == i_star:
+                pos = j_star * parts[i] + x_r
+            elif i < i_star:
+                pos = (j_star + 1) * parts[i]
+            else:
+                pos = j_star * parts[i]
+            if pos % self.ells[i] != alphas[i]:
+                ok = False
+                break
+        if ok:
+            tag = j_star * self.m + self.offsets[i_star] + x_r
+            results.append(
+                DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec, "routing"))
+    return results
+
+
+def braid_param_sets(I_max, part_max, g_max, q_max, volume):
+    """Every parameter set passing ``validate`` with I <= I_max, m_i <= part_max,
+    g <= g_max, q_i <= q_max and prod(ell_i) <= volume."""
+    for I in range(1, I_max + 1):
+        for parts in itertools.product(range(1, part_max + 1), repeat=I):
+            divisors = [[d for d in range(1, m + 1) if m % d == 0] for m in parts]
+            for c, g, q in itertools.product(itertools.product(*divisors), range(1, g_max + 1),
+                                             itertools.product(range(1, q_max + 1), repeat=I)):
+                p = BraidParams1D(M=sum(parts) * g * math.lcm(*q), parts=parts, g=g, c=c, q=q)
+                if not braid1d.validate(p) and math.prod(p.ells) <= volume:
+                    yield p
+
+
+def _windows(router, tag):
+    """Generator position of each sub-grid's piece in the block at ``tag``,
+    read from the grid: the piece starts at the sub-grid's first point y at
+    or after ``tag``, whose position is (y div m)*m_i + (y mod m) - d_i."""
+    owner = [i for i, m_i in enumerate(router.parts) for _ in range(m_i)]
+    starts = {}
+    for y in range(tag, tag + router.m):
+        j, d = divmod(y, router.m)
+        i = owner[d]
+        starts.setdefault(i, (j * router.parts[i] + d - router.offsets[i]) % router.ells[i])
+    return tuple(starts[i] for i in range(len(router.parts)))
+
+
+def _routed(route, router, alphas):
+    try:
+        return route(router, alphas)
+    except NotACodeword as e:
+        return e.step
+
+
+@pytest.fixture()
+def crt_calls(monkeypatch):
+    """The results of every ``generalized_crt`` call the router makes."""
+    calls = []
+
+    def counted(residues, moduli):
+        calls.append(generalized_crt(residues, moduli))
+        return calls[-1]
+
+    monkeypatch.setattr(codec, "generalized_crt", counted)
+    return calls
+
+
+def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_it(crt_calls):
+    # Every generator-position vector of every small braid parameter set,
+    # also the ones no codeword produces: the same results, in the same order,
+    # or the same NotACodeword step; at most two CRTs, one on unitary rows.
+    # The search's arithmetic check never drops a result the closed form keeps,
+    # and every routed tag's block holds the pieces it was routed from.
+    sets = list(braid_param_sets(I_max=3, part_max=3, g_max=4, q_max=3, volume=400))
+    vectors = 0
+    for p in sets:
+        router = _Router(p.g, p.parts, p.c, p.q)
+        for alphas in itertools.product(*map(range, p.ells)):
+            crt_calls.clear()
+            got = _routed(_Router.route, router, alphas)
+            assert got == _routed(reference_route, router, alphas), (p, alphas)
+            assert len(crt_calls) <= (1 if p.unitary else 2), (p, alphas)
+            if isinstance(got, list):
+                assert all(_windows(router, res.tag) == alphas for res in got), (p, alphas)
+            vectors += 1
+    assert (len(sets), vectors) == (1412, 256_485)
+
+
+def _mixed(cmap, tags):
+    """The codeword whose sub-grid i piece comes from the block at ``tags[i]``."""
+    sub_of = compile_decoder(cmap).sub_of
+    return canonical(cid for i, t in enumerate(tags) for cid in encode(cmap, (t,))
+                     if sub_of[cid] == i)
+
+
+@pytest.mark.parametrize("params, tags, step, crts", [
+    # class 1: both pieces are non-aligned, r_i = 1, and only one sub-grid can be split
+    (BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5)), (1, 38), "split-offset", []),
+    # j_i mod g reads (0, 1, 0): no split has b*+1 before it and b* after it
+    (BraidParams1D(M=36, parts=(1, 1, 1), g=2, c=(1, 1, 1), q=(2, 3, 1)), (0, 2, 0), "crt", []),
+    # j_i mod g reads (0, 1): either split needs k = 2, past m_i/c_i = 1
+    (BraidParams1D(M=12, parts=(1, 1), g=3, c=(1, 1), q=(1, 2)), (0, 2), "crt", []),
+    # the a-residues (0, 1) disagree mod gcd(2, 4)
+    (BraidParams1D(M=16, parts=(1, 1), g=2, c=(1, 1), q=(2, 4)), (0, 2), "crt", [None]),
+], ids=["split-offset", "no-split", "offset-out-of-range", "crt-inconsistent"])
+def test_every_routing_failure_is_reached_from_decode(crt_calls, params, tags, step, crts):
+    cmap = construct(params)
+    w = _mixed(cmap, tags)
+    with pytest.raises(NotACodeword) as info:
+        decode(cmap, w)
+    assert (info.value.step, crt_calls) == (step, crts)
+
+
+def test_params_that_are_not_braid_params_are_rejected(m24):
+    # g = 1, q = (4, 6) keeps the generators' ells and M = 24, so the grid fits
+    # and the colors agree; but every j_i mod 1 reads 0, so the residues cannot
+    # place the split sub-grid.
+    doc = json.loads(to_json(m24))
+    doc["params"].update(g=1, q=[4, 6])
+    with pytest.raises(ValueError, match="not braid params: g must exceed 1, got 1; "):
+        decode(from_json(json.dumps(doc)), encode(m24, (5,)))
+
+
+def test_nd_maps_on_a_grid_other_than_their_period_are_rejected(fig_map):
+    # The 24x24 params on a 48x24 grid: axis 0 repeats after 24 points, so tags
+    # (0, 0) and (24, 0) share a codeword, which decoded to (0, 0) alone.
+    long = ColorMap(GridSpec((48, 24)), fig_map.block, fig_map.colors * 2, fig_map.palette,
+                    params={**fig_map.params, "kind": "extended-nd", "L": [48, 24]})
+    assert encode(long, (0, 0)) == encode(long, (24, 0))
+    with pytest.raises(ValueError, match=r"grid \(48, 24\) does not fit the params' period "
+                                         r"M=\(24, 24\)"):
+        decode(long, encode(long, (0, 0)))
+    # A standard map lies on its period exactly.
+    short = ColorMap(GridSpec((24, 12)), fig_map.block,
+                     tuple(c for k, c in enumerate(fig_map.colors) if k % 24 < 12),
+                     fig_map.palette, params=fig_map.params)
+    with pytest.raises(ValueError, match=r"grid \(24, 12\) does not fit"):
+        decode(short, encode(short, (0, 0)))
 
 
 # ---------------------------------------------------------------------------
