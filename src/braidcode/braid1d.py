@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
-from .generators import (
-    GeneratorCode,
-    find_generator,
-    min_colors,
-    repetitive_extend,
-)
+from .generators import GeneratorCode, find_generator, min_colors
 from .sunmao import Decomposition1D, synthesize
 
 
@@ -138,11 +133,13 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     offset = 0
     gen_params = []
     for i, gen in enumerate(gens):
-        tiled = repetitive_extend(gen, dec.subgrid_sizes[i])
-        submaps.append(tiled.to_colormap(id_offset=offset, subgrid=(i,)))
-        gen_params.append(
-            {"ell": gen.ell, "m": gen.m, "colors": [c + offset for c in gen.colors]}
-        )
+        # shift the ids of one generator period, then tile it around sub-grid i
+        # (ell_i divides M_i = m_i*g*Q, since c_i | m_i and q_i | Q)
+        period = gen.to_colormap(id_offset=offset, subgrid=(i,))
+        M_i = dec.subgrid_sizes[i]
+        submaps.append(ColorMap(GridSpec((M_i,)), period.block,
+                                period.colors * (M_i // gen.ell), period.palette))
+        gen_params.append({"ell": gen.ell, "m": gen.m, "colors": list(period.colors)})
         offset += max(gen.colors) + 1
     cmap = synthesize(dec, submaps)
     return ColorMap(

@@ -128,7 +128,8 @@ def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) ->
     Point x lies in sub-grid J = x mod m at sub-grid position l = x div m
     and carries factor tuple f = l mod ell_J, i.e. the color
     offset_J + sum_i f_i * stride_J,i.  Along the last axis the points of
-    one J form every m_n-th entry of a row, with f_n = l_n mod ell_J,n.
+    one J form every m_n-th entry of a row, with f_n = l_n mod ell_J,n:
+    one period of ell_J,n consecutive ids, tiled along the row.
     """
     m = params.m
     *outer, width = dims
@@ -140,8 +141,8 @@ def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) ->
         for j in range(m[-1]):
             offset, ells, strides = layout[J_outer + (j,)]
             start = offset + sum(l % e * s for l, e, s in zip(l_outer, ells, strides))
-            period = ells[-1]
-            row[j::m[-1]] = [start + l % period for l in range(len(range(j, width, m[-1])))]
+            count = len(range(j, width, m[-1]))
+            row[j::m[-1]] = (list(range(start, start + ells[-1])) * (count // ells[-1] + 1))[:count]
         colors += row
     return colors
 

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 # Only ``core`` is imported here.  Each command imports the modules it
 # runs, so that a call pays for compiling and loading those alone:
@@ -165,7 +166,11 @@ def cmd_decode(args) -> int:
 
     cmap = _load_map(args.map)
     try:
-        res = codec.decode(cmap, core.parse_codeword(args.codeword))
+        w = core.parse_codeword(args.codeword)
+        t0 = time.perf_counter()
+        dec = codec.compile_decoder(cmap)
+        compile_ms = (time.perf_counter() - t0) * 1e3
+        res = codec.decode(cmap, w)
     except core.NotACodeword as e:
         raise CliError(EXIT_NOT_A_CODEWORD, str(e))
     except codec.AmbiguousDecode as e:
@@ -179,7 +184,9 @@ def cmd_decode(args) -> int:
             raise CliError(EXIT_INVALID, str(e))
     tag = res.tag
     plain = ",".join(map(str, tag)) if isinstance(tag, tuple) else str(tag)
-    _emit(args, dataclasses.asdict(res), plain)
+    payload = dataclasses.asdict(res)
+    payload.update(compile_ms=compile_ms, seam_codewords=len(dec.table))
+    _emit(args, payload, plain)
     return EXIT_OK
 
 

@@ -274,7 +274,11 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
     tiles generator i, so y = j*m + d_i + r has generator color
     j*m_i + r mod ell_i.  A decoder trusting contradicting generators
     decodes wrong.  One residue class of x mod m is compared at a time,
-    so the check holds no copy of the whole map.
+    so the check holds no copy of the whole map: along a class the
+    expected colors repeat every ell_i / gcd(m_i, ell_i) points, so one
+    period is built and tiled, and the class is compared in one C-level
+    tuple comparison.  Only a class that differs is searched for its
+    first bad point.
     """
     m = params.m
     if len(gens) != params.I:
@@ -289,13 +293,16 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
         colors = gen["colors"]
         if (gen["ell"], gen["m"], len(colors)) != (ell, m_i, ell):
             raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
+        period = ell // math.gcd(m_i, ell)
         for r in range(m_i):
             x0 = (d + r - shift) % m
             j0 = (x0 + shift) // m
-            want = [colors[((j0 + k) * m_i + r) % ell] for k in range(len(range(x0, n, m)))]
-            got = itertools.islice(cmap.colors, x0, n, m)
-            k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
-            if k is not None:
+            count = len(range(x0, n, m))
+            one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
+            want = (one * (count // period + 1))[:count]
+            got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
+            if got != want:
+                k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
                 bad.append((x0 + k * m, want[k]))
     if bad:
         x, expected = min(bad)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -195,8 +196,7 @@ def search_distinguishable(ell: int, m: int, k: int, budget: int = 10_000_000) -
 
     # canonical labeling: position 0 is color 0
     found = rec(0, 0)
-    if found is not None:
-        assert found.is_distinguishable()
+    if found is not None:  # every window was checked against the others on the way
         return SearchResult(SearchStatus.FOUND, found, nodes)
     if exhausted:
         return SearchResult(SearchStatus.NOT_FOUND, None, nodes)
@@ -244,15 +244,20 @@ _CATALOG_RAW = {
 }
 
 
+@functools.cache
 def builtin(name: str) -> GeneratorCode:
-    """Fetch a catalog generator, verified distinguishable on load."""
+    """Fetch a catalog generator, verified distinguishable on first load.
+
+    Generators are frozen and hold tuples, so each name is parsed and
+    verified once and the same object is returned after that.
+    """
     if name not in _CATALOG_RAW:
         raise UnsupportedGeneratorError(f"no builtin generator {name!r}; have {sorted(_CATALOG_RAW)}")
     text, m = _CATALOG_RAW[name]
     ids, names = _seq(text)
     gen = GeneratorCode(len(ids), m, ids, names)
     if not gen.is_distinguishable():
-        raise AssertionError(f"catalog generator {name} failed verification")
+        raise ValueError(f"catalog generator {name} is not {m}-distinguishable")
     return gen
 
 

@@ -11,6 +11,8 @@ are classed by their componentwise residue J mod m.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -60,12 +62,16 @@ class Decomposition1D:
         return tuple(p * self.M // self.m for p in self.parts)
 
     def subgrid_of(self, x: int) -> int:
-        """Index i with x in S_i."""
-        r = x % self.m
-        for i, (d, p) in enumerate(zip(self.offsets, self.parts)):
-            if d <= r < d + p:
-                return i
-        raise AssertionError("unreachable")
+        """Index i with x in S_i: the last offset d_i <= x mod m.
+
+        The windows [d_i, d_i + m_i) tile [0, m), so every integer point
+        lies in exactly one; a point that is not an integer lies in none.
+        """
+        try:
+            r = operator.index(x) % self.m
+        except TypeError:
+            raise ValueError(f"point {x!r} is not an integer") from None
+        return bisect.bisect_right(self.offsets, r) - 1
 
     def split(self, x: int) -> tuple[int, int, int]:
         """Decompose x = j*m + d_i + x_r with 0 <= x_r < m_i; returns (i, j, x_r)."""
@@ -199,13 +205,14 @@ class UnitaryDecompositionND:
 
 
 def unitary_block_membership(dec: UnitaryDecompositionND, x: Point) -> dict[tuple[int, ...], Point]:
-    """Map sub-grid index J to the unique block point of B(x) in S_J."""
+    """Map sub-grid index J to the unique block point of B(x) in S_J.
+
+    The block offsets run over every residue vector mod m once, and m
+    divides the dims, so wrapping keeps the residues: each J is hit once.
+    """
     grid = GridSpec(dec.dims)
     out = {}
     for off in GridSpec(dec.block).points():
         p = grid.wrap(tuple(c + o for c, o in zip(x, off)))
-        J = dec.subgrid_of(p)
-        if J in out:
-            raise AssertionError(f"block at {x} hits sub-grid {J} twice")
-        out[J] = p
+        out[dec.subgrid_of(p)] = p
     return out

@@ -4,10 +4,13 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidcode import GridSpec, canonical, coding_area, encode, to_json
 from braidcode.braidnd import (
     UnitaryBraidParamsND,
+    _base_colors,
+    _subgrid_layout,
     construct_unitary_nd,
     extend_arbitrary_size,
     is_fresh_factor,
@@ -167,3 +170,31 @@ def test_builders_reproduce_pinned_maps_byte_for_byte(fig_map):
         maps[L] = extend_arbitrary_size(fig_map, L)
     got = {k: hashlib.sha256(to_json(cmap).encode()).hexdigest() for k, cmap in maps.items()}
     assert got == PINNED_SHA256
+
+
+@st.composite
+def unitary_params_and_dims(draw):
+    """Random unitary q-tables in 1-3 dimensions, and target dims L <= M."""
+    n = draw(st.integers(1, 3))
+    m = tuple(draw(st.integers(1, 3 if n == 1 else 2)) for _ in range(n))
+    qs = st.tuples(*[st.integers(1, 4)] * n)
+    qtable = {J: draw(qs) for J in itertools.product(*map(range, m))}
+    params = UnitaryBraidParamsND(m=m, g=draw(st.integers(2, 3)), qtable=qtable)
+    cap = (60, 30, 12)[n - 1]
+    dims = tuple(draw(st.integers(1, min(M, cap))) for M in params.dims)
+    return params, dims
+
+
+@settings(deadline=None, max_examples=200)
+@given(unitary_params_and_dims())
+def test_base_colors_follow_the_factor_formula_point_by_point(case):
+    """Point x carries offset_J + sum_i (l_i mod ell_J,i) * stride_J,i,
+    with J = x mod m and l = x div m."""
+    params, dims = case
+    layout = _subgrid_layout(params)
+    want = []
+    for x in itertools.product(*map(range, dims)):
+        offset, ells, strides = layout[tuple(c % m_i for c, m_i in zip(x, params.m))]
+        want.append(offset + sum(c // m_i % e * s
+                                 for c, m_i, e, s in zip(x, params.m, ells, strides)))
+    assert _base_colors(params, layout, dims) == want

@@ -15,7 +15,7 @@ from braidcode import (
     braid1d, canonical, codec, coding_area, encode, from_json, is_distinguishable, to_json,
 )
 from braidcode.braid1d import (
-    BraidParams1D, InfeasibleError, construct, modify_general_size, restrict,
+    BraidParams1D, InfeasibleError, construct, modify_general_size, params_of, restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
@@ -24,6 +24,7 @@ from braidcode.codec import (
     DecodeResult,
     NotACodeword,
     _Router,
+    _check_colors,
     associated_matrix,
     b_matrix,
     compile_decoder,
@@ -769,3 +770,108 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24, fig_map
     colors[inside] = colors[inside + 2]
     assert_decodes_like_encode(_with_colors(ext, colors))  # the seam table reads the tail
 
+
+
+def reference_check_colors(cmap, params, gens, shift, tail):
+    """``codec._check_colors`` as it was before it tiled one generator
+    period per residue class: every point compared in a Python loop."""
+    m = params.m
+    if len(gens) != params.I:
+        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
+    if cmap.block.dims != (m,):
+        raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
+    n = len(cmap.colors) - tail
+    bad = []
+    for i, (gen, d, m_i, ell) in enumerate(
+        zip(gens, itertools.accumulate(params.parts, initial=0), params.parts, params.ells)
+    ):
+        colors = gen["colors"]
+        if (gen["ell"], gen["m"], len(colors)) != (ell, m_i, ell):
+            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
+        for r in range(m_i):
+            x0 = (d + r - shift) % m
+            j0 = (x0 + shift) // m
+            want = [colors[((j0 + k) * m_i + r) % ell] for k in range(len(range(x0, n, m)))]
+            got = itertools.islice(cmap.colors, x0, n, m)
+            k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+            if k is not None:
+                bad.append((x0 + k * m, want[k]))
+    if bad:
+        x, expected = min(bad)
+        raise ValueError(
+            f"map contradicts its generators: point {x} has color {cmap.colors[x]}, "
+            f"they give {expected}"
+        )
+
+
+def _check_outcome(check, cmap):
+    """The message ``check`` raises on ``cmap``, or None when it passes."""
+    try:
+        check(cmap, *params_of(cmap))
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_MIXED_36 = BraidParams1D(M=36, parts=(2, 2), g=3, c=(2, 1), q=(1, 3))  # c_0 = m_0, c_1 = 1
+
+# 1D maps of at most 84 points: standard maps of each class, restrictions,
+# modifications (shift 0 and 1, fresh or not) and cuts of cuts.
+CHECK_MAPS = {
+    "u24": lambda: _unitary_1d(24, (2, 3)),
+    "u84": lambda: _unitary_1d(84, (3, 7)),
+    "u36-three": lambda: _unitary_1d(36, (2, 3, 1)),
+    "mixed-36": lambda: construct(_MIXED_36),
+    "class1-75": lambda: construct(BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))),
+    "class2-75": lambda: construct(BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))),
+    "r-u24-19": lambda: restrict(_unitary_1d(24, (2, 3)), 19),
+    "r-mixed-29": lambda: restrict(construct(_MIXED_36), 29),
+    "r-class2-71": lambda: restrict(construct(
+        BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))), 71),
+    "mod-u24-20": lambda: modify_general_size(_unitary_1d(24, (2, 3)), 20),
+    "mod-u84-80-fresh": lambda: modify_general_size(_unitary_1d(84, (3, 7)), 80, fresh=True),
+    "mod-u36-30": lambda: modify_general_size(_unitary_1d(36, (2, 3, 1)), 30),
+    "mod-u24-18-shift": lambda: modify_general_size(_unitary_1d(24, (2, 3)), 18),
+    "mod-u36-27-shift": lambda: modify_general_size(_unitary_1d(36, (2, 3, 1)), 27),
+    "r-mod-u84-62-shift-51": lambda: restrict(modify_general_size(_unitary_1d(84, (3, 7)), 62), 51),
+    "r-mod-u24-15": lambda: restrict(modify_general_size(_unitary_1d(24, (2, 3)), 20), 15),
+    "r-r-u24-17": lambda: restrict(restrict(_unitary_1d(24, (2, 3)), 23), 17),
+    "r-mod-u36-25": lambda: restrict(modify_general_size(_unitary_1d(36, (2, 3, 1)), 30), 25),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _check_map(name):
+    return CHECK_MAPS[name]()
+
+
+def _recolored(data, cmap, points):
+    ids = sorted(e.id for e in cmap.palette)
+    colors = list(cmap.colors)
+    for _ in range(points):
+        colors[data.draw(st.integers(0, len(colors) - 1))] = data.draw(st.sampled_from(ids))
+    return _with_colors(cmap, colors)
+
+
+def test_check_maps_pass_both_checks_unchanged():
+    for name in CHECK_MAPS:
+        cmap = _check_map(name)
+        assert _check_outcome(_check_colors, cmap) is None, name
+        assert _check_outcome(reference_check_colors, cmap) is None, name
+    assert _check_map("mixed-36").params["c"] == [2, 1]
+    assert params_of(_check_map("mod-u36-27-shift"))[2:] == (1, 2)  # shift 1, tail m - 1
+    assert params_of(_check_map("r-mod-u84-62-shift-51"))[2] == 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_check_colors_names_the_point_the_per_point_loop_names(data):
+    cmap = _recolored(data, _check_map(data.draw(st.sampled_from(sorted(CHECK_MAPS)))), 1)
+    assert _check_outcome(_check_colors, cmap) == _check_outcome(reference_check_colors, cmap)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_check_colors_with_two_recolored_points_names_the_first(data):
+    cmap = _recolored(data, _check_map("mod-u36-27-shift"), 2)
+    assert _check_outcome(_check_colors, cmap) == _check_outcome(reference_check_colors, cmap)

@@ -107,6 +107,18 @@ def test_repetitive_extend_rejects_non_multiple():
         repetitive_extend(builtin("pair-6"), 27)
 
 
+def test_builtin_parses_and_verifies_each_name_once():
+    assert builtin("triple-45") is builtin("triple-45")
+
+
+def test_a_catalog_entry_that_is_not_distinguishable_raises_value_error(monkeypatch):
+    from braidcode import generators
+
+    monkeypatch.setitem(generators._CATALOG_RAW, "bad-4", ("a1 a1 a2 a2", 2))  # {a1,a2} twice
+    with pytest.raises(ValueError, match="catalog generator bad-4 is not 2-distinguishable"):
+        builtin("bad-4")
+
+
 def test_find_generator_prefers_catalog():
     gen = find_generator(6, 2)
     assert gen.k == 3 and gen.is_distinguishable()

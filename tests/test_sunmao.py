@@ -44,6 +44,19 @@ def test_theta_round_trip(dec, data):
     assert theta_inv(dec, i, y) == x
 
 
+@given(decomps(), st.integers(-1000, 1000))
+def test_subgrid_of_is_the_window_holding_x_mod_m(dec, x):
+    i = dec.subgrid_of(x)
+    assert dec.offsets[i] <= x % dec.m < dec.offsets[i] + dec.parts[i]
+
+
+@pytest.mark.parametrize("x", [0.5, float("nan"), -1e-20, "3"])
+def test_subgrid_of_a_point_that_is_not_an_integer_raises_value_error(x):
+    # nan and -1e-20 (whose float x % m is m) fell through every window
+    with pytest.raises(ValueError, match="is not an integer"):
+        Decomposition1D(M=12, parts=(1, 2)).subgrid_of(x)
+
+
 @given(decomps(), st.data())
 def test_split_is_consistent(dec, data):
     x = data.draw(st.integers(0, dec.M - 1))
