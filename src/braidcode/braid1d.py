@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
 from .generators import GeneratorCode, find_generator, min_colors
-from .sunmao import Decomposition1D, synthesize
+from .sunmao import Decomposition1D
 
 
 class InfeasibleError(ValueError):
@@ -112,7 +112,9 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
 
     Generator i must be an m_i-distinguishable code on G^c_{ell_i}; ids
     are shifted so sub-grid palettes are disjoint, sub-grid 0 first.
-    When ``gens`` is None, generators are chosen automatically.
+    When ``gens`` is None, generators are chosen automatically.  Each
+    residue class is written by ``_class_colors``, the rule the decoder
+    proves maps against; ``sunmao.synthesize`` is its reference.
     """
     errs = validate(params)
     if errs:
@@ -128,34 +130,53 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         if not gen.is_distinguishable():
             raise ValueError(f"generator {i} is not {m_i}-distinguishable")
 
-    dec = params.decomposition
-    submaps = []
+    gen_colors, palette = [], []
     offset = 0
-    gen_params = []
     for i, gen in enumerate(gens):
-        # shift the ids of one generator period, then tile it around sub-grid i
-        # (ell_i divides M_i = m_i*g*Q, since c_i | m_i and q_i | Q)
-        period = gen.to_colormap(id_offset=offset, subgrid=(i,))
-        M_i = dec.subgrid_sizes[i]
-        submaps.append(ColorMap(GridSpec((M_i,)), period.block,
-                                period.colors * (M_i // gen.ell), period.palette))
-        gen_params.append({"ell": gen.ell, "m": gen.m, "colors": list(period.colors)})
+        period = gen.to_colormap(id_offset=offset, subgrid=(i,))  # one period, ids shifted
+        gen_colors.append(period.colors)
+        palette += period.palette
         offset += max(gen.colors) + 1
-    cmap = synthesize(dec, submaps)
+    colors = [0] * params.M
+    for x0, want in _class_colors(params, gen_colors, 0, params.M):
+        colors[x0::params.m] = want
     return ColorMap(
-        grid=cmap.grid,
-        block=cmap.block,
-        colors=cmap.colors,
-        palette=cmap.palette,
+        grid=GridSpec((params.M,)),
+        block=BlockSpec((params.m,)),
+        colors=tuple(colors),
+        palette=tuple(palette),
         params={
             "kind": "braid1d",
             "g": params.g,
             "parts": list(params.parts),
             "c": list(params.c),
             "q": list(params.q),
-            "gens": gen_params,
+            "gens": [{"ell": gen.ell, "m": gen.m, "colors": list(ids)}
+                     for gen, ids in zip(gens, gen_colors)],
         },
     )
+
+
+def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
+    """Yield (x0, colors) per residue class x = x0 (mod m), 0 <= x < n:
+    point x carries the color the generators give to y = x + shift.
+
+    Sub-grid i holds the classes y = d_i + r (mod m), r < m_i, and
+    y = j*m + d_i + r has color gen_colors[i][(j*m_i + r) mod ell_i].
+    Along a class this repeats every ell_i / gcd(m_i, ell_i) points: one
+    period is built and tiled, sharing one int object per color id.
+    """
+    m = params.m
+    for colors, d, m_i, ell in zip(
+        gen_colors, itertools.accumulate(params.parts, initial=0), params.parts, params.ells
+    ):
+        period = ell // math.gcd(m_i, ell)
+        for r in range(m_i):
+            x0 = (d + r - shift) % m
+            j0 = (x0 + shift) // m
+            count = len(range(x0, n, m))
+            one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
+            yield x0, (one * (count // period + 1))[:count]
 
 
 def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
@@ -338,24 +359,15 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
             break
     if shift is None:
         raise InfeasibleError("aligned blocks 0 and J-1 share all colors; cannot anchor shift")
-    rotated = [cmap.colors[(x + shift) % M] for x in range(M)]
-    colors = rotated[:M_r]
-    cstar = colors[(J - 1) * m]
-    if fresh:
-        fresh_id = max(e.id for e in cmap.palette) + 1
-        fill = fresh_id
-        palette = cmap.palette + (
-            PaletteEntry(id=fresh_id, subgrid=None, factors=None, label="fresh"),
-        )
-    else:
-        fill = cstar
-        palette = cmap.palette
-    for i in range(1, m):
-        colors[(J - 1) * m + i] = fill
+    # the window [shift, shift + M_r) does not wrap: shift < m and M_r <= M - m
+    cstar = cmap.colors[shift + M_r - m]
+    fill = max(e.id for e in cmap.palette) + 1 if fresh else cstar
+    palette = cmap.palette + ((PaletteEntry(id=fill, label="fresh"),) if fresh else ())
+    colors = tuple(cmap.colors[shift:shift + M_r - m + 1]) + (fill,) * (m - 1)
     return ColorMap(
         grid=GridSpec((M_r,)),
         block=cmap.block,
-        colors=tuple(colors),
+        colors=colors,
         palette=palette,
         params={
             "kind": "modified",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .braid1d import BraidParams1D, params_of, validate
+from .braid1d import BraidParams1D, _class_colors, params_of, validate
 from .braidnd import UnitaryBraidParamsND, _base_colors, _subgrid_layout, params_of_nd
 
 
@@ -270,40 +270,27 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
     """Raise ValueError unless the map agrees with the generators it decodes on.
 
     Every point x but the last ``tail`` must carry the color the
-    generators give to point y = x + shift of the standard map: sub-grid i
-    tiles generator i, so y = j*m + d_i + r has generator color
-    j*m_i + r mod ell_i.  A decoder trusting contradicting generators
-    decodes wrong.  One residue class of x mod m is compared at a time,
-    so the check holds no copy of the whole map: along a class the
-    expected colors repeat every ell_i / gcd(m_i, ell_i) points, so one
-    period is built and tiled, and the class is compared in one C-level
-    tuple comparison.  Only a class that differs is searched for its
-    first bad point.
+    generators give to point y = x + shift of the standard map
+    (``braid1d._class_colors``); a decoder trusting contradicting
+    generators decodes wrong.  Each residue class mod m is compared in one
+    C-level tuple comparison, so no copy of the whole map is held; only a
+    class that differs is searched for its first bad point.
     """
     m = params.m
     if len(gens) != params.I:
         raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
     if cmap.block.dims != (m,):
         raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
+    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
+        if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
+            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
     n = len(cmap.colors) - tail
     bad = []
-    for i, (gen, d, m_i, ell) in enumerate(
-        zip(gens, itertools.accumulate(params.parts, initial=0), params.parts, params.ells)
-    ):
-        colors = gen["colors"]
-        if (gen["ell"], gen["m"], len(colors)) != (ell, m_i, ell):
-            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
-        period = ell // math.gcd(m_i, ell)
-        for r in range(m_i):
-            x0 = (d + r - shift) % m
-            j0 = (x0 + shift) // m
-            count = len(range(x0, n, m))
-            one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
-            want = (one * (count // period + 1))[:count]
-            got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
-            if got != want:
-                k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
-                bad.append((x0 + k * m, want[k]))
+    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], shift, n):
+        got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
+        if got != want:
+            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+            bad.append((x0 + k * m, want[k]))
     if bad:
         x, expected = min(bad)
         raise ValueError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -64,9 +65,7 @@ class GridSpec:
     cyclic: bool = True
 
     def __post_init__(self):
-        if len(self.dims) < 1 or any(d < 1 for d in self.dims):
-            raise ValueError(f"grid dims must be positive: {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _positive_dims(self.dims, "grid"))
 
     @property
     def n(self) -> int:
@@ -104,6 +103,17 @@ class GridSpec:
         return tuple(x % d for x, d in zip(point, self.dims))
 
 
+def _positive_dims(dims, what: str) -> tuple[int, ...]:
+    """``dims`` as ints >= 1; ValueError for a value that is not an integer, as 24.9."""
+    try:
+        out = tuple(map(operator.index, dims))
+    except TypeError:
+        raise ValueError(f"{what} dims must be integers: {dims!r}") from None
+    if not out or min(out) < 1:
+        raise ValueError(f"{what} dims must be positive: {out}")
+    return out
+
+
 def _arity_error(point, dims) -> ValueError:
     # index and wrap test the length themselves: zip(..., strict=True) costs
     # several times more per call, and encode calls both for every block point.
@@ -117,9 +127,7 @@ class BlockSpec:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.dims) < 1 or any(d < 1 for d in self.dims):
-            raise ValueError(f"block dims must be positive: {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _positive_dims(self.dims, "block"))
 
     @property
     def volume(self) -> int:
@@ -274,8 +282,11 @@ def from_json(text: str) -> ColorMap:
             )
             for e in doc["palette"]
         )
+        cyclic = doc["grid"]["cyclic"]
+        if not isinstance(cyclic, bool):
+            raise ValueError(f"grid.cyclic must be true or false, got {cyclic!r}")
         return ColorMap(
-            grid=GridSpec(tuple(doc["grid"]["M"]), doc["grid"]["cyclic"]),
+            grid=GridSpec(tuple(doc["grid"]["M"]), cyclic),
             block=BlockSpec(tuple(doc["block"]["m"])),
             colors=tuple(doc["colors"]),
             palette=palette,

@@ -176,19 +176,6 @@ class UnitaryDecompositionND:
         if any(M % m != 0 for M, m in zip(self.dims, self.block)):
             raise ValueError(f"block {self.block} must divide dims {self.dims} componentwise")
 
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    @property
-    def subgrid_dims(self) -> tuple[int, ...]:
-        """M'_i = M_i / m_i, the shape of each sub-grid."""
-        return tuple(M // m for M, m in zip(self.dims, self.block))
-
-    def subgrid_indices(self) -> list[tuple[int, ...]]:
-        """All J with 0 <= J < m, row-major order."""
-        return list(GridSpec(self.block).points())
-
     def subgrid_of(self, x: Point) -> tuple[int, ...]:
         return tuple(c % m for c, m in zip(x, self.block))
 

@@ -1,11 +1,12 @@
 """1D braid maps: parameter validity, construction, optimization, resizing."""
 
+import functools
 import hashlib
 import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from braidcode import encode, to_json
 from braidcode.braid1d import (
@@ -19,7 +20,10 @@ from braidcode.braid1d import (
     restrict,
     validate,
 )
+from braidcode.core import ColorMap, GridSpec
+from braidcode.generators import find_generator, identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
+from braidcode.sunmao import Decomposition1D, synthesize
 
 
 def test_params_derived_quantities():
@@ -68,6 +72,42 @@ def test_every_enumerated_parameterization_constructs_distinguishable(M, parts):
         gens = [identity_generator(ell, m_i) for ell, m_i in zip(params.ells, params.parts)]
         cmap = construct(params, gens=gens)
         assert is_distinguishable(cmap).ok, params
+
+
+def reference_construct(params, gens):
+    """The sunmao step itself: each generator tiled around its sub-grid as a
+    sub-map, pieced together by ``synthesize`` through the theta isomorphisms."""
+    dec = Decomposition1D(params.M, params.parts)
+    submaps, offset = [], 0
+    for i, (gen, M_i) in enumerate(zip(gens, dec.subgrid_sizes)):
+        period = gen.to_colormap(id_offset=offset, subgrid=(i,))
+        submaps.append(ColorMap(GridSpec((M_i,)), period.block,
+                                period.colors * (M_i // gen.ell), period.palette))
+        offset += max(gen.colors) + 1
+    return synthesize(dec, submaps)
+
+
+@functools.cache
+def _generator(ell, m_i):
+    # searched generators repeat colors; past ell = 24 a search can take seconds
+    return find_generator(ell, m_i) if ell <= 24 else identity_generator(ell, m_i)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_construct_matches_the_sunmao_reference(data):
+    klass = data.draw(st.sampled_from(["1", "2", "mixed"]), label="class")
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
+    m = sum(parts)
+    M = m * data.draw(st.integers(2, 300 // m), label="M / m")
+    options = [p for p in enumerate_params(M, parts) if p.klass == klass]
+    assume(options)
+    params = data.draw(st.sampled_from(options), label="params")
+    event(f"class {klass}")
+    gens = [_generator(ell, m_i) for ell, m_i in zip(params.ells, params.parts)]
+    cmap, ref = construct(params, gens), reference_construct(params, gens)
+    assert (cmap.grid, cmap.block, cmap.colors, cmap.palette) == (
+        ref.grid, ref.block, ref.colors, ref.palette)
 
 
 def test_construct_round_trips_params(m24):

@@ -398,6 +398,11 @@ MALFORMED_DOCUMENTS = [
     (("colors",), None),
     (("palette", 0), "a_1"),
     ((), [1, 2]),
+    # not integers or booleans: dims were truncated by int() and "false" read as cyclic
+    (("grid", "M"), [24.9]),
+    (("block", "m"), [2.2]),
+    (("grid", "cyclic"), "false"),
+    (("block", "m"), [0]),
 ]
 # Well-shaped documents whose construction params are not: decode exits 2.
 MALFORMED_PARAMS = [
@@ -413,6 +418,9 @@ MALFORMED_PARAMS = [
     ("fig", ("colors", 0), 12),
     # not braid params, though they keep ells and M: g = 1 leaves the routing no residue to read
     ("m24", ("params",), {"g": 1, "q": [4, 6]}),
+    # generators that do not fit the parts and ells
+    ("m24", ("params", "gens", 1), DELETE),
+    ("m24", ("params", "gens", 0, "ell"), 5),
 ]
 
 

@@ -246,26 +246,31 @@ def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_i
     assert (len(sets), vectors) == (1412, 256_485)
 
 
-def _mixed(cmap, tags):
-    """The codeword whose sub-grid i piece comes from the block at ``tags[i]``."""
+def _mixed(cmap, pieces):
+    """The codeword whose sub-grid i piece is ``pieces[i]``: a tag, for
+    that sub-grid's piece of the block there, or the piece's colors."""
     sub_of = compile_decoder(cmap).sub_of
-    return canonical(cid for i, t in enumerate(tags) for cid in encode(cmap, (t,))
-                     if sub_of[cid] == i)
+    return canonical(cid for i, p in enumerate(pieces)
+                     for cid in ([c for c in encode(cmap, (p,)) if sub_of[c] == i]
+                                 if isinstance(p, int) else p))
 
 
-@pytest.mark.parametrize("params, tags, step, crts", [
+@pytest.mark.parametrize("params, pieces, step, crts", [
     # class 1: both pieces are non-aligned, r_i = 1, and only one sub-grid can be split
     (BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5)), (1, 38), "split-offset", []),
+    # the same map: no window of generator 1 holds the colors 3, 4, 5
+    (BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5)), (0, (3, 4, 5)),
+     "generator-decode", []),
     # j_i mod g reads (0, 1, 0): no split has b*+1 before it and b* after it
     (BraidParams1D(M=36, parts=(1, 1, 1), g=2, c=(1, 1, 1), q=(2, 3, 1)), (0, 2, 0), "crt", []),
     # j_i mod g reads (0, 1): either split needs k = 2, past m_i/c_i = 1
     (BraidParams1D(M=12, parts=(1, 1), g=3, c=(1, 1), q=(1, 2)), (0, 2), "crt", []),
     # the a-residues (0, 1) disagree mod gcd(2, 4)
     (BraidParams1D(M=16, parts=(1, 1), g=2, c=(1, 1), q=(2, 4)), (0, 2), "crt", [None]),
-], ids=["split-offset", "no-split", "offset-out-of-range", "crt-inconsistent"])
-def test_every_routing_failure_is_reached_from_decode(crt_calls, params, tags, step, crts):
+], ids=["split-offset", "generator-decode", "no-split", "offset-out-of-range", "crt-inconsistent"])
+def test_every_routing_failure_is_reached_from_decode(crt_calls, params, pieces, step, crts):
     cmap = construct(params)
-    w = _mixed(cmap, tags)
+    w = _mixed(cmap, pieces)
     with pytest.raises(NotACodeword) as info:
         decode(cmap, w)
     assert (info.value.step, crt_calls) == (step, crts)
@@ -720,13 +725,17 @@ def test_erasure_of_a_palette_color_no_point_carries(m24):
         erasure_decode(cmap, (10,))
 
 
-@pytest.mark.parametrize("build", [
-    lambda m24: construct(BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))),
-    lambda m24: modify_general_size(m24, 20),
-], ids=["mixed-class", "modified"])
-def test_erasure_requires_unitary(m24, build):
-    with pytest.raises(ValueError):
-        erasure_decode(build(m24), (0,))
+@pytest.mark.parametrize("build, partial, error", [
+    (lambda m24: construct(BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))), (0,),
+     "requires a unitary map"),
+    (lambda m24: modify_general_size(m24, 20), (0,), "requires a unitary braid map or restriction"),
+    # m = 2 on the 24-point map: no survivor, or more colors than a block holds
+    (lambda m24: m24, (), "size out of range"),
+    (lambda m24: m24, (0, 2, 3), "size out of range"),
+], ids=["mixed-class", "modified", "no-survivor", "more-than-m"])
+def test_erasure_decode_refuses(m24, build, partial, error):
+    with pytest.raises(ValueError, match=error):
+        erasure_decode(build(m24), partial)
 
 
 def _with_colors(cmap, colors):
