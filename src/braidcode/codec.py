@@ -1,20 +1,19 @@
 """Decoding: associated matrices, CRT routing, and erasure handling.
 
-Decoding a braid codeword never scans the full grid.  The codeword is
-split by sub-grid, each piece is decoded on its small generator, and the
-resulting sub-grid positions are routed through a generalized
-Chinese-remainder step to the unique block tag: their residues mod g name
-the split sub-grid and its offset, so a decode makes one CRT on unitary
-rows (every n-D axis) and at most two otherwise.  A map cut to another
-size (restriction, modification, extension, a cut of a cut) changes only
-the blocks at or past a seam on each cut axis, read into a seam table;
-one rule decodes every cyclic map: the routed tag when it lies before
-every seam, plus every seam tag the table lists for the codeword.
+A decode never scans the grid.  The codeword is split by sub-grid, each
+piece is decoded on its small generator, and the sub-grid positions are
+routed to the block tag by a generalized CRT: their residues mod g name
+the split sub-grid and its offset, so a decode solves one CRT on unitary
+rows (every n-D axis) and at most two otherwise.  A cut map (restriction,
+modification, extension, a cut of a cut) changes only the blocks at or
+past a seam on each cut axis, read into a seam table; one rule decodes
+every cyclic map: the routed tag when it lies before every seam, plus
+every seam tag the table lists for the codeword.
 
-Everything a decode needs that depends only on the map (sub-grid split,
-generator tables, routing constants, seam table) is compiled once per
-map by ``compile_decoder`` and kept on the map, so a decode costs
-O(ell), not O(M).  Decoders read the params and colors, not the palette.
+All a decode needs that depends only on the map (sub-grid split, generator
+tables, routing constants and CRT plans, seam table) is compiled once by
+``compile_decoder`` and kept on the map: a decode costs O(ell), not O(M),
+and reads the params and colors, not the palette.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import ColorMap, Codeword, GridSpec, NotACodeword, Point, canonical
+from .core import ColorMap, Codeword, NotACodeword, Point, canonical
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .braid1d import BraidParams1D, _class_colors, params_of, validate
 from .braidnd import UnitaryBraidParamsND, _base_colors, _subgrid_layout, params_of_nd
@@ -84,25 +83,33 @@ class ErasureResult:
 # Generalized CRT
 
 
-def generalized_crt(residues, moduli) -> int | None:
-    """Solve x = r_i (mod n_i) for possibly non-coprime moduli.
-
-    Returns the unique solution in [0, lcm(moduli)), or None when the
-    congruences are inconsistent.  Inconsistency is a value, not a fault.
-    """
-    x, n = 0, 1
-    for r, mod in zip(residues, moduli):
+def _crt_plan(moduli) -> tuple:
+    """Per n_i, n the lcm of those before: gcd(n, n_i) = g, n, 1/(n/g) mod n_i/g, n_i/g, lcm."""
+    plan, n = [], 1
+    for mod in moduli:
         if mod < 1:
             raise ValueError("moduli must be positive")
         g = math.gcd(n, mod)
-        if (r - x) % g != 0:
+        plan.append((g, n, pow(n // g, -1, mod // g), mod // g, n // g * mod))
+        n = n // g * mod
+    return tuple(plan)
+
+
+def _crt_solve(plan, residues) -> int | None:
+    """x = r_i (mod n_i) over a ``_crt_plan``, or None."""
+    x = 0
+    for r, (g, n, inv, h, lcm) in zip(residues, plan):
+        d, rem = divmod(r - x, g)  # x + n*t = r (mod n_i): t = d*inv (mod n_i/g)
+        if rem:
             return None
-        lcm = n // g * mod
-        # x + n*t = r (mod mod)  =>  t = (r-x)/g * inv(n/g) (mod mod/g)
-        t = ((r - x) // g * pow(n // g, -1, mod // g)) % (mod // g) if mod // g > 1 else 0
-        x = (x + n * t) % lcm
-        n = lcm
+        x = (x + n * (d * inv % h)) % lcm
     return x
+
+
+def generalized_crt(residues, moduli) -> int | None:
+    """The x in [0, lcm(moduli)) with x = r_i (mod n_i), moduli possibly not
+    coprime, or None when the congruences are inconsistent (not a fault)."""
+    return _crt_solve(_crt_plan(moduli), residues)
 
 
 def qhat(qs, i: int) -> int:
@@ -177,11 +184,7 @@ def b_matrix(A: AssociatedMatrix) -> BMatrix:
 def dump_matrices(cmap: ColorMap) -> str:
     """A rows, blank line, B rows; space-separated labels."""
     A = associated_matrix(cmap)
-    B = b_matrix(A)
-    lines = [" ".join(map(str, row)) for row in A.rows]
-    lines.append("")
-    lines += [" ".join(map(str, row)) for row in B.rows]
-    return "\n".join(lines)
+    return "\n".join(" ".join(map(str, row)) for row in A.rows + ((),) + b_matrix(A).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +192,8 @@ def dump_matrices(cmap: ColorMap) -> str:
 
 
 class _Router:
-    """Routing constants of one braid parameter set, and the routing step:
-    generator positions to tags, in closed form."""
+    """Routing constants of one braid parameter set, its CRT plan among
+    them, and the routing step: generator positions to tags, in closed form."""
 
     def __init__(self, g: int, parts, c, q):
         self.g, self.parts, self.c, self.q = g, tuple(parts), tuple(c), tuple(q)
@@ -199,12 +202,13 @@ class _Router:
         self.ells = tuple(g * c_i * q_i for c_i, q_i in zip(self.c, self.q))
         self.gq = tuple(g * q_i for q_i in self.q)
         # u_i * (m_i / c_i) = 1 (mod g*q_i), i.e. u_i * m_i = c_i (mod ell_i)
-        self.inv = tuple(
-            pow(m_i // c_i, -1, gq_i) for m_i, c_i, gq_i in zip(self.parts, self.c, self.gq)
-        )
+        self.inv = tuple(pow(m_i // c_i, -1, gq_i)
+                         for m_i, c_i, gq_i in zip(self.parts, self.c, self.gq))
+        self.plan = _crt_plan(self.q)
 
-    def route(self, alphas) -> list[DecodeResult]:
-        """All tags consistent with per-sub-grid generator positions ``alphas``.
+    def solve(self, alphas) -> list[tuple]:
+        """All tags consistent with per-sub-grid generator positions ``alphas``,
+        as (tag, j*, i*, r*, a*, b*, a_vec) tuples.
 
         Each alpha is read as (j_i, r_i): alpha = j_i*m_i + r_i mod ell_i,
         r_i < c_i.  The block at tag j*m + d_i* + x_r, x_r = r_i* + k*c_i*,
@@ -251,12 +255,12 @@ class _Router:
             res = [js[i] - (i < i_star) for i in range(I)]
             res[i_star] -= k * self.inv[i_star]
             a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
-            a_star = generalized_crt(a_vec, q)
+            a_star = _crt_solve(self.plan, a_vec)
             if a_star is None:
                 continue
             j_star = a_star * g + b_star
-            tag = j_star * self.m + self.offsets[i_star] + x_r
-            results.append(DecodeResult(tag, j_star, i_star, x_r, a_star, b_star, a_vec, "routing"))
+            results.append((j_star * self.m + self.offsets[i_star] + x_r,
+                            j_star, i_star, x_r, a_star, b_star, a_vec))
         return results
 
 
@@ -401,12 +405,10 @@ class _Braid:
             if pos is None:
                 raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
             alphas.append(pos)
-        results = self.router.route(alphas)
+        results = self.router.solve(alphas)
         if not results:
             raise NotACodeword("crt", "no consistent routing")
-        if self.shift:
-            results = [replace(res, tag=(res.tag - self.shift) % self.M) for res in results]
-        return results
+        return [DecodeResult((tag - self.shift) % self.M, *rest, "routing") for tag, *rest in results]
 
     def seam_result(self, x: Point) -> DecodeResult:
         return DecodeResult(x[0], x[0] // self.m, 0, x[0] % self.m, 0, 0, (), "seam")
@@ -432,34 +434,32 @@ class _Axis:
         self.nu = math.prod(m)
         self.w_band = self.nu // m[axis]
         others = [k for k in range(params.n) if k != axis]
-        other_shape = GridSpec(tuple(m[k] for k in others)) if others else None
         self.row: dict[tuple[int, ...], int] = {}
         qlist = [0] * self.nu
         for J, qs in params.qtable.items():
             r = J[axis]
-            if other_shape is not None:
-                r = r * self.w_band + other_shape.index(tuple(J[k] for k in others))
+            for k in others:
+                r = r * m[k] + J[k]
             self.row[J] = r
             qlist[r] = qs[axis]
         self.router = _Router(params.g, (1,) * self.nu, (1,) * self.nu, qlist)
 
-    def decode(self, proj) -> DecodeResult:
-        """Decode the axis from its projection: (J, factor index) pairs."""
+    def decode(self, facts) -> DecodeResult:
+        """Decode the axis from the codeword's (J, factor tuple) pairs."""
         axis = self.axis
         alphas = [None] * self.nu
-        for J, f in proj:
+        for J, f in facts:
             s = self.row[J]
             if alphas[s] is not None:
                 raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
-            alphas[s] = f
-        if any(a is None for a in alphas):
+            alphas[s] = f[axis]
+        if None in alphas:
             raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-        for res in self.router.route(alphas):
-            j, off = divmod(res.tag, self.nu)
+        for tag, *rest in self.router.solve(alphas):
+            j, off = divmod(tag, self.nu)
             r, rem = divmod(off, self.w_band)
             if rem == 0:
-                return DecodeResult(j * self.m_axis + r, res.j_star, res.i_star, res.r_star,
-                                    res.a_star, res.b_star, res.a_vec, res.path)
+                return DecodeResult(j * self.m_axis + r, *rest, "routing")
         raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 
@@ -503,7 +503,7 @@ class _UnitaryND:
             facts = [self.factors_of[cid] for cid in w]
         except KeyError as e:
             raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
-        diags = tuple(ax.decode([(J, f[ax.axis]) for J, f in facts]) for ax in self.axes)
+        diags = tuple([ax.decode(facts) for ax in self.axes])
         return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
 
 

@@ -285,10 +285,17 @@ def from_json(text: str) -> ColorMap:
         cyclic = doc["grid"]["cyclic"]
         if not isinstance(cyclic, bool):
             raise ValueError(f"grid.cyclic must be true or false, got {cyclic!r}")
+        colors = tuple(doc["colors"])
+        # An id that is not an int (4.0, true, Infinity, "4") can equal an int id
+        # or itself, but prints as no codeword parses.
+        for what, ids in (("color", colors), ("palette", [e.id for e in palette])):
+            if set(map(type, ids)) - {int}:
+                bad = next(x for x in ids if type(x) is not int)
+                raise ValueError(f"{what} ids must be integers, got {json.dumps(bad)}")
         return ColorMap(
             grid=GridSpec(tuple(doc["grid"]["M"]), cyclic),
             block=BlockSpec(tuple(doc["block"]["m"])),
-            colors=tuple(doc["colors"]),
+            colors=colors,
             palette=palette,
             params=doc.get("params"),
         )

@@ -403,6 +403,11 @@ MALFORMED_DOCUMENTS = [
     (("block", "m"), [2.2]),
     (("grid", "cyclic"), "false"),
     (("block", "m"), [0]),
+    # ids equal to an int id but not ints: encode printed 4.0 or True, which no codeword parses
+    (("colors", 1), 4.0),
+    (("colors", 2), True),
+    (("palette", 4, "id"), 4.0),
+    (("palette", 1, "id"), True),
 ]
 # Well-shaped documents whose construction params are not: decode exits 2.
 MALFORMED_PARAMS = [

@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend
 from braidcode.codec import (
     AmbiguousDecode,
     DecodeResult,
+    DecodeResultND,
     NotACodeword,
     _Router,
     _check_colors,
@@ -53,14 +55,21 @@ def brute_crt(residues, moduli):
     return None
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_generalized_crt_matches_brute_force(data):
-    n = data.draw(st.integers(1, 4))
-    moduli = [data.draw(st.integers(1, 30)) for _ in range(n)]
-    if math.lcm(*moduli) > 10_000:
-        return
-    residues = [data.draw(st.integers(0, 100)) for _ in range(n)]
+    # 1 to 5 moduli in 1..30, 1s and shared factors among them, with an lcm
+    # of at most 10,000; residues consistent or random, so often None.
+    moduli = []
+    for _ in range(data.draw(st.integers(1, 5), label="count")):
+        fits = [n for n in range(1, 31) if math.lcm(n, *moduli) <= 10_000]
+        moduli.append(data.draw(st.sampled_from(fits), label="modulus"))
+    if data.draw(st.booleans(), label="consistent"):
+        x = data.draw(st.integers(0, math.lcm(*moduli) - 1), label="x")
+        residues = [x % n + n * data.draw(st.integers(0, 3), label="lift") for n in moduli]
+    else:
+        residues = data.draw(st.lists(st.integers(0, 100), min_size=len(moduli),
+                                      max_size=len(moduli)), label="residues")
     assert generalized_crt(residues, moduli) == brute_crt(residues, moduli)
 
 
@@ -68,6 +77,8 @@ def test_crt_detects_inconsistency():
     assert generalized_crt([0, 1], [4, 2]) is None
     assert generalized_crt([1, 3], [6, 4]) == 7
     assert generalized_crt([2, 2], [4, 6]) == 2
+    with pytest.raises(ValueError, match="moduli must be positive"):
+        generalized_crt([0, 0], [3, 0])
 
 
 def test_qhat_minimum_subset_product():
@@ -120,7 +131,7 @@ def test_codeword_formatting_round_trip():
 
 
 def reference_route(self, alphas):
-    """The candidate search ``_Router.route`` replaced, kept verbatim as its
+    """The candidate search the closed-form routing replaced, kept verbatim as its
     reference: every (i*, x_r) pair gets its own residues, CRT and
     arithmetic check."""
     g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
@@ -205,6 +216,11 @@ def _windows(router, tag):
     return tuple(starts[i] for i in range(len(router.parts)))
 
 
+def router_route(router, alphas):
+    """The routing step's tuples as results, as the 1D decoder builds them."""
+    return [DecodeResult(*res, "routing") for res in router.solve(alphas)]
+
+
 def _routed(route, router, alphas):
     try:
         return route(router, alphas)
@@ -214,14 +230,15 @@ def _routed(route, router, alphas):
 
 @pytest.fixture()
 def crt_calls(monkeypatch):
-    """The results of every ``generalized_crt`` call the router makes."""
+    """The results of every CRT solve the router makes."""
     calls = []
+    solve = codec._crt_solve
 
-    def counted(residues, moduli):
-        calls.append(generalized_crt(residues, moduli))
+    def counted(plan, residues):
+        calls.append(solve(plan, residues))
         return calls[-1]
 
-    monkeypatch.setattr(codec, "generalized_crt", counted)
+    monkeypatch.setattr(codec, "_crt_solve", counted)
     return calls
 
 
@@ -232,18 +249,22 @@ def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_i
     # The search's arithmetic check never drops a result the closed form keeps,
     # and every routed tag's block holds the pieces it was routed from.
     sets = list(braid_param_sets(I_max=3, part_max=3, g_max=4, q_max=3, volume=400))
-    vectors = 0
+    vectors = crts = routed = 0
     for p in sets:
         router = _Router(p.g, p.parts, p.c, p.q)
         for alphas in itertools.product(*map(range, p.ells)):
             crt_calls.clear()
-            got = _routed(_Router.route, router, alphas)
-            assert got == _routed(reference_route, router, alphas), (p, alphas)
+            got = _routed(router_route, router, alphas)
+            # counted before the reference runs: its generalized_crt solves the same way
             assert len(crt_calls) <= (1 if p.unitary else 2), (p, alphas)
+            crts += len(crt_calls)
+            assert got == _routed(reference_route, router, alphas), (p, alphas)
             if isinstance(got, list):
                 assert all(_windows(router, res.tag) == alphas for res in got), (p, alphas)
+                routed += len(got)
             vectors += 1
     assert (len(sets), vectors) == (1412, 256_485)
+    assert crts >= routed > 0  # every routed tag took a CRT, so the count saw them
 
 
 def _mixed(cmap, pieces):
@@ -383,6 +404,83 @@ def test_decoders_refuse_a_flat_grid(m24, fig_map, cut):
     if flat.grid.n == 1:
         with pytest.raises(ValueError, match="decoding requires a cyclic grid"):
             erasure_decode(flat, encode(flat, (0,))[:1])
+
+
+def test_a_compiled_decoder_computes_no_gcd_or_inverse(m24, fig_map, monkeypatch):
+    # The CRT plan is compiled with the decoder, so a decode only solves.
+    maps = [m24, fig_map, extend_arbitrary_size(fig_map, (12, 20)),
+            construct(BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5)))]
+    words = [(cmap, encode(cmap, x)) for cmap in maps for x in coding_area(cmap.grid, cmap.block)]
+    for cmap in maps:
+        compile_decoder(cmap)
+
+    def refused(*args):
+        raise AssertionError(f"decode computed {args}")
+
+    monkeypatch.setattr(codec, "pow", refused, raising=False)
+    monkeypatch.setattr(codec.math, "gcd", refused)
+    for cmap, w in words:
+        decode(cmap, w)
+
+
+def reference_axis_decode(self, proj) -> DecodeResult:
+    """``_Axis.decode`` as it was before the routing step returned tuples,
+    kept verbatim as its reference (the router's ``route`` is now
+    ``router_route``): a result per route, then one for the axis."""
+    axis = self.axis
+    alphas = [None] * self.nu
+    for J, f in proj:
+        s = self.row[J]
+        if alphas[s] is not None:
+            raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
+        alphas[s] = f
+    if any(a is None for a in alphas):
+        raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
+    for res in router_route(self.router, alphas):
+        j, off = divmod(res.tag, self.nu)
+        r, rem = divmod(off, self.w_band)
+        if rem == 0:
+            return DecodeResult(j * self.m_axis + r, res.j_star, res.i_star, res.r_star,
+                                res.a_star, res.b_star, res.a_vec, res.path)
+    raise NotACodeword("crt", f"axis {axis}: no consistent routing")
+
+
+def reference_nd_route(self, w):
+    """``_UnitaryND.route`` as it was then, verbatim: a (J, factor) list per axis."""
+    try:
+        facts = [self.factors_of[cid] for cid in w]
+    except KeyError as e:
+        raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
+    diags = tuple(reference_axis_decode(ax, [(J, f[ax.axis]) for J, f in facts])
+                  for ax in self.axes)
+    return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
+
+
+def _outcome(decode_fn, w):
+    try:
+        return decode_fn(w)
+    except (NotACodeword, AmbiguousDecode) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("L", [(24, 24), (12, 24)])
+def test_nd_decode_builds_the_results_of_the_per_axis_reference(fig_map, L):
+    # Every tag's codeword decodes to a result equal field by field, per_axis
+    # included; the codeword with one color moved to the next id fails the
+    # same way or decodes the same.
+    cmap = fig_map if L == fig_map.grid.dims else extend_arbitrary_size(fig_map, L)
+    dec = compile_decoder(cmap)
+    ref = SimpleNamespace(table=dec.table, seams=dec.seams, seam_result=dec.seam_result,
+                          route=functools.partial(reference_nd_route, dec))
+    colors = max(cmap.colors) + 1
+    for x in coding_area(cmap.grid, cmap.block):
+        w = encode(cmap, x)
+        got = decode(cmap, w)
+        assert (got, got.tag) == (codec._decide(ref, w), x)
+        assert all(isinstance(d, DecodeResult) for d in got.per_axis) or got.path == "seam"
+        moved = canonical(w[1:] + ((w[0] + 1) % colors,))
+        assert (_outcome(functools.partial(decode, cmap), moved)
+                == _outcome(functools.partial(codec._decide, ref), moved)), (x, moved)
 
 
 def test_decode_nd_rejects_wrong_size(fig_map):

@@ -1,6 +1,8 @@
 """Grid primitives: indexing, blocks, canonical codewords, JSON round trip."""
 
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,6 +108,26 @@ def test_json_round_trip(m24, fig_map):
         assert back.colors == cmap.colors
         assert back.palette == cmap.palette
         assert back.params == cmap.params
+
+
+NOT_INTS = [4.0, True, False, 1e300, math.inf, -math.inf, math.nan, "4", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=map(json.dumps, NOT_INTS))
+def test_from_json_refuses_ids_that_are_not_ints(m24, value):
+    doc = json.loads(to_json(m24))
+    colors, palette = doc["colors"], doc["palette"]
+    assert palette[4]["id"] == 4
+    for what, bad in [
+        ("color", dict(doc, colors=colors[:-1] + [value])),
+        ("palette", dict(doc, palette=palette[:-1] + [dict(palette[-1], id=value)])),
+        # every 4, in the colors and in the palette: the ids still all match
+        ("color", dict(doc, colors=[value if c == 4 else c for c in colors],
+                       palette=[dict(e, id=value) if e["id"] == 4 else e for e in palette])),
+    ]:
+        message = f"{what} ids must be integers, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(json.dumps(bad))
 
 
 def test_palette_ids_match_colors(m24):
