@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
 from .generators import GeneratorCode, find_generator, min_colors
 from .sunmao import Decomposition1D
 
@@ -37,9 +37,12 @@ class BraidParams1D:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        object.__setattr__(self, "c", tuple(int(v) for v in self.c))
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
+        parts, c, q = tuple(self.parts), tuple(self.c), tuple(self.q)
+        # Stored params come from map files, where a c_i of 1.9 must not pass for 1.
+        int_tuple((self.g, self.M, *parts, *c, *q), "braid params")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "q", q)
 
     @property
     def m(self) -> int:
@@ -270,10 +273,7 @@ def _c_options(m_i: int, g: int, q_i: int, klass: str, single: bool) -> list[int
             continue
         if g * c_i <= m_i:
             continue
-        if math.gcd(m_i // c_i, g * q_i) != 1:
-            continue
-        # gcd(m_i, g*c_i*q_i) must equal c_i
-        if math.gcd(m_i, g * c_i * q_i) != c_i:
+        if math.gcd(m_i, g * c_i * q_i) != c_i:  # the rule validate applies
             continue
         opts.append(c_i)
     return opts

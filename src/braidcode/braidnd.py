@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
 
 FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
 
@@ -70,12 +70,13 @@ class UnitaryBraidParamsND:
     qtable: dict[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(
-            self,
-            "qtable",
-            {tuple(k): tuple(int(v) for v in vs) for k, vs in self.qtable.items()},
-        )
+        # Stored params come from map files, where an m_i of 2.9 must not pass for 2.
+        object.__setattr__(self, "m", int_tuple(self.m, "n-dim params m"))
+        object.__setattr__(self, "qtable", {
+            int_tuple(J, "q-table keys"): int_tuple(qs, "q-table entries")
+            for J, qs in self.qtable.items()
+        })
+        int_tuple((self.g,), "n-dim params g")
         if self.g < 2:
             raise ValueError("g must exceed 1")
         expected = set(GridSpec(self.m).points())
@@ -185,6 +186,12 @@ def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dic
     return d
 
 
+def parse_qtable(raw: dict) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The q-table of its JSON form, {"i,j": [q_1, q_2], ...}, as
+    ``_params_dict`` writes it and ``construct --qtable`` reads it."""
+    return {tuple(int(t) for t in J.split(",")): tuple(qs) for J, qs in raw.items()}
+
+
 def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
     """Parameters an n-dim unitary braid map, or an extension, was built from.
 
@@ -194,10 +201,7 @@ def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
     p = cmap.params
     if p is None or p.get("kind") not in ("unitary-braid-nd", "extended-nd"):
         raise ValueError("not an n-dim unitary braid map")
-    qtable = {
-        tuple(int(t) for t in key.split(",")): tuple(qs) for key, qs in p["q"].items()
-    }
-    params = UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=qtable)
+    params = UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=parse_qtable(p["q"]))
     dims = cmap.grid.dims
     if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
             or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):

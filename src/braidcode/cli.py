@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 invalid parameters, 3 infeasible request,
+Exit codes: 0 success, 2 invalid parameters (also a map file that cannot
+be read or an output path that cannot be written), 3 infeasible request,
 4 verification failure (also a decode whose codeword more than one tag
-carries), 5 not a codeword, 6 counterexample found.
+carries), 5 not a codeword, 6 counterexample found.  Commands let the
+library's errors propagate; ``main`` maps each to its code in one place.
 """
 
 from __future__ import annotations
@@ -27,17 +29,11 @@ EXIT_NOT_A_CODEWORD = 5
 EXIT_COUNTEREXAMPLE = 6
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
-
-
 def _ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise CliError(EXIT_INVALID, f"expected comma-separated ints, got {text!r}")
+        raise ValueError(f"expected comma-separated ints, got {text!r}") from None
 
 
 def _load_map(path: str) -> core.ColorMap:
@@ -45,7 +41,7 @@ def _load_map(path: str) -> core.ColorMap:
         with open(path) as f:
             return core.from_json(f.read())
     except (OSError, ValueError) as e:
-        raise CliError(EXIT_INVALID, f"cannot load map {path}: {e}")
+        raise ValueError(f"cannot load map {path}: {e}") from e
 
 
 def _emit(args, payload: dict, plain: str):
@@ -67,7 +63,7 @@ def _write_map(args, cmap: core.ColorMap):
 def _size_1d(text: str) -> int:
     dims = _ints(text)
     if len(dims) != 1:
-        raise CliError(EXIT_INVALID, f"a 1D map takes one --dims value, got {text!r}")
+        raise ValueError(f"a 1D map takes one --dims value, got {text!r}")
     return dims[0]
 
 
@@ -85,23 +81,16 @@ def _refuse_ignored_options(args) -> None:
         ignored = {"--block": args.block, "--target": args.target}
     for name, value in ignored.items():
         if value is not None:
-            raise CliError(EXIT_INVALID, f"{name} does not apply to {what}")
+            raise ValueError(f"{name} does not apply to {what}")
     if args.g is not None and args.klass != "auto":
-        raise CliError(EXIT_INVALID, "--class applies only to the optimizer (no --g)")
+        raise ValueError("--class applies only to the optimizer (no --g)")
     if args.fresh and args.modify is None:
-        raise CliError(EXIT_INVALID, "--fresh applies only with --modify")
+        raise ValueError("--fresh applies only with --modify")
 
 
 def cmd_construct(args) -> int:
-    from . import braid1d, generators
-
     _refuse_ignored_options(args)
-    try:
-        cmap = _construct_nd(args) if args.qtable else _construct_1d(args)
-    except (braid1d.InfeasibleError, generators.UnsupportedGeneratorError) as e:
-        raise CliError(EXIT_INFEASIBLE, str(e))
-    except ValueError as e:  # after InfeasibleError, which is one
-        raise CliError(EXIT_INVALID, str(e))
+    cmap = _construct_nd(args) if args.qtable else _construct_1d(args)
     _write_map(args, cmap)
     return EXIT_OK
 
@@ -110,15 +99,15 @@ def _construct_nd(args) -> core.ColorMap:
     from . import braidnd
 
     if args.block is None or args.g is None:
-        raise CliError(EXIT_INVALID, "--qtable needs --block and --g")
+        raise ValueError("--qtable needs --block and --g")
+    m = _ints(args.block)
     try:
         raw = json.loads(args.qtable)
         if not isinstance(raw, dict):
             raise TypeError("--qtable must be a JSON object")
-        qtable = {tuple(int(t) for t in k.split(",")): tuple(v) for k, v in raw.items()}
-        params = braidnd.UnitaryBraidParamsND(m=_ints(args.block), g=args.g, qtable=qtable)
+        params = braidnd.UnitaryBraidParamsND(m=m, g=args.g, qtable=braidnd.parse_qtable(raw))
     except (ValueError, TypeError) as e:
-        raise CliError(EXIT_INVALID, f"bad n-dim parameters: {e}")
+        raise ValueError(f"bad n-dim parameters: {e}") from e
     cmap = braidnd.construct_unitary_nd(params)
     if args.target:
         cmap = braidnd.extend_arbitrary_size(cmap, _ints(args.target))
@@ -129,19 +118,19 @@ def _construct_1d(args) -> core.ColorMap:
     from . import braid1d
 
     if args.dims is None or args.parts is None:
-        raise CliError(EXIT_INVALID, "a 1D map needs --dims and --parts (an n-dim one --qtable)")
+        raise ValueError("a 1D map needs --dims and --parts (an n-dim one --qtable)")
     M = _size_1d(args.dims)
     parts = _ints(args.parts)
     if args.g is None:
         params = braid1d.optimize_generators(M, parts, klass=args.klass).params
     else:
         if args.q is None:
-            raise CliError(EXIT_INVALID, "--q required with explicit --g")
+            raise ValueError("--q required with explicit --g")
         c = _ints(args.c) if args.c else tuple(1 for _ in parts)
         params = braid1d.BraidParams1D(M=M, parts=parts, g=args.g, c=c, q=_ints(args.q))
         errs = braid1d.validate(params)
         if errs:
-            raise CliError(EXIT_INVALID, "; ".join(errs))
+            raise ValueError("; ".join(errs))
     cmap = braid1d.construct(params)
     if args.restrict is not None:
         cmap = braid1d.restrict(cmap, args.restrict)
@@ -152,11 +141,7 @@ def _construct_1d(args) -> core.ColorMap:
 
 def cmd_encode(args) -> int:
     cmap = _load_map(args.map)
-    point = _ints(args.point)
-    try:
-        w = core.encode(cmap, point)
-    except (core.OutOfCodingAreaError, ValueError) as e:
-        raise CliError(EXIT_INVALID, str(e))
+    w = core.encode(cmap, _ints(args.point))
     _emit(args, {"codeword": list(w)}, core.format_codeword(w))
     return EXIT_OK
 
@@ -165,23 +150,13 @@ def cmd_decode(args) -> int:
     from . import codec
 
     cmap = _load_map(args.map)
-    try:
-        w = core.parse_codeword(args.codeword)
-        t0 = time.perf_counter()
-        dec = codec.compile_decoder(cmap)
-        compile_ms = (time.perf_counter() - t0) * 1e3
-        res = codec.decode(cmap, w)
-    except core.NotACodeword as e:
-        raise CliError(EXIT_NOT_A_CODEWORD, str(e))
-    except codec.AmbiguousDecode as e:
-        raise CliError(EXIT_VERIFY_FAILED, str(e))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    w = core.parse_codeword(args.codeword)
+    t0 = time.perf_counter()
+    dec = codec.compile_decoder(cmap)
+    compile_ms = (time.perf_counter() - t0) * 1e3
+    res = codec.decode(cmap, w)
     if args.dump_matrices:
-        try:
-            print(codec.dump_matrices(cmap))
-        except ValueError as e:
-            raise CliError(EXIT_INVALID, str(e))
+        print(codec.dump_matrices(cmap))
     tag = res.tag
     plain = ",".join(map(str, tag)) if isinstance(tag, tuple) else str(tag)
     payload = dataclasses.asdict(res)
@@ -194,19 +169,13 @@ def cmd_erasure_decode(args) -> int:
     from . import codec
 
     cmap = _load_map(args.map)
-    try:
-        partial = core.parse_codeword(args.codeword)
-        if args.erasures is not None and args.erasures != cmap.block.volume - len(partial):
-            raise CliError(
-                EXIT_INVALID,
-                f"--erasures {args.erasures} does not match {len(partial)} surviving colors "
-                f"of a block of {cmap.block.volume}",
-            )
-        res = codec.erasure_decode(cmap, partial)
-    except core.NotACodeword as e:
-        raise CliError(EXIT_NOT_A_CODEWORD, str(e))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    partial = core.parse_codeword(args.codeword)
+    if args.erasures is not None and args.erasures != cmap.block.volume - len(partial):
+        raise ValueError(
+            f"--erasures {args.erasures} does not match {len(partial)} surviving colors "
+            f"of a block of {cmap.block.volume}"
+        )
+    res = codec.erasure_decode(cmap, partial)
     _emit(
         args,
         {"candidates": list(res.candidates), "resolution": res.resolution},
@@ -220,10 +189,7 @@ def cmd_verify(args) -> int:
 
     cmap = _load_map(args.map)
     limit = 10**9 if args.exhaustive else oracle.DEFAULT_LIMIT
-    try:
-        report = oracle.is_distinguishable(cmap, limit=limit)
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    report = oracle.is_distinguishable(cmap, limit=limit)
     cost = {"elapsed_s": report.elapsed_s, "blocks_per_s": report.blocks_per_s}
     if report.ok:
         _emit(args, {"ok": True, "checked": report.checked, **cost}, f"ok checked={report.checked}")
@@ -241,14 +207,7 @@ def cmd_verify(args) -> int:
 def cmd_optimize(args) -> int:
     from . import braid1d
 
-    M = _size_1d(args.dims)
-    parts = _ints(args.parts)
-    try:
-        res = braid1d.optimize_generators(M, parts, klass=args.klass)
-    except braid1d.InfeasibleError as e:
-        raise CliError(EXIT_INFEASIBLE, str(e))
-    except ValueError as e:  # after InfeasibleError, which is one
-        raise CliError(EXIT_INVALID, str(e))
+    res = braid1d.optimize_generators(_size_1d(args.dims), _ints(args.parts), klass=args.klass)
     p = res.params
     payload = {
         "cost": res.cost,
@@ -266,10 +225,7 @@ def cmd_optimize(args) -> int:
 def cmd_bench(args) -> int:
     from . import oracle
 
-    try:
-        rows = oracle.order_bench(args.m, _ints(args.s))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    rows = oracle.order_bench(args.m, _ints(args.s))
     if args.json:
         print(json.dumps([dataclasses.asdict(row) for row in rows]))
     else:
@@ -341,13 +297,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(e: Exception) -> int:
+    """The documented exit code of a command that raised ``e``.
+
+    The codec's and the constructions' error types are looked up in
+    ``sys.modules``, not imported: an error can only come from a module
+    the call already loaded, so a failing call loads no more than one
+    that succeeds.
+    """
+    codec = sys.modules.get("braidcode.codec")
+    braid1d = sys.modules.get("braidcode.braid1d")
+    if isinstance(e, core.NotACodeword):
+        return EXIT_NOT_A_CODEWORD
+    if codec is not None and isinstance(e, codec.AmbiguousDecode):
+        return EXIT_VERIFY_FAILED
+    if braid1d is not None and isinstance(e, braid1d.InfeasibleError):
+        return EXIT_INFEASIBLE
+    return EXIT_INVALID
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return _exit_code(e)
 
 
 if __name__ == "__main__":

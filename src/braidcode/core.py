@@ -114,6 +114,17 @@ def _positive_dims(dims, what: str) -> tuple[int, ...]:
     return out
 
 
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple; ValueError for one that is not an int, such as
+    1.9, which ``int()`` would truncate to 1, or true and 4.0, which compare
+    equal to 1 and 4."""
+    out = tuple(values)
+    if set(map(type, out)) - {int}:
+        bad = next(x for x in out if type(x) is not int)
+        raise ValueError(f"{what} must be integers, got {json.dumps(bad, default=repr)}")
+    return out
+
+
 def _arity_error(point, dims) -> ValueError:
     # index and wrap test the length themselves: zip(..., strict=True) costs
     # several times more per call, and encode calls both for every block point.
@@ -285,13 +296,10 @@ def from_json(text: str) -> ColorMap:
         cyclic = doc["grid"]["cyclic"]
         if not isinstance(cyclic, bool):
             raise ValueError(f"grid.cyclic must be true or false, got {cyclic!r}")
-        colors = tuple(doc["colors"])
         # An id that is not an int (4.0, true, Infinity, "4") can equal an int id
         # or itself, but prints as no codeword parses.
-        for what, ids in (("color", colors), ("palette", [e.id for e in palette])):
-            if set(map(type, ids)) - {int}:
-                bad = next(x for x in ids if type(x) is not int)
-                raise ValueError(f"{what} ids must be integers, got {json.dumps(bad)}")
+        colors = int_tuple(doc["colors"], "color ids")
+        int_tuple([e.id for e in palette], "palette ids")
         return ColorMap(
             grid=GridSpec(tuple(doc["grid"]["M"]), cyclic),
             block=BlockSpec(tuple(doc["block"]["m"])),

@@ -26,6 +26,11 @@ class UnsupportedGeneratorError(ValueError):
     """No builtin or cheaply searchable generator for the requested size."""
 
 
+# Search nodes ``find_generator`` may spend on one fewest-color search
+# before it falls back to the identity generator.
+FIND_GENERATOR_BUDGET = 2_000_000
+
+
 def max_cyclic_length(m: int, k: int) -> int:
     """Largest ell admitting an m-distinguishable code on G^c_ell with k colors.
 
@@ -265,7 +270,7 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG_RAW)
 
 
-def find_generator(ell: int, m: int, budget: int = 2_000_000) -> GeneratorCode:
+def find_generator(ell: int, m: int) -> GeneratorCode:
     """Best-effort generator for (ell, m): catalog, then search, then identity."""
     for name in catalog_names():
         g = builtin(name)
@@ -275,7 +280,7 @@ def find_generator(ell: int, m: int, budget: int = 2_000_000) -> GeneratorCode:
         return identity_generator(ell, m) if ell > 1 else GeneratorCode(1, 1, (0,), ("c_0",))
     if m <= 3:
         k = min_colors(m, ell).k
-        res = search_distinguishable(ell, m, k, budget=budget)
+        res = search_distinguishable(ell, m, k, budget=FIND_GENERATOR_BUDGET)
         if res.status is SearchStatus.FOUND:
             return res.code
     if ell > m:

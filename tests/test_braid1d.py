@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -55,6 +56,34 @@ def test_enumerate_params_satisfy_validate():
     for params in enumerate_params(75, (2, 3)):
         assert validate(params) == []
         assert params.M == params.m * params.g * params.Q
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("klass", ["1", "2", "auto"])
+@pytest.mark.parametrize("parts", [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 2)])
+def test_enumerate_params_yields_exactly_the_valid_params(parts, klass):
+    # Brute force over M < 200: M = m*g*lcm(q) needs g | M/m and q_i | M/(m*g),
+    # and c_i runs over 1..m_i; keep what validate and the class filter accept.
+    m = sum(parts)
+    wanted_c = {"1": lambda c: c == parts, "2": lambda c: set(c) == {1}, "auto": lambda c: True}
+    for M in range(1, 200):
+        if M % m:
+            with pytest.raises(InfeasibleError):
+                list(enumerate_params(M, parts, klass))
+            continue
+        N = M // m
+        want = set()
+        for g in _divisors(N)[1:]:
+            for q in itertools.product(_divisors(N // g), repeat=len(parts)):
+                for c in itertools.product(*(range(1, m_i + 1) for m_i in parts)):
+                    params = BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
+                    if not validate(params) and wanted_c[klass](c):
+                        want.add((g, c, q))
+        got = [(p.g, p.c, p.q) for p in enumerate_params(M, parts, klass)]
+        assert len(got) == len(set(got)) and set(got) == want, M
 
 
 @pytest.mark.parametrize("M", [12, 24, 36, 60])

@@ -10,7 +10,7 @@ import pytest
 
 import braidcode
 from braidcode import (
-    encode, extend_arbitrary_size, from_json, is_distinguishable, restrict, to_json,
+    encode, extend_arbitrary_size, from_json, is_distinguishable, product, restrict, to_json,
 )
 from braidcode.core import ColorMap, GridSpec
 from braidcode.cli import (
@@ -46,6 +46,11 @@ def test_construct_writes_valid_map(m24_path):
     assert cmap.grid.dims == (24,)
 
 
+def test_construct_without_out_prints_the_map(m24_path, capsys):
+    code, out, _ = run(capsys, "construct", *M24_ARGS)
+    assert (code, out) == (EXIT_OK, m24_path.read_text())
+
+
 def test_construct_rejects_invalid_params(tmp_path, capsys):
     code, _, err = run(
         capsys, "construct", "--dims", "30", "--parts", "1,1",
@@ -57,6 +62,22 @@ def test_construct_rejects_invalid_params(tmp_path, capsys):
 def test_construct_infeasible(capsys):
     code, _, _ = run(capsys, "construct", "--dims", "12", "--parts", "2,3")
     assert code == EXIT_INFEASIBLE
+
+
+def test_construct_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "construct", *M24_ARGS, "--out", str(out_path))
+    assert code == EXIT_INVALID and not out and not out_path.exists()
+    assert err.startswith("error:") and "No such file or directory" in err, err
+
+
+def test_decode_of_a_product_map_exits_2(m24, tmp_path, capsys):
+    path = tmp_path / "product.json"
+    path.write_text(to_json(product([m24, m24])))
+    w = ",".join(map(str, encode(from_json(path.read_text()), (3, 5))))
+    code, out, err = run(capsys, "decode", "--map", str(path), "--codeword", w)
+    assert code == EXIT_INVALID and not out
+    assert err == "error: unsupported map kind 'product'\n"
 
 
 def test_encode_decode_round_trip(m24_path, capsys):
@@ -199,10 +220,14 @@ BAD_BUILD_ARGS = [
     ("construct", "--dims", "24"),
     ("construct", "--block", "2,2", "--g", "2", "--qtable", "[1]"),
     ("construct", "--g", "2", "--qtable", '{"0": [1], "1": [2]}'),
+    # a q of 1.5, which int() read as 1
+    ("construct", "--block", "2", "--g", "2", "--qtable", '{"0": [1.5], "1": [2]}'),
     ("construct", "--dims", "24", "--parts", "0"),
     ("construct", "--dims", "24", "--parts", "1,-1"),
     ("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--c", "1", "--q", "2,3"),
     ("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3,5"),
+    ("construct", "--dims", "24", "--parts", "1,1", "--g", "2"),
+    ("construct", "--dims", "x", "--parts", "1,1"),
     ("optimize", "--dims", "24", "--parts", "0"),
     ("optimize", "--dims", "24", "--parts", "1,-1"),
 ]
@@ -332,6 +357,7 @@ CONSTRUCTION = {"braidcode.braid1d", "braidcode.generators", "braidcode.sunmao"}
 
 @pytest.mark.parametrize("argv, code, loaded, not_loaded", [
     pytest.param(("encode", "--point", "7"), EXIT_OK, BASE, None, id="encode"),
+    pytest.param(("encode", "--point", "1,2"), EXIT_INVALID, BASE, None, id="encode-bad-point"),
     pytest.param(("verify",), EXIT_OK, BASE | {"braidcode.oracle"}, None, id="verify"),
     pytest.param(("bench", "--m", "2", "--s", "1"), EXIT_OK, BASE | {"braidcode.oracle"}, None,
                  id="bench"),
@@ -345,6 +371,8 @@ CONSTRUCTION = {"braidcode.braid1d", "braidcode.generators", "braidcode.sunmao"}
                  None, id="optimize"),
     pytest.param(("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3"),
                  EXIT_OK, None, {"braidcode.codec", "braidcode.oracle"}, id="construct"),
+    pytest.param(("construct", *ND8_ARGS), EXIT_OK, BASE | {"braidcode.braidnd"}, None,
+                 id="construct-nd"),
 ])
 def test_each_command_loads_only_the_modules_it_runs(m24_path, argv, code, loaded, not_loaded):
     if argv[0] not in ("bench", "optimize", "construct"):
@@ -426,6 +454,11 @@ MALFORMED_PARAMS = [
     # generators that do not fit the parts and ells
     ("m24", ("params", "gens", 1), DELETE),
     ("m24", ("params", "gens", 0, "ell"), 5),
+    # not integers: int() truncated them and the codeword decoded with exit 0
+    ("m24", ("params", "c"), [1.9, 1]),
+    ("m24", ("params", "parts"), [True, 1]),
+    ("fig", ("params", "m"), [2.9, 2]),
+    ("fig", ("params", "q", "0,0"), [1.9, 3]),
 ]
 
 
