@@ -117,7 +117,8 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     are shifted so sub-grid palettes are disjoint, sub-grid 0 first.
     When ``gens`` is None, generators are chosen automatically.  Each
     residue class is written by ``_class_colors``, the rule the decoder
-    proves maps against; ``sunmao.synthesize`` is its reference.
+    proves maps against; ``sunmao.synthesize`` is its reference.  The
+    params it stores are read back by ``params_of`` alone.
     """
     errs = validate(params)
     if errs:
@@ -189,7 +190,10 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
 
     A restricted or modified map, or a cut of one, gives those of the
     standard map it was cut from, on M = m * g * lcm(q) points (a cut map
-    has fewer); only stored params are read, no map is rebuilt.
+    has fewer); only stored params are read, no map is rebuilt.  This is
+    the one reader of a 1D map's params: each field it reads, the
+    generators' and the cuts' included, is checked here once, and one that
+    is not an int, such as 19.5 or true, raises ValueError.
     """
     p = cmap.params or {}
     cuts = []
@@ -198,8 +202,6 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
         p = p.get("base") or {}
     if p.get("kind") != "braid1d":
         raise ValueError("not a 1D braid map, nor a restriction or modification of one")
-    if "gens" not in p:
-        raise ValueError("map carries no generator data")
     parts, q = tuple(p["parts"]), tuple(p["q"])
     params = BraidParams1D(
         M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
@@ -207,15 +209,23 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
     dims = cmap.grid.dims
     if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
         raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
+    gens = p["gens"]
+    if len(gens) != params.I:
+        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
+    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
+        int_tuple((gen["ell"], gen["m"], *gen["colors"]), "generator fields")
+        if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
+            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
     # n: how many leading points carry standard colors, cut by cut from the root
     shift, n = 0, params.M
     for cut in reversed(cuts):
-        if cut["kind"] == "restricted":  # keeps the first M_r points
-            n = min(n, cut["M_r"])
-        else:  # rotates by its shift, keeps M_r points and recolors the last m-1
-            shift += cut["shift"]
-            n = min(n - cut["shift"], cut["M_r"] - params.m + 1)
-    return params, p["gens"], shift, dims[0] - max(0, min(n, dims[0]))
+        # a restriction keeps the first M_r points; a modification rotates by
+        # its shift, keeps M_r points and recolors the last m-1
+        modified = cut["kind"] == "modified"
+        M_r, s = int_tuple((cut["M_r"], cut["shift"] if modified else 0), "cut fields")
+        shift += s
+        n = min(n - s, M_r - params.m + 1) if modified else min(n, M_r)
+    return params, gens, shift, dims[0] - max(0, min(n, dims[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +328,10 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     if not m < M_r < M:
         raise ValueError(f"need m < M_r < M, got M_r={M_r}")
     base = root = cmap.params
-    while root is not None and root.get("kind") == "restricted":
+    while isinstance(root, dict) and root.get("kind") == "restricted":
         root = root.get("base")  # a restriction of a restriction is one of the root
     guaranteed = (
-        root is not None
+        isinstance(root, dict)
         and root.get("kind") == "braid1d"
         and all(p == 1 for p in root["parts"])
         and M_r % m != 0
@@ -344,11 +354,10 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
     the overwritten run; the decoder reads them into its seam table.
     """
-    (M,) = cmap.grid.dims
-    m = cmap.block.dims[0]
-    base = cmap.params
-    if base is None or base.get("kind") != "braid1d" or not all(p == 1 for p in base["parts"]):
+    params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
+    if cmap.grid.dims != (params.M,) or window != [0, 0] or not params.unitary:
         raise ValueError("modification requires a standard unitary braid map")
+    M, m = params.M, params.m
     if M_r % m != 0 or not 2 * m <= M_r < M:
         raise ValueError(f"need M_r = J*m with 2 <= J and M_r < M, got {M_r}")
     J = M_r // m
@@ -371,7 +380,7 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
         palette=palette,
         params={
             "kind": "modified",
-            "base": base,
+            "base": cmap.params,
             "M_r": M_r,
             "shift": shift,
             "cstar": cstar,

@@ -197,6 +197,8 @@ def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
 
     The grid must fit their period M: equal to it on a standard map, no
     longer on any axis of an extension, as ``braid1d.params_of`` requires.
+    This is the one reader of an n-dim map's params; a field that is not
+    an int raises ValueError.
     """
     p = cmap.params
     if p is None or p.get("kind") not in ("unitary-braid-nd", "extended-nd"):
@@ -233,10 +235,10 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.
     """
     params = params_of_nd(cmap)
-    if cmap.params.get("kind") != "unitary-braid-nd":
-        raise ValueError("extension starts from a standard unitary braid map")
-    L = tuple(int(v) for v in L)
     dims, m = params.dims, params.m
+    if cmap.grid.dims != dims:  # a standard map, or an extension to the full period
+        raise ValueError("extension starts from a standard unitary braid map")
+    L = int_tuple(L, "target dims")
     if len(L) != params.n:
         raise ValueError(f"target L={L} needs {params.n} dims")
     for L_i, M_i, m_i in zip(L, dims, m):

@@ -276,18 +276,15 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
     Every point x but the last ``tail`` must carry the color the
     generators give to point y = x + shift of the standard map
     (``braid1d._class_colors``); a decoder trusting contradicting
-    generators decodes wrong.  Each residue class mod m is compared in one
-    C-level tuple comparison, so no copy of the whole map is held; only a
-    class that differs is searched for its first bad point.
+    generators decodes wrong; ``params_of`` has checked the generators
+    themselves (one per part, one period of ints each).  Each residue
+    class mod m is compared in one C-level tuple comparison, so no copy of
+    the whole map is held; only a class that differs is searched for its
+    first bad point.
     """
     m = params.m
-    if len(gens) != params.I:
-        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
     if cmap.block.dims != (m,):
         raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
-    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
-        if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
-            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
     n = len(cmap.colors) - tail
     bad = []
     for x0, want in _class_colors(params, [gen["colors"] for gen in gens], shift, n):

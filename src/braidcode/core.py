@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -104,22 +103,23 @@ class GridSpec:
 
 
 def _positive_dims(dims, what: str) -> tuple[int, ...]:
-    """``dims`` as ints >= 1; ValueError for a value that is not an integer, as 24.9."""
-    try:
-        out = tuple(map(operator.index, dims))
-    except TypeError:
-        raise ValueError(f"{what} dims must be integers: {dims!r}") from None
+    """``dims`` as ints >= 1; ValueError for a value that is not an int, as 24.9 or true."""
+    out = int_tuple(dims, f"{what} dims")
     if not out or min(out) < 1:
         raise ValueError(f"{what} dims must be positive: {out}")
     return out
 
 
+_INT = frozenset({int})
+
+
 def int_tuple(values, what: str) -> tuple[int, ...]:
     """``values`` as a tuple; ValueError for one that is not an int, such as
     1.9, which ``int()`` would truncate to 1, or true and 4.0, which compare
-    equal to 1 and 4."""
+    equal to 1 and 4.  The one check on integers that come from outside the
+    program: map files, library callers, the CLI's JSON options."""
     out = tuple(values)
-    if set(map(type, out)) - {int}:
+    if not _INT.issuperset(map(type, out)):
         bad = next(x for x in out if type(x) is not int)
         raise ValueError(f"{what} must be integers, got {json.dumps(bad, default=repr)}")
     return out

@@ -14,7 +14,7 @@ import operator
 import time
 from dataclasses import dataclass, field
 
-from .core import ColorMap, coding_area_shape, coding_area_size
+from .core import ColorMap, coding_area_shape, coding_area_size, int_tuple
 
 DEFAULT_LIMIT = 100_000
 
@@ -131,50 +131,54 @@ def check_structure(cmap: ColorMap) -> StructureReport:
     Verifies one generator per sub-grid and blocks of sum(parts) points,
     multiplicity-1 codewords (each sub-grid contributes one color per
     block) and the periodicity law: two points of sub-grid i share a
-    color iff their distance is a multiple of ell_i.
+    color iff their distance is a multiple of ell_i.  Braid params of the
+    wrong shape (they may come from a map file) are reported as a problem.
     """
-    problems = []
-    params = cmap.params or {}
-    if params.get("kind") != "braid1d" or not cmap.grid.cyclic:
+    params = cmap.params
+    if not isinstance(params, dict) or params.get("kind") != "braid1d" or not cmap.grid.cyclic:
         return StructureReport(False, ("not a standard 1D braid map",))
-    parts, gens = params["parts"], params["gens"]
-    colors = cmap.colors
-    (M,) = cmap.grid.dims
-    (b,) = cmap.block.dims
-    m = sum(parts)
-    unitary = all(p == 1 for p in parts)
-    if len(gens) != len(parts):
-        problems.append(f"map lists {len(gens)} generators for {len(parts)} sub-grids")
-    if b != m:
-        problems.append(f"block size {b} differs from sum(parts) {m}")
-    elif unitary:
-        padded = colors + colors[:m - 1]
-        # a pair of equal colors at distance d < m, the first at y, lies in
-        # the blocks y - (m - 1 - d) .. y; any() skips the search when none
-        x = min((
-            max(0, _first_true(map(operator.eq, padded, padded[d:])) - (m - 1 - d))
-            for d in range(1, m) if any(map(operator.eq, padded, padded[d:]))
-        ), default=None)
-        if x is not None:
-            problems.append(f"block {x} repeats a color: {tuple(sorted(padded[x:x + m]))}")
-    # repetitive law: sub-grid i tiles its generator with period ell_i; its
-    # residue r < m_i holds the points d_i + r + k*m, of rank r + k*m_i
-    for i, (gen, d, p) in enumerate(zip(gens, itertools.accumulate(parts, initial=0), parts)):
-        ell, gen_colors = gen["ell"], gen["colors"]
-        count = len(range(d, M, m)) * p
-        # indexing, not gen_colors[:ell]: a generator shorter than ell raises
-        tiled = tuple(gen_colors[k] for k in range(ell)) * -(-count // ell)
-        x = None
-        for r in range(p):
-            got = colors[d + r::m]
-            want = tiled[r::p][:len(got)]
-            if got != want:  # one C-level comparison in the common case
-                y = d + r + m * _first_true(map(operator.ne, got, want))
-                x = y if x is None else min(x, y)
-        if x is not None:
-            problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
-        if unitary and len(set(gen_colors)) != ell:
-            problems.append(f"sub-grid {i}: generator not injective on its period")
+    problems = []
+    try:
+        parts, gens = int_tuple(params["parts"], "parts"), params["gens"]
+        colors = cmap.colors
+        (M,) = cmap.grid.dims
+        (b,) = cmap.block.dims
+        m = sum(parts)
+        unitary = all(p == 1 for p in parts)
+        if len(gens) != len(parts):
+            problems.append(f"map lists {len(gens)} generators for {len(parts)} sub-grids")
+        if b != m:
+            problems.append(f"block size {b} differs from sum(parts) {m}")
+        elif unitary:
+            padded = colors + colors[:m - 1]
+            # a pair of equal colors at distance d < m, the first at y, lies in
+            # the blocks y - (m - 1 - d) .. y; any() skips the search when none
+            x = min((
+                max(0, _first_true(map(operator.eq, padded, padded[d:])) - (m - 1 - d))
+                for d in range(1, m) if any(map(operator.eq, padded, padded[d:]))
+            ), default=None)
+            if x is not None:
+                problems.append(f"block {x} repeats a color: {tuple(sorted(padded[x:x + m]))}")
+        # repetitive law: sub-grid i tiles its generator with period ell_i; its
+        # residue r < m_i holds the points d_i + r + k*m, of rank r + k*m_i
+        for i, (gen, d, p) in enumerate(zip(gens, itertools.accumulate(parts, initial=0), parts)):
+            ell, gen_colors = gen["ell"], gen["colors"]
+            count = len(range(d, M, m)) * p
+            # indexing, not gen_colors[:ell]: a generator shorter than ell is malformed
+            tiled = tuple(gen_colors[k] for k in range(ell)) * -(-count // ell)
+            x = None
+            for r in range(p):
+                got = colors[d + r::m]
+                want = tiled[r::p][:len(got)]
+                if got != want:  # one C-level comparison in the common case
+                    y = d + r + m * _first_true(map(operator.ne, got, want))
+                    x = y if x is None else min(x, y)
+            if x is not None:
+                problems.append(f"sub-grid {i}: point {x} breaks period ell={ell}")
+            if unitary and len(set(gen_colors)) != ell:
+                problems.append(f"sub-grid {i}: generator not injective on its period")
+    except (KeyError, TypeError, ValueError, IndexError) as e:
+        return StructureReport(False, (f"malformed map params: {e!r}",))
     return StructureReport(not problems, tuple(problems))
 
 

@@ -22,6 +22,7 @@ from .core import (
     PaletteEntry,
     Point,
     PaletteError,
+    int_tuple,
 )
 
 
@@ -33,7 +34,8 @@ class Decomposition1D:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        _, *parts = int_tuple((self.M, *self.parts), "decomposition sizes")
+        object.__setattr__(self, "parts", tuple(parts))
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
         if self.M % self.m != 0:
@@ -169,8 +171,8 @@ class UnitaryDecompositionND:
     block: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "block", tuple(int(b) for b in self.block))
+        object.__setattr__(self, "dims", int_tuple(self.dims, "decomposition dims"))
+        object.__setattr__(self, "block", int_tuple(self.block, "decomposition block"))
         if len(self.dims) != len(self.block):
             raise ValueError("dims and block dimension mismatch")
         if any(M % m != 0 for M, m in zip(self.dims, self.block)):

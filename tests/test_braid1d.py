@@ -264,6 +264,22 @@ def test_modify_requires_multiple_of_block(m24):
         modify_general_size(m24, 19)
 
 
+def test_modify_requires_a_standard_unitary_braid_map(m24, fig_map, example_sets):
+    for cmap in (restrict(m24, 23), modify_general_size(m24, 22), construct(example_sets[2])):
+        with pytest.raises(ValueError, match="modification requires a standard unitary braid map"):
+            modify_general_size(cmap, 20)
+    for cmap in (fig_map, replace(m24, params=None)):
+        with pytest.raises(ValueError, match="not a 1D braid map"):
+            modify_general_size(cmap, 20)
+
+
+def test_restrict_of_a_map_with_malformed_params_is_not_guaranteed(m24):
+    # a base that is not a dict raised AttributeError
+    for params in ({"kind": "restricted", "base": [1], "M_r": 24, "guaranteed": True}, [1]):
+        r = restrict(replace(m24, params=params), 19)
+        assert r.params["guaranteed"] is False and r.params["base"] == params
+
+
 def test_modified_map_keeps_prefix_codewords(m24):
     shrunk = modify_general_size(m24, 20)
     shift = shrunk.params["shift"]

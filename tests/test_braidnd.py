@@ -144,6 +144,20 @@ def test_extend_rejects_bad_targets(fig_map):
         extend_arbitrary_size(fig_map, (22,))  # wrong number of axes
 
 
+def test_extend_refuses_a_target_that_is_not_an_int(fig_map):
+    # int() truncated 12.9, and the result was a 12x24 map
+    with pytest.raises(ValueError, match="target dims must be integers, got 12.9"):
+        extend_arbitrary_size(fig_map, (12.9, 24))
+
+
+def test_an_extension_to_the_full_period_extends_like_the_standard_map(fig_map):
+    full = extend_arbitrary_size(fig_map, fig_map.grid.dims)
+    assert (full.colors, full.palette) == (fig_map.colors, fig_map.palette)
+    assert extend_arbitrary_size(full, (12, 20)) == extend_arbitrary_size(fig_map, (12, 20))
+    with pytest.raises(ValueError, match="extension starts from a standard unitary braid map"):
+        extend_arbitrary_size(extend_arbitrary_size(fig_map, (22, 24)), (12, 20))
+
+
 QTABLE_3D = {
     (0, 0, 0): (1, 3, 1), (0, 0, 1): (2, 1, 1), (0, 1, 0): (1, 1, 1), (0, 1, 1): (1, 3, 1),
     (1, 0, 0): (2, 1, 1), (1, 0, 1): (1, 1, 1), (1, 1, 0): (1, 3, 1), (1, 1, 1): (2, 1, 1),

@@ -10,7 +10,8 @@ import pytest
 
 import braidcode
 from braidcode import (
-    encode, extend_arbitrary_size, from_json, is_distinguishable, product, restrict, to_json,
+    encode, extend_arbitrary_size, from_json, is_distinguishable, modify_general_size, product,
+    restrict, to_json,
 )
 from braidcode.core import ColorMap, GridSpec
 from braidcode.cli import (
@@ -431,6 +432,8 @@ MALFORMED_DOCUMENTS = [
     (("block", "m"), [2.2]),
     (("grid", "cyclic"), "false"),
     (("block", "m"), [0]),
+    # true for 1: encode read a 1-point block and printed one color
+    (("block", "m"), [True]),
     # ids equal to an int id but not ints: encode printed 4.0 or True, which no codeword parses
     (("colors", 1), 4.0),
     (("colors", 2), True),
@@ -459,6 +462,12 @@ MALFORMED_PARAMS = [
     ("m24", ("params", "parts"), [True, 1]),
     ("fig", ("params", "m"), [2.9, 2]),
     ("fig", ("params", "q", "0,0"), [1.9, 3]),
+    # cut fields and generator fields that are not integers, which compared equal or
+    # truncated: decoded with exit 0
+    ("r19", ("params", "M_r"), 19.5),
+    ("mod10", ("params", "shift"), True),
+    ("m24", ("params", "gens", 0, "colors"), [0.0, 1.0, 2.0, 3.0]),
+    ("m24", ("params", "gens", 0, "m"), True),
 ]
 
 
@@ -475,7 +484,8 @@ MALFORMED_CASES = [
          for name, path, value, command in MALFORMED_CASES],
 )
 def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, value, command):
-    cmap, tag = {"m24": (m24, (7,)), "fig": (fig_map, (0, 0))}[name]
+    cmap, tag = {"m24": (m24, (7,)), "fig": (fig_map, (0, 0)), "r19": (restrict(m24, 19), (7,)),
+                 "mod10": (modify_general_size(m24, 10), (3,))}[name]
     file = tmp_path / "bad.json"
     file.write_text(json.dumps(_edited(json.loads(to_json(cmap)), path, value)))
     extra = {

@@ -5,6 +5,7 @@ import functools
 import math
 import os
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -286,6 +287,19 @@ def test_check_structure_reports_a_block_size_off_the_parts(m24):
     small = ColorMap(grid=m24.grid, block=BlockSpec((1,)), colors=m24.colors,
                      palette=m24.palette, params=m24.params)
     assert check_structure(small).problems == ("block size 1 differs from sum(parts) 2",)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda params: [1], "not a standard 1D braid map"),
+    (lambda params: {k: v for k, v in params.items() if k != "gens"},
+     "malformed map params: KeyError('gens')"),
+    (lambda params: {**params, "parts": "ab"},
+     "malformed map params: ValueError('parts must be integers, got \"a\"')"),
+], ids=["not-a-dict", "no-gens", "parts-ab"])
+def test_check_structure_reports_malformed_params(m24, edit, problem):
+    # each raised AttributeError, KeyError or TypeError
+    assert check_structure(replace(m24, params=edit(m24.params))) == StructureReport(
+        False, (problem,))
 
 
 def test_check_structure_rejects_a_flat_grid(m24):

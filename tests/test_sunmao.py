@@ -57,6 +57,18 @@ def test_subgrid_of_a_point_that_is_not_an_integer_raises_value_error(x):
         Decomposition1D(M=12, parts=(1, 2)).subgrid_of(x)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Decomposition1D(24, (1.9, 1)),
+    lambda: Decomposition1D(24.0, (1, 1)),
+    lambda: UnitaryDecompositionND((24.5, 24), (2, 2)),
+    lambda: UnitaryDecompositionND((24, 24), (True, 2)),
+], ids=["part-1.9", "M-24.0", "dim-24.5", "block-true"])
+def test_decompositions_refuse_sizes_that_are_not_ints(build):
+    # int() truncated 1.9 and 24.5, and 24.0 and true passed for 24 and 1
+    with pytest.raises(ValueError, match="must be integers, got "):
+        build()
+
+
 @given(decomps(), st.data())
 def test_split_is_consistent(dec, data):
     x = data.draw(st.integers(0, dec.M - 1))
