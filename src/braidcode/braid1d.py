@@ -17,97 +17,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
+# Nothing here uses sunmao, but perfbench's tracer needs it loaded with
+# braid1d until ROADMAP direction 1 step 1 lands.
+from . import sunmao  # noqa: F401
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
 from .generators import GeneratorCode, find_generator, min_colors
-from .sunmao import Decomposition1D
+from .params import BraidParams1D, _class_colors, params_of, validate  # noqa: F401  re-exported
 
 
 class InfeasibleError(ValueError):
     """No valid braid parameterization exists for the request."""
-
-
-@dataclass(frozen=True)
-class BraidParams1D:
-    """Parameter set of a 1D braid code."""
-
-    M: int
-    parts: tuple[int, ...]
-    g: int
-    c: tuple[int, ...]
-    q: tuple[int, ...]
-
-    def __post_init__(self):
-        parts, c, q = tuple(self.parts), tuple(self.c), tuple(self.q)
-        # Stored params come from map files, where a c_i of 1.9 must not pass for 1.
-        int_tuple((self.g, self.M, *parts, *c, *q), "braid params")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def m(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def I(self) -> int:
-        return len(self.parts)
-
-    @property
-    def ells(self) -> tuple[int, ...]:
-        return tuple(self.g * c * q for c, q in zip(self.c, self.q))
-
-    @property
-    def Q(self) -> int:
-        return math.lcm(*self.q)
-
-    @property
-    def decomposition(self) -> Decomposition1D:
-        return Decomposition1D(self.M, self.parts)
-
-    @property
-    def klass(self) -> str:
-        if all(c == m for c, m in zip(self.c, self.parts)):
-            return "1"
-        if all(c == 1 for c in self.c):
-            return "2"
-        return "mixed"
-
-    @property
-    def unitary(self) -> bool:
-        return all(p == 1 for p in self.parts)
-
-
-def validate(params: BraidParams1D) -> list[str]:
-    """All violated braid conditions, empty when the parameter set is valid."""
-    errs = []
-    p = params
-    if p.I < 1:
-        errs.append("at least one part required")
-        return errs
-    if not len(p.parts) == len(p.c) == len(p.q):
-        errs.append(f"need one c_i and one q_i per part, got {len(p.parts)} parts, "
-                    f"{len(p.c)} c and {len(p.q)} q")
-        return errs
-    if p.g < 2:
-        errs.append(f"g must exceed 1, got {p.g}")
-    for i, (m_i, c_i, q_i) in enumerate(zip(p.parts, p.c, p.q)):
-        if m_i < 1 or c_i < 1 or q_i < 1:
-            errs.append(f"part {i}: all of m_i, c_i, q_i must be positive")
-            continue
-        ell = p.g * c_i * q_i
-        if m_i % c_i != 0:
-            errs.append(f"part {i}: c_i={c_i} must divide m_i={m_i}")
-        elif math.gcd(m_i, ell) != c_i:
-            errs.append(f"part {i}: gcd(m_i, ell_i)=gcd({m_i},{ell})={math.gcd(m_i, ell)} != c_i={c_i}")
-        if p.g * c_i <= m_i:
-            errs.append(f"part {i}: need g*c_i > m_i, got {p.g * c_i} <= {m_i}")
-    if p.I == 1 and p.c[0] != p.parts[0]:
-        # With a single part there is no second sub-grid to anchor
-        # non-aligned blocks, so only c_1 = m_1 (period = grid) works.
-        errs.append("a single part requires c_1 = m_1")
-    if not errs and p.M != p.m * p.g * p.Q:
-        errs.append(f"M={p.M} != m*g*lcm(q) = {p.m * p.g * p.Q}")
-    return errs
 
 
 def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) -> ColorMap:
@@ -159,73 +78,6 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
                      for gen, ids in zip(gens, gen_colors)],
         },
     )
-
-
-def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
-    """Yield (x0, colors) per residue class x = x0 (mod m), 0 <= x < n:
-    point x carries the color the generators give to y = x + shift.
-
-    Sub-grid i holds the classes y = d_i + r (mod m), r < m_i, and
-    y = j*m + d_i + r has color gen_colors[i][(j*m_i + r) mod ell_i].
-    Along a class this repeats every ell_i / gcd(m_i, ell_i) points: one
-    period is built and tiled, sharing one int object per color id.
-    """
-    m = params.m
-    for colors, d, m_i, ell in zip(
-        gen_colors, itertools.accumulate(params.parts, initial=0), params.parts, params.ells
-    ):
-        period = ell // math.gcd(m_i, ell)
-        for r in range(m_i):
-            x0 = (d + r - shift) % m
-            j0 = (x0 + shift) // m
-            count = len(range(x0, n, m))
-            one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
-            yield x0, (one * (count // period + 1))[:count]
-
-
-def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
-    """Standard braid parameters and generators a 1D map was built from,
-    and its window on that map: every point x but the last ``tail``
-    carries the standard color at x + ``shift``.
-
-    A restricted or modified map, or a cut of one, gives those of the
-    standard map it was cut from, on M = m * g * lcm(q) points (a cut map
-    has fewer); only stored params are read, no map is rebuilt.  This is
-    the one reader of a 1D map's params: each field it reads, the
-    generators' and the cuts' included, is checked here once, and one that
-    is not an int, such as 19.5 or true, raises ValueError.
-    """
-    p = cmap.params or {}
-    cuts = []
-    while p.get("kind") in ("restricted", "modified"):
-        cuts.append(p)
-        p = p.get("base") or {}
-    if p.get("kind") != "braid1d":
-        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
-    parts, q = tuple(p["parts"]), tuple(p["q"])
-    params = BraidParams1D(
-        M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
-    )
-    dims = cmap.grid.dims
-    if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
-        raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
-    gens = p["gens"]
-    if len(gens) != params.I:
-        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
-    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
-        int_tuple((gen["ell"], gen["m"], *gen["colors"]), "generator fields")
-        if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
-            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
-    # n: how many leading points carry standard colors, cut by cut from the root
-    shift, n = 0, params.M
-    for cut in reversed(cuts):
-        # a restriction keeps the first M_r points; a modification rotates by
-        # its shift, keeps M_r points and recolors the last m-1
-        modified = cut["kind"] == "modified"
-        M_r, s = int_tuple((cut["M_r"], cut["shift"] if modified else 0), "cut fields")
-        shift += s
-        n = min(n - s, M_r - params.m + 1) if modified else min(n, M_r)
-    return params, gens, shift, dims[0] - max(0, min(n, dims[0]))
 
 
 # ---------------------------------------------------------------------------

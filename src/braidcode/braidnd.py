@@ -14,10 +14,11 @@ sub-grids with fresh factors so wrapped blocks stay identifiable.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
+from .params import (  # noqa: F401  re-exported
+    UnitaryBraidParamsND, _base_colors, _subgrid_layout, parse_qtable, params_of_nd,
+)
 
 FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
 
@@ -57,97 +58,6 @@ def product(maps: list[ColorMap]) -> ColorMap:
     )
 
 
-@dataclass(frozen=True)
-class UnitaryBraidParamsND:
-    """Unitary n-dim braid parameters: block m, shared g, q-table.
-
-    ``qtable[J]`` is the per-axis vector (q^(1)_J, ..., q^(n)_J) for
-    sub-grid J; J runs over all residue vectors 0 <= J < m.
-    """
-
-    m: tuple[int, ...]
-    g: int
-    qtable: dict[tuple[int, ...], tuple[int, ...]]
-
-    def __post_init__(self):
-        # Stored params come from map files, where an m_i of 2.9 must not pass for 2.
-        object.__setattr__(self, "m", int_tuple(self.m, "n-dim params m"))
-        object.__setattr__(self, "qtable", {
-            int_tuple(J, "q-table keys"): int_tuple(qs, "q-table entries")
-            for J, qs in self.qtable.items()
-        })
-        int_tuple((self.g,), "n-dim params g")
-        if self.g < 2:
-            raise ValueError("g must exceed 1")
-        expected = set(GridSpec(self.m).points())
-        if set(self.qtable) != expected:
-            raise ValueError("qtable must cover every sub-grid index J")
-        for J, qs in self.qtable.items():
-            if len(qs) != len(self.m) or any(q < 1 for q in qs):
-                raise ValueError(f"bad q vector {qs} for J={J}")
-
-    @property
-    def n(self) -> int:
-        return len(self.m)
-
-    @property
-    def Q(self) -> tuple[int, ...]:
-        """Per-axis lcm of the q-table column."""
-        return tuple(
-            math.lcm(*(qs[i] for qs in self.qtable.values())) for i in range(self.n)
-        )
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.g * m_i * Q_i for m_i, Q_i in zip(self.m, self.Q))
-
-    def ells(self, J: tuple[int, ...]) -> tuple[int, ...]:
-        """Per-axis factor periods ell^(i)_J = g * q^(i)_J."""
-        return tuple(self.g * q for q in self.qtable[J])
-
-    def color_count(self) -> int:
-        return sum(math.prod(self.ells(J)) for J in sorted(self.qtable))
-
-
-def _subgrid_layout(params: UnitaryBraidParamsND) -> dict[tuple[int, ...], tuple]:
-    """Per sub-grid J, in palette order: (palette offset, per-axis factor
-    periods ell_J, row-major strides of the factor grid of shape ell_J)."""
-    layout, offset = {}, 0
-    for J in itertools.product(*(range(m_i) for m_i in params.m)):
-        ells = params.ells(J)
-        strides = [1] * len(ells)
-        for i in reversed(range(len(ells) - 1)):
-            strides[i] = strides[i + 1] * ells[i + 1]
-        layout[J] = (offset, ells, tuple(strides))
-        offset += math.prod(ells)
-    return layout
-
-
-def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) -> list[int]:
-    """Colors of the standard map at the points 0 <= x < dims, row-major.
-
-    Point x lies in sub-grid J = x mod m at sub-grid position l = x div m
-    and carries factor tuple f = l mod ell_J, i.e. the color
-    offset_J + sum_i f_i * stride_J,i.  Along the last axis the points of
-    one J form every m_n-th entry of a row, with f_n = l_n mod ell_J,n:
-    one period of ell_J,n consecutive ids, tiled along the row.
-    """
-    m = params.m
-    *outer, width = dims
-    colors: list[int] = []
-    for prefix in itertools.product(*(range(d) for d in outer)):
-        J_outer = tuple(x % m_i for x, m_i in zip(prefix, m))
-        l_outer = [x // m_i for x, m_i in zip(prefix, m)]
-        row = [0] * width
-        for j in range(m[-1]):
-            offset, ells, strides = layout[J_outer + (j,)]
-            start = offset + sum(l % e * s for l, e, s in zip(l_outer, ells, strides))
-            count = len(range(j, width, m[-1]))
-            row[j::m[-1]] = (list(range(start, start + ells[-1])) * (count // ells[-1] + 1))[:count]
-        colors += row
-    return colors
-
-
 def _base_palette(layout) -> list[PaletteEntry]:
     """One entry per factor tuple of every sub-grid, ids in layout order."""
     palette = []
@@ -184,31 +94,6 @@ def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dic
     if L is not None:
         d["L"] = list(L)
     return d
-
-
-def parse_qtable(raw: dict) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The q-table of its JSON form, {"i,j": [q_1, q_2], ...}, as
-    ``_params_dict`` writes it and ``construct --qtable`` reads it."""
-    return {tuple(int(t) for t in J.split(",")): tuple(qs) for J, qs in raw.items()}
-
-
-def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
-    """Parameters an n-dim unitary braid map, or an extension, was built from.
-
-    The grid must fit their period M: equal to it on a standard map, no
-    longer on any axis of an extension, as ``braid1d.params_of`` requires.
-    This is the one reader of an n-dim map's params; a field that is not
-    an int raises ValueError.
-    """
-    p = cmap.params
-    if p is None or p.get("kind") not in ("unitary-braid-nd", "extended-nd"):
-        raise ValueError("not an n-dim unitary braid map")
-    params = UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=parse_qtable(p["q"]))
-    dims = cmap.grid.dims
-    if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
-            or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):
-        raise ValueError(f"grid {dims} does not fit the params' period M={params.dims}")
-    return params
 
 
 def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], int]]:

@@ -18,7 +18,7 @@ import time
 # Only ``core`` is imported here.  Each command imports the modules it
 # runs, so that a call pays for compiling and loading those alone:
 # ``encode`` needs no other module, ``verify`` and ``bench`` the oracle,
-# the decoders the codec (which loads the constructions it decodes).
+# the decoders the codec (which loads ``params`` and no construction).
 from . import core
 
 EXIT_OK = 0

@@ -14,6 +14,11 @@ All a decode needs that depends only on the map (sub-grid split, generator
 tables, routing constants and CRT plans, seam table) is compiled once by
 ``compile_decoder`` and kept on the map: a decode costs O(ell), not O(M),
 and reads the params and colors, not the palette.
+
+A decode loads ``core``, ``params`` (the stored-params readers and the
+color rules it proves a map against) and this module, and no
+construction module: ``braid1d``, ``braidnd``, ``generators`` and
+``sunmao`` stay unloaded.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from dataclasses import dataclass
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .braid1d import BraidParams1D, _class_colors, params_of, validate
-from .braidnd import UnitaryBraidParamsND, _base_colors, _subgrid_layout, params_of_nd
+from .params import (
+    BraidParams1D, UnitaryBraidParamsND, _base_colors, _class_colors, _subgrid_layout, params_of,
+    params_of_nd, validate,
+)
 
 
 class AmbiguousDecode(ValueError):
@@ -275,7 +282,7 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
 
     Every point x but the last ``tail`` must carry the color the
     generators give to point y = x + shift of the standard map
-    (``braid1d._class_colors``); a decoder trusting contradicting
+    (``params._class_colors``); a decoder trusting contradicting
     generators decodes wrong; ``params_of`` has checked the generators
     themselves (one per part, one period of ints each).  Each residue
     class mod m is compared in one C-level tuple comparison, so no copy of

@@ -52,6 +52,14 @@ def test_validate_flags_bad_params():
     assert validate(BraidParams1D(M=48, parts=(2, 2), g=2, c=(1, 1), q=(2, 3)))
 
 
+def test_validate_names_a_missing_or_non_positive_part():
+    empty = BraidParams1D(M=24, parts=(), g=2, c=(), q=())
+    assert validate(empty) == ["at least one part required"]
+    assert validate(BraidParams1D(M=24, parts=(0, 1), g=2, c=(1, 1), q=(2, 3))) == [
+        "part 0: all of m_i, c_i, q_i must be positive"
+    ]
+
+
 def test_enumerate_params_satisfy_validate():
     for params in enumerate_params(75, (2, 3)):
         assert validate(params) == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from braidcode.braidnd import (
     extend_arbitrary_size,
     is_fresh_factor,
     params_of_nd,
+    parse_qtable,
     product,
     project,
 )
@@ -156,6 +158,23 @@ def test_an_extension_to_the_full_period_extends_like_the_standard_map(fig_map):
     assert extend_arbitrary_size(full, (12, 20)) == extend_arbitrary_size(fig_map, (12, 20))
     with pytest.raises(ValueError, match="extension starts from a standard unitary braid map"):
         extend_arbitrary_size(extend_arbitrary_size(fig_map, (22, 24)), (12, 20))
+
+
+def test_extend_refuses_a_1d_map(m24):
+    with pytest.raises(ValueError, match="not an n-dim unitary braid map"):
+        extend_arbitrary_size(m24, (12,))
+
+
+@pytest.mark.parametrize("key", ["0_0,0", "+0,0", " 0,0", "0,00", "0, 0", "0,0,", ""])
+def test_parse_qtable_refuses_a_key_it_does_not_write(key):
+    # int() read the first five as "0,0", whose entry the later key replaced
+    raw = {"0,0": [5, 7], "0,1": [7, 5], "1,0": [1, 5], "1,1": [7, 1], key: [1, 1]}
+    with pytest.raises(ValueError, match=re.escape(f"q-table key {key!r} is not")):
+        parse_qtable(raw)
+
+
+def test_parse_qtable_reads_the_keys_it_writes(fig_map):
+    assert parse_qtable(fig_map.params["q"]) == params_of_nd(fig_map).qtable
 
 
 QTABLE_3D = {

@@ -354,6 +354,8 @@ sys.exit(code)
 """
 BASE = {"braidcode", "braidcode.core", "braidcode.cli"}
 CONSTRUCTION = {"braidcode.braid1d", "braidcode.generators", "braidcode.sunmao"}
+DECODE = BASE | {"braidcode.codec", "braidcode.params"}
+FIG = "fig.json"  # stands for the 24x24 map file; other decodes read the 24-point one
 
 
 @pytest.mark.parametrize("argv, code, loaded, not_loaded", [
@@ -362,21 +364,26 @@ CONSTRUCTION = {"braidcode.braid1d", "braidcode.generators", "braidcode.sunmao"}
     pytest.param(("verify",), EXIT_OK, BASE | {"braidcode.oracle"}, None, id="verify"),
     pytest.param(("bench", "--m", "2", "--s", "1"), EXIT_OK, BASE | {"braidcode.oracle"}, None,
                  id="bench"),
-    pytest.param(("decode", "--codeword", "3,6"), EXIT_OK, None, {"braidcode.oracle"},
-                 id="decode"),
-    pytest.param(("decode", "--codeword", "3,x"), EXIT_NOT_A_CODEWORD, None, {"braidcode.oracle"},
+    pytest.param(("decode", "--codeword", "3,6"), EXIT_OK, DECODE, None, id="decode"),
+    pytest.param(("decode", "--codeword", "3,x"), EXIT_NOT_A_CODEWORD, DECODE, None,
                  id="decode-unparsable"),
-    pytest.param(("erasure-decode", "--codeword", "3"), EXIT_OK, None, {"braidcode.oracle"},
+    pytest.param(("erasure-decode", "--codeword", "3"), EXIT_OK, DECODE, None,
                  id="erasure-decode"),
-    pytest.param(("optimize", "--dims", "75", "--parts", "2,3"), EXIT_OK, BASE | CONSTRUCTION,
-                 None, id="optimize"),
+    pytest.param(("decode", "--map", FIG, "--codeword", "9,18,23,32"), EXIT_OK, DECODE, None,
+                 id="decode-nd"),
+    pytest.param(("optimize", "--dims", "75", "--parts", "2,3"), EXIT_OK,
+                 BASE | CONSTRUCTION | {"braidcode.params"}, None, id="optimize"),
     pytest.param(("construct", "--dims", "24", "--parts", "1,1", "--g", "2", "--q", "2,3"),
-                 EXIT_OK, None, {"braidcode.codec", "braidcode.oracle"}, id="construct"),
-    pytest.param(("construct", *ND8_ARGS), EXIT_OK, BASE | {"braidcode.braidnd"}, None,
-                 id="construct-nd"),
+                 EXIT_OK, BASE | CONSTRUCTION | {"braidcode.params"}, None, id="construct"),
+    pytest.param(("construct", *ND8_ARGS), EXIT_OK,
+                 BASE | {"braidcode.braidnd", "braidcode.params"}, None, id="construct-nd"),
 ])
-def test_each_command_loads_only_the_modules_it_runs(m24_path, argv, code, loaded, not_loaded):
-    if argv[0] not in ("bench", "optimize", "construct"):
+def test_each_command_loads_only_the_modules_it_runs(m24_path, fig_map, tmp_path, argv, code,
+                                                      loaded, not_loaded):
+    if FIG in argv:
+        (tmp_path / FIG).write_text(to_json(fig_map))
+        argv = tuple(str(tmp_path / FIG) if a == FIG else a for a in argv)
+    elif argv[0] not in ("bench", "optimize", "construct"):
         argv = (argv[0], "--map", str(m24_path), *argv[1:])
     src = Path(braidcode.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -439,6 +446,13 @@ MALFORMED_DOCUMENTS = [
     (("colors", 2), True),
     (("palette", 4, "id"), 4.0),
     (("palette", 1, "id"), True),
+    # a third entry is the whole error message, with {file} for the map file's path
+    (("block", "m"), [2, 2], "cannot load map {file}: block and grid dimension mismatch"),
+    (("block", "m"), [30], "cannot load map {file}: block (30,) exceeds grid (24,)"),
+    (("colors", 23), DELETE,
+     "cannot load map {file}: colors array has 23 entries, grid has 24 points"),
+    (("palette", 1, "id"), 0, "cannot load map {file}: duplicate palette ids"),
+    (("colors", 0), 99, "cannot load map {file}: colors reference ids missing from palette: [99]"),
 ]
 # Well-shaped documents whose construction params are not: decode exits 2.
 MALFORMED_PARAMS = [
@@ -468,22 +482,29 @@ MALFORMED_PARAMS = [
     ("mod10", ("params", "shift"), True),
     ("m24", ("params", "gens", 0, "colors"), [0.0, 1.0, 2.0, 3.0]),
     ("m24", ("params", "gens", 0, "m"), True),
+    # n-dim params that the reader refuses; a fourth entry is the whole error message
+    ("fig", ("params", "g"), 1, "g must exceed 1"),
+    ("fig", ("params", "q", "1,1"), DELETE, "qtable must cover every sub-grid index J"),
+    ("fig", ("params", "q", "1,1"), [3], "bad q vector (3,) for J=(1, 1)"),
+    ("fig", ("params", "q", "1,1"), [3, 0], "bad q vector (3, 0) for J=(1, 1)"),
 ]
 
 
 MALFORMED_CASES = [
-    ("m24", path, value, command) for path, value in MALFORMED_DOCUMENTS
-    for command in ("encode", "decode", "verify")
-] + [(name, path, value, "decode") for name, path, value in MALFORMED_PARAMS]
+    ("m24", path, value, command, message[0] if message else None)
+    for path, value, *message in MALFORMED_DOCUMENTS for command in ("encode", "decode", "verify")
+] + [(name, path, value, "decode", message[0] if message else None)
+     for name, path, value, *message in MALFORMED_PARAMS]
 
 
 @pytest.mark.parametrize(
-    "name,path,value,command", MALFORMED_CASES,
+    "name,path,value,command,message", MALFORMED_CASES,
     ids=[f"{command}-{name}-{'.'.join(map(str, path)) or 'doc'}="
          f"{'deleted' if value is DELETE else json.dumps(value, separators=(',', ':'))}"
-         for name, path, value, command in MALFORMED_CASES],
+         for name, path, value, command, _ in MALFORMED_CASES],
 )
-def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, value, command):
+def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, value, command,
+                                    message):
     cmap, tag = {"m24": (m24, (7,)), "fig": (fig_map, (0, 0)), "r19": (restrict(m24, 19), (7,)),
                  "mod10": (modify_general_size(m24, 10), (3,))}[name]
     file = tmp_path / "bad.json"
@@ -496,6 +517,8 @@ def test_malformed_map_file_exits_2(tmp_path, capsys, m24, fig_map, name, path, 
     code, out, err = run(capsys, command, "--map", str(file), *extra)
     assert code == EXIT_INVALID and not out
     assert err.startswith("error:"), err
+    if message is not None:
+        assert err == f"error: {message.format(file=file)}\n"
 
 
 def test_an_nd_map_longer_than_its_period_exits_2(tmp_path, capsys, fig_map):
@@ -509,6 +532,26 @@ def test_an_nd_map_longer_than_its_period_exits_2(tmp_path, capsys, fig_map):
     code, out, err = run(capsys, "decode", "--map", str(file), "--codeword", w)
     assert code == EXIT_INVALID and not out
     assert "does not fit the params' period" in err
+
+
+def test_a_1d_map_cut_without_a_cut_record_exits_2(tmp_path, capsys, m24):
+    # the first 12 points of the 24-point map, under its params unchanged
+    cut = ColorMap(GridSpec((12,)), m24.block, m24.colors[:12], m24.palette, m24.params)
+    file = tmp_path / "cut.json"
+    file.write_text(to_json(cut))
+    w = ",".join(map(str, encode(cut, (3,))))
+    code, out, err = run(capsys, "decode", "--map", str(file), "--codeword", w)
+    assert code == EXIT_INVALID and not out
+    assert err == "error: grid (12,) does not fit the generators' period M=24\n"
+
+
+def test_construct_refuses_a_qtable_key_spelled_another_way(capsys):
+    # int() read "0_0,0" as (0, 0), so the map was built with q(0,0) = (1, 1)
+    qtable = '{"0,0":[5,7],"0,1":[7,5],"1,0":[1,5],"1,1":[7,1],"0_0,0":[1,1]}'
+    code, out, err = run(capsys, "construct", "--block", "2,2", "--g", "2", "--qtable", qtable)
+    assert code == EXIT_INVALID and not out
+    assert err == ("error: bad n-dim parameters: q-table key '0_0,0' is not a sub-grid index "
+                   "like \"0,1\"\n")
 
 
 def test_construct_nd_and_extend(tmp_path, capsys):

@@ -22,6 +22,7 @@ from braidcode.core import ColorMap, GridSpec, PaletteEntry
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,
+    AssociatedMatrix,
     DecodeResult,
     DecodeResultND,
     NotACodeword,
@@ -87,6 +88,12 @@ def test_qhat_minimum_subset_product():
     assert qhat((2, 3, 4), 2) == 6
 
 
+@pytest.mark.parametrize("i", [0, 4])
+def test_qhat_refuses_a_subset_size_out_of_range(i):
+    with pytest.raises(ValueError, match="subset size out of range"):
+        qhat((2, 3, 5), i)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -104,6 +111,13 @@ def test_matrices_reference_24(m24):
     assert dump_matrices(restrict(m24, 19)) == dump_matrices(modify_general_size(m24, 20)) == base
     assert dump_matrices(restrict(restrict(m24, 19), 15)) == base
     assert dump_matrices(restrict(modify_general_size(m24, 20), 15)) == base
+
+
+def test_b_matrix_refuses_a_label_that_g_does_not_divide():
+    # column a = 1 reads the label at a*g = 2, which is 1 and not a multiple of g = 2
+    A = AssociatedMatrix(rows=((0, 1, 1, 0),), g=2, q=(2,))
+    with pytest.raises(ValueError, match="row 0, column 1: label 1 not divisible by g=2"):
+        b_matrix(A)
 
 
 def test_matrix_rows_have_minimum_period_gq():
