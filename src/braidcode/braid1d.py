@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 # Nothing here uses sunmao, but perfbench's tracer needs it loaded with
 # braid1d until ROADMAP direction 1 step 1 lands.
 from . import sunmao  # noqa: F401
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _class_colors, params_of, validate  # noqa: F401  re-exported
 
@@ -84,7 +83,7 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
 # Optimizer
 
 
-@dataclass(frozen=True)
+@record
 class OptimizeResult:
     params: BraidParams1D
     cost: int

@@ -10,7 +10,6 @@ library's errors propagate; ``main`` maps each to its code in one place.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -159,7 +158,7 @@ def cmd_decode(args) -> int:
         print(codec.dump_matrices(cmap))
     tag = res.tag
     plain = ",".join(map(str, tag)) if isinstance(tag, tuple) else str(tag)
-    payload = dataclasses.asdict(res)
+    payload = core.asdict(res)
     payload.update(compile_ms=compile_ms, seam_codewords=len(dec.table))
     _emit(args, payload, plain)
     return EXIT_OK
@@ -227,7 +226,7 @@ def cmd_bench(args) -> int:
 
     rows = oracle.order_bench(args.m, _ints(args.s))
     if args.json:
-        print(json.dumps([dataclasses.asdict(row) for row in rows]))
+        print(json.dumps([core.asdict(row) for row in rows]))
     else:
         print(oracle.bench_tsv(rows))
     return EXIT_OK

@@ -27,9 +27,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import ColorMap, Codeword, NotACodeword, Point, canonical
+from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .params import (
     BraidParams1D, UnitaryBraidParamsND, _base_colors, _class_colors, _subgrid_layout, params_of,
@@ -46,7 +45,7 @@ class AmbiguousDecode(ValueError):
         super().__init__(f"ambiguous decode: tags {list(self.tags)}")
 
 
-@dataclass(frozen=True)
+@record
 class DecodeResult:
     """Decoded tag plus routing diagnostics.
 
@@ -70,7 +69,7 @@ class DecodeResult:
     path: str
 
 
-@dataclass(frozen=True)
+@record
 class DecodeResultND:
     """Decoded tag, per-axis routing (None on every axis for a seam tag)
     and the path, ``"routing"`` or ``"seam"``."""
@@ -80,7 +79,7 @@ class DecodeResultND:
     path: str
 
 
-@dataclass(frozen=True)
+@record
 class ErasureResult:
     candidates: tuple[int, ...]
     resolution: int
@@ -130,7 +129,7 @@ def qhat(qs, i: int) -> int:
 # Associated matrices
 
 
-@dataclass(frozen=True)
+@record
 class AssociatedMatrix:
     """Row i lists first-appearance labels of aligned m_i-block codewords."""
 
@@ -143,7 +142,7 @@ class AssociatedMatrix:
         return tuple(self.g * q_i for q_i in self.q)
 
 
-@dataclass(frozen=True)
+@record
 class BMatrix:
     rows: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
@@ -523,7 +522,7 @@ _DECODERS = {
 def compile_decoder(cmap: ColorMap):
     """The map's compiled decoder: built on first use, then kept on the map.
 
-    Maps are immutable, so the decoder stays valid; it is not a dataclass
+    Maps are immutable, so the decoder stays valid; it is not a record
     field, so it does not take part in ``==`` or in JSON.  Stored params
     of the wrong shape, and a flat grid, raise ``ValueError``.
     """

@@ -14,11 +14,122 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import operator
+from collections.abc import Iterator, Sequence
 
 Point = tuple[int, ...]
 Codeword = tuple[int, ...]
+
+
+# ---------------------------------------------------------------------------
+# Frozen records
+#
+# The package's value types are frozen records.  ``record`` builds them
+# as the standard library's frozen dataclass did, with the same ``repr``
+# and equality, but without loading ``inspect``, ``ast`` and ``dis``
+# and at a fraction of the cost per class, which every CLI call pays when
+# it imports the modules that define them.
+
+
+class uncompared:
+    """Default of a record field that ``==`` and ``hash`` leave out."""
+
+    __slots__ = ("default",)
+
+    def __init__(self, default):
+        self.default = default
+
+
+_MISSING = object()
+
+
+def record(cls):
+    """Make ``cls`` a frozen record of its annotated fields, in order.
+
+    Adds ``__init__`` (which calls ``__post_init__`` if the class has
+    one), ``__repr__`` (``Name(field=value, ...)``), ``__eq__`` and
+    ``__hash__`` over the compared fields of two records of the same
+    class, and a ``__setattr__``/``__delattr__`` that raise
+    AttributeError; ``__post_init__`` sets a field with
+    ``object.__setattr__``.  No ``__slots__``: an instance may carry
+    derived state, set the same way, that is not a field.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {"_setattr": object.__setattr__}
+    params, compared = [], []
+    for name in names:
+        value = cls.__dict__.get(name, _MISSING)
+        if isinstance(value, uncompared):
+            value = value.default
+            setattr(cls, name, value)
+        else:
+            compared.append(name)
+        if value is _MISSING:
+            params.append(name)
+        else:
+            ns[f"_dflt_{name}"] = value
+            params.append(f"{name}=_dflt_{name}")
+    # One exec per class, of __init__ alone: generated, it costs no more per
+    # instance than the dataclass one, where a generic one would cost about
+    # half again; __eq__ and __hash__ read the compared fields in one C call.
+    body = [f"  _setattr(self, {name!r}, {name})\n" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}\n", ns)
+    ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = ns["__init__"]
+    cls.__record_fields__ = names
+    cls.__record_key__ = operator.attrgetter(*compared)
+    cls.__repr__ = _record_repr
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__record_fields__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        key = self.__record_key__
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self.__record_key__(self))
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(obj, **changes):
+    """A copy of record ``obj`` with the given fields changed; its class
+    checks the result as it checks any new instance."""
+    return obj.__class__(**{name: getattr(obj, name) for name in obj.__record_fields__} | changes)
+
+
+def asdict(obj) -> dict:
+    """Record ``obj`` as a dict of its fields, in order; a record in a
+    field, or in a tuple there, becomes a dict too."""
+    return {name: _unrecord(getattr(obj, name)) for name in obj.__record_fields__}
+
+
+def _unrecord(value):
+    if hasattr(value, "__record_fields__"):
+        return asdict(value)
+    if type(value) is tuple:
+        return tuple(map(_unrecord, value))
+    return value
 
 
 class OutOfCodingAreaError(ValueError):
@@ -56,7 +167,7 @@ def parse_codeword(text: str) -> Codeword:
         raise NotACodeword("parse", str(e)) from None
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     """Cyclic or flat integer grid with dims M = (M_1, ..., M_n)."""
 
@@ -131,7 +242,7 @@ def _arity_error(point, dims) -> ValueError:
     return ValueError(f"point {tuple(point)} has {len(point)} coordinates, grid has {len(dims)}")
 
 
-@dataclass(frozen=True)
+@record
 class BlockSpec:
     """Block size m = (m_1, ..., m_n); same dimension as its grid."""
 
@@ -151,7 +262,7 @@ class BlockSpec:
             raise ValueError(f"block {self.dims} exceeds grid {grid.dims}")
 
 
-@dataclass(frozen=True)
+@record
 class PaletteEntry:
     """Metadata for one color id.
 
@@ -167,7 +278,7 @@ class PaletteEntry:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ColorMap:
     """Total color mapping on a grid, with construction metadata.
 

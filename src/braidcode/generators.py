@@ -16,10 +16,9 @@ import bisect
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, record
 
 
 class UnsupportedGeneratorError(ValueError):
@@ -78,7 +77,7 @@ def min_colors(m: int, ell: int) -> MinColors:
     return MinColors(ell, False)  # identity coloring always works
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorCode:
     """An m-distinguishable coloring of G^c_ell."""
 
@@ -136,7 +135,7 @@ class SearchStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class SearchResult:
     status: SearchStatus
     code: GeneratorCode | None = None

@@ -12,14 +12,13 @@ import itertools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 
-from .core import ColorMap, coding_area_shape, coding_area_size, int_tuple
+from .core import ColorMap, coding_area_shape, coding_area_size, int_tuple, record, uncompared
 
 DEFAULT_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     """Outcome of a distinguishability check.
 
@@ -30,8 +29,8 @@ class VerifyReport:
     ok: bool
     checked: int
     counterexample: tuple | None = None  # (tag_a, tag_b, codeword)
-    elapsed_s: float = field(default=0.0, compare=False)
-    blocks_per_s: float = field(default=0.0, compare=False)
+    elapsed_s: float = uncompared(0.0)
+    blocks_per_s: float = uncompared(0.0)
 
 
 def _wrap_pad(colors, dims: tuple[int, ...], block: tuple[int, ...]):
@@ -119,7 +118,7 @@ def count_colors(cmap: ColorMap) -> int:
     return len(set(cmap.colors))
 
 
-@dataclass(frozen=True)
+@record
 class StructureReport:
     ok: bool
     problems: tuple[str, ...]
@@ -186,7 +185,7 @@ def check_structure(cmap: ColorMap) -> StructureReport:
 # Scaling bench over prime-window grid families
 
 
-@dataclass(frozen=True)
+@record
 class BenchRow:
     s: int
     L: int

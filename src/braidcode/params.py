@@ -18,20 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .core import ColorMap, GridSpec, int_tuple
-
-if TYPE_CHECKING:
-    from .sunmao import Decomposition1D
+from .core import ColorMap, GridSpec, int_tuple, record
 
 
 # ---------------------------------------------------------------------------
 # 1D braid params
 
 
-@dataclass(frozen=True)
+@record
 class BraidParams1D:
     """Parameter set of a 1D braid code."""
 
@@ -188,7 +183,7 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
 # n-dim unitary braid params
 
 
-@dataclass(frozen=True)
+@record
 class UnitaryBraidParamsND:
     """Unitary n-dim braid parameters: block m, shared g, q-table.
 

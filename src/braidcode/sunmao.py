@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 
 from .core import (
     BlockSpec,
@@ -23,10 +22,11 @@ from .core import (
     Point,
     PaletteError,
     int_tuple,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition1D:
     """1D decomposition of G^c_M into I interlocked sub-grids."""
 
@@ -163,7 +163,7 @@ def synthesize(dec: Decomposition1D, submaps: list[ColorMap]) -> ColorMap:
 # Unitary decomposition in n dimensions
 
 
-@dataclass(frozen=True)
+@record
 class UnitaryDecompositionND:
     """All-ones decomposition of an n-dim cyclic grid by residues mod m."""
 

@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
@@ -21,7 +20,7 @@ from braidcode.braid1d import (
     restrict,
     validate,
 )
-from braidcode.core import ColorMap, GridSpec
+from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import find_generator, identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize

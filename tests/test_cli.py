@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,34 @@ def test_decode_json_reports_the_compile_cost(m24_path, tmp_path, capsys):
     assert doc["tag"] == [5, 5] and doc["seam_codewords"] > 0 and doc["compile_ms"] > 0
     code, out, _ = run(capsys, "decode", "--map", str(path), "--codeword", w)
     assert (code, out) == (EXIT_OK, "5,5\n")
+
+
+# decode --json output, byte for byte but for the value of compile_ms, a timing.
+DECODE_JSON = [
+    pytest.param("m24", "0,7", '{"tag": 7, "j_star": 3, "i_star": 1, "r_star": 0, "a_star": 1, '
+                 '"b_star": 1, "a_vec": [1, 1], "path": "routing", "seam_codewords": 0}',
+                 id="1d-routing"),
+    pytest.param("r19", "0,1", '{"tag": 18, "j_star": 9, "i_star": 0, "r_star": 0, "a_star": 0, '
+                 '"b_star": 0, "a_vec": [], "path": "seam", "seam_codewords": 1}', id="1d-seam"),
+    pytest.param("fig", "9,18,23,32",
+                 '{"tag": [5, 5], "per_axis": [{"tag": 5, "j_star": 2, "i_star": 2, "r_star": 0, '
+                 '"a_star": 1, "b_star": 0, "a_vec": [0, 1, 0, 1], "path": "routing"}, '
+                 '{"tag": 5, "j_star": 2, "i_star": 2, "r_star": 0, "a_star": 1, "b_star": 0, '
+                 '"a_vec": [1, 1, 0, 0], "path": "routing"}], "path": "routing", '
+                 '"seam_codewords": 0}', id="nd-routing"),
+]
+
+
+@pytest.mark.parametrize("which, codeword, want", DECODE_JSON)
+def test_decode_json_bytes(m24, fig_map, tmp_path, capsys, which, codeword, want):
+    cmap = {"m24": m24, "r19": restrict(m24, 19), "fig": fig_map}[which]
+    path = tmp_path / "map.json"
+    path.write_text(to_json(cmap))
+    code, out, _ = run(capsys, "decode", "--map", str(path), "--codeword", codeword, "--json")
+    assert code == EXIT_OK
+    timing = re.compile(r'"compile_ms": [0-9.e+-]+, (?="seam_codewords": \d+\}\n$)')
+    assert timing.search(out)
+    assert timing.sub("", out) == want + "\n"
 
 
 def test_encode_json_output(m24_path, capsys):
@@ -323,9 +352,8 @@ def test_bench_tsv_output(capsys):
 def test_bench_json_output(capsys):
     code, out, _ = run(capsys, "bench", "--m", "2", "--s", "1,2", "--json")
     assert code == EXIT_OK
-    rows = json.loads(out)
-    assert [(r["s"], r["L"], r["K"]) for r in rows][0] == (1, 840, 34)
-    assert [r["s"] for r in rows] == [1, 2]
+    assert out == ('[{"s": 1, "L": 840, "K": 34, "ratio": 6.315519719705423}, '
+                   '{"s": 2, "L": 4620, "K": 52, "ratio": 6.307290727114723}]\n')
 
 
 def test_bench_runs_without_sympy():
@@ -342,14 +370,22 @@ def test_bench_runs_without_sympy():
     assert proc.stdout == "L\tK\tratio\n840\t34\t6.315520\n4620\t52\t6.307291\n20020\t72\t6.052942\n"
 
 
-# A child runs one command and prints, on its last stderr line, the
-# package modules the call loaded and whether sympy was loaded.
+# A child runs one command under ``python -S`` and prints, on its last
+# stderr line, the package modules the call loaded, whether sympy was
+# loaded, and which of the slow-to-import standard modules it loaded.
+# ``-S`` keeps ``site`` from loading them first (a .pth file of an
+# installed package may import ``typing``); the child puts site-packages
+# back on its path without running those files, so that an optional
+# ``import sympy`` in the package would still succeed and show.
 LOADED_MODULES = """\
-import json, sys
+import json, site, sys
+sys.path.extend(site.getsitepackages())
 import braidcode.cli as cli
 code = cli.main(sys.argv[1:])
 modules = sorted(m for m in sys.modules if m.split(".")[0] == "braidcode")
-print(json.dumps({"modules": modules, "sympy": "sympy" in sys.modules}), file=sys.stderr)
+stdlib = sorted(m for m in ("dataclasses", "inspect", "typing") if m in sys.modules)
+print(json.dumps({"modules": modules, "sympy": "sympy" in sys.modules, "stdlib": stdlib}),
+      file=sys.stderr)
 sys.exit(code)
 """
 BASE = {"braidcode", "braidcode.core", "braidcode.cli"}
@@ -387,12 +423,14 @@ def test_each_command_loads_only_the_modules_it_runs(m24_path, fig_map, tmp_path
         argv = (argv[0], "--map", str(m24_path), *argv[1:])
     src = Path(braidcode.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, *argv],
+        [sys.executable, "-S", "-c", LOADED_MODULES, *argv],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == code, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["sympy"] is False  # the package has no sympy dependency
+    if argv[0] in ("encode", "decode", "verify"):
+        assert report["stdlib"] == []  # the calls a tracker makes most pay for none of them
     modules = set(report["modules"])
     if loaded is not None:
         assert modules == loaded

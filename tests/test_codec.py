@@ -6,7 +6,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +17,7 @@ from braidcode import (
 from braidcode.braid1d import (
     BraidParams1D, InfeasibleError, construct, modify_general_size, params_of, restrict,
 )
-from braidcode.core import ColorMap, GridSpec, PaletteEntry
+from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.codec import (
     AmbiguousDecode,

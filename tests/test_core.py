@@ -15,10 +15,13 @@ from braidcode import (
     canonical,
     coding_area,
     coding_area_size,
+    decode,
     encode,
     from_json,
     to_json,
 )
+from braidcode.core import PaletteEntry, asdict, replace
+from braidcode.oracle import VerifyReport
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=8))
@@ -133,3 +136,75 @@ def test_from_json_refuses_ids_that_are_not_ints(m24, value):
 def test_palette_ids_match_colors(m24):
     ids = {e.id for e in m24.palette}
     assert set(m24.colors) <= ids
+
+
+# ---------------------------------------------------------------------------
+# Frozen records
+
+
+def test_a_record_field_cannot_be_assigned_or_deleted(m24):
+    grid = GridSpec((24,))
+    with pytest.raises(AttributeError, match="^cannot assign to field 'dims'$"):
+        grid.dims = (12,)
+    with pytest.raises(AttributeError, match="^cannot delete field 'cyclic'$"):
+        del grid.cyclic
+    with pytest.raises(AttributeError):
+        m24.params = None
+    assert grid == GridSpec((24,), True)
+
+
+def test_uncompared_fields_take_no_part_in_eq_or_hash():
+    a = VerifyReport(True, 24, None, elapsed_s=0.5, blocks_per_s=48.0)
+    b = VerifyReport(True, 24, None, elapsed_s=0.25, blocks_per_s=96.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != VerifyReport(True, 23, None, elapsed_s=0.5, blocks_per_s=48.0)
+    assert VerifyReport(False, 24).elapsed_s == 0.0
+
+
+def test_equal_records_hash_equal_and_other_classes_differ():
+    assert GridSpec((24,)) == GridSpec([24], cyclic=True)
+    assert hash(GridSpec((24,))) == hash(GridSpec([24], cyclic=True))
+    assert GridSpec((24,)) != GridSpec((24,), cyclic=False)
+    assert GridSpec((24,)) != BlockSpec((24,))  # same field values, another class
+    assert len({GridSpec((24,)), GridSpec((24,)), GridSpec((12,))}) == 2
+
+
+def test_record_repr_names_every_field_in_order():
+    assert repr(GridSpec((24,))) == "GridSpec(dims=(24,), cyclic=True)"
+    assert repr(VerifyReport(True, 24)) == (
+        "VerifyReport(ok=True, checked=24, counterexample=None, elapsed_s=0.0, blocks_per_s=0.0)"
+    )
+    assert repr(PaletteEntry(3, label="a_1")) == (
+        "PaletteEntry(id=3, subgrid=None, factors=None, label='a_1')"
+    )
+
+
+def test_post_init_checks_every_new_record():
+    with pytest.raises(ValueError, match=re.escape("grid dims must be positive: (0,)")):
+        GridSpec((0,))
+    with pytest.raises(ValueError, match=re.escape("grid dims must be positive: (0,)")):
+        replace(GridSpec((24,)), dims=(0,))
+    with pytest.raises(TypeError):
+        replace(GridSpec((24,)), M=(12,))
+
+
+def test_a_map_with_dict_params_is_unhashable(m24):
+    assert isinstance(m24.params, dict)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(m24)
+    assert m24 == replace(m24, params=dict(m24.params))
+
+
+def test_replace_and_asdict(m24, fig_map):
+    flat = replace(m24.grid, cyclic=False)
+    assert (flat.dims, flat.cyclic, m24.grid.cyclic) == ((24,), False, True)
+    res = decode(fig_map, encode(fig_map, (5, 5)))
+    doc = asdict(res)
+    assert list(doc) == ["tag", "per_axis", "path"]
+    assert doc["per_axis"] == tuple(asdict(d) for d in res.per_axis)
+    assert list(doc["per_axis"][0]) == [
+        "tag", "j_star", "i_star", "r_star", "a_star", "b_star", "a_vec", "path",
+    ]
+    assert asdict(VerifyReport(True, 24, None, 0.5, 48.0)) == {
+        "ok": True, "checked": 24, "counterexample": None, "elapsed_s": 0.5, "blocks_per_s": 48.0,
+    }

@@ -5,14 +5,15 @@ import functools
 import math
 import os
 from collections import defaultdict
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidcode import braid1d, braidnd
 from braidcode.braid1d import BraidParams1D, construct
-from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry, coding_area, encode
+from braidcode.core import (
+    BlockSpec, ColorMap, GridSpec, PaletteEntry, coding_area, encode, replace,
+)
 from braidcode.generators import identity_generator
 from braidcode.oracle import (
     StructureReport,
