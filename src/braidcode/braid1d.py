@@ -170,29 +170,25 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     """Restrict a 1D map to the first M_r points of its grid, kept cyclic.
 
-    Distinguishability is guaranteed for unitary braid maps, and for
-    restrictions of one, when the block size does not divide M_r;
-    otherwise the result may collide and should be checked with the oracle.
+    Distinguishability is guaranteed when ``params_of`` reads a unitary
+    braid map or a restriction of one (window (0, 0)) and the block size
+    does not divide M_r; otherwise check the result with the oracle.
     """
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]
     if not m < M_r < M:
         raise ValueError(f"need m < M_r < M, got M_r={M_r}")
-    base = root = cmap.params
-    while isinstance(root, dict) and root.get("kind") == "restricted":
-        root = root.get("base")  # a restriction of a restriction is one of the root
-    guaranteed = (
-        isinstance(root, dict)
-        and root.get("kind") == "braid1d"
-        and all(p == 1 for p in root["parts"])
-        and M_r % m != 0
-    )
+    try:
+        params, _, *window = params_of(cmap)
+        guaranteed = window == [0, 0] and params.unitary and M_r % m != 0
+    except ValueError:
+        guaranteed = False
     return ColorMap(
         grid=GridSpec((M_r,)),
         block=cmap.block,
         colors=cmap.colors[:M_r],
         palette=cmap.palette,
-        params={"kind": "restricted", "base": base, "M_r": M_r, "guaranteed": guaranteed},
+        params={"kind": "restricted", "base": cmap.params, "M_r": M_r, "guaranteed": guaranteed},
     )
 
 

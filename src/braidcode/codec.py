@@ -15,10 +15,10 @@ tables, routing constants and CRT plans, seam table) is compiled once by
 ``compile_decoder`` and kept on the map: a decode costs O(ell), not O(M),
 and reads the params and colors, not the palette.
 
-A decode loads ``core``, ``params`` (the stored-params readers and the
-color rules it proves a map against) and this module, and no
-construction module: ``braid1d``, ``braidnd``, ``generators`` and
-``sunmao`` stay unloaded.
+A decode loads ``core``, ``params`` (the one reader of a map's kind and
+params, and the color rules it proves a map against) and this module,
+and no construction module: ``braid1d``, ``braidnd``, ``generators``
+and ``sunmao`` stay unloaded.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from collections import Counter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .params import (
-    BraidParams1D, UnitaryBraidParamsND, _base_colors, _class_colors, _subgrid_layout, params_of,
-    params_of_nd, validate,
-)
+from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read
+from .params import _base_colors, _class_colors, _subgrid_layout
 
 
 class AmbiguousDecode(ValueError):
@@ -282,7 +280,7 @@ def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail:
     Every point x but the last ``tail`` must carry the color the
     generators give to point y = x + shift of the standard map
     (``params._class_colors``); a decoder trusting contradicting
-    generators decodes wrong; ``params_of`` has checked the generators
+    generators decodes wrong; ``params.read`` has checked the generators
     themselves (one per part, one period of ints each).  Each residue
     class mod m is compared in one C-level tuple comparison, so no copy of
     the whole map is held; only a class that differs is searched for its
@@ -371,11 +369,8 @@ class _Braid:
     routes; blocks that wrap or cover the tail start at or past the seam.
     """
 
-    def __init__(self, cmap: ColorMap):
-        params, gens, self.shift, self.tail = params_of(cmap)
-        errs = validate(params)  # the routing needs g > 1 and g*c_i > m_i
-        if errs:
-            raise ValueError("not braid params: " + "; ".join(errs))
+    def __init__(self, cmap: ColorMap, window: tuple[BraidParams1D, list[dict], int, int]):
+        params, gens, self.shift, self.tail = window
         _check_colors(cmap, params, gens, self.shift, self.tail)
         (L,) = cmap.grid.dims
         self.M, self.m, self.parts = params.M, params.m, params.parts
@@ -475,8 +470,7 @@ class _UnitaryND:
     from the params: a fresh color has none, and only the seam table reads it.
     """
 
-    def __init__(self, cmap: ColorMap):
-        params = params_of_nd(cmap)
+    def __init__(self, cmap: ColorMap, params: UnitaryBraidParamsND):
         if cmap.block.dims != params.m:
             raise ValueError(f"block {cmap.block.dims} does not match the generators' {params.m}")
         dims = cmap.grid.dims
@@ -510,35 +504,19 @@ class _UnitaryND:
         return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
 
 
-_DECODERS = {
-    "braid1d": _Braid,
-    "restricted": _Braid,
-    "modified": _Braid,
-    "unitary-braid-nd": _UnitaryND,
-    "extended-nd": _UnitaryND,
-}
-
-
 def compile_decoder(cmap: ColorMap):
     """The map's compiled decoder: built on first use, then kept on the map.
 
-    Maps are immutable, so the decoder stays valid; it is not a record
-    field, so it does not take part in ``==`` or in JSON.  Stored params
-    of the wrong shape, and a flat grid, raise ``ValueError``.
+    The type of what ``params.read`` gives picks the decoder; what it
+    refuses, and a flat grid, raise ``ValueError``.  Maps are immutable, so
+    the decoder stays valid; not a record field, it is not in ``==`` or JSON.
     """
     dec = getattr(cmap, "_decoder", None)
     if dec is None:
         if not cmap.grid.cyclic:
             raise ValueError("decoding requires a cyclic grid")
-        try:
-            kind = (cmap.params or {}).get("kind")
-            build = _DECODERS.get(kind)
-            if build is None:
-                raise ValueError(f"unsupported map kind {kind!r}")
-            dec = build(cmap)
-        except (KeyError, TypeError, AttributeError, IndexError) as e:
-            # the stored params come from outside, e.g. a map file
-            raise ValueError(f"malformed map params: {e!r}") from e
+        value = read(cmap)
+        dec = _UnitaryND(cmap, value) if isinstance(value, UnitaryBraidParamsND) else _Braid(cmap, value)
         object.__setattr__(cmap, "_decoder", dec)
     return dec
 

@@ -13,10 +13,10 @@ bounded exhaustive search.
 from __future__ import annotations
 
 import bisect
+import collections
 import enum
 import functools
 import math
-from typing import NamedTuple
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, record
 
@@ -50,9 +50,7 @@ def max_cyclic_length(m: int, k: int) -> int:
     raise ValueError(f"no closed form for m={m}")
 
 
-class MinColors(NamedTuple):
-    k: int
-    exact: bool
+MinColors = collections.namedtuple("MinColors", "k exact")
 
 
 def min_colors(m: int, ell: int) -> MinColors:

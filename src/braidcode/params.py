@@ -1,14 +1,13 @@
-"""Stored construction params: their readers, their checks, and the color
-rules that the constructions and the decoder share.
+"""Stored construction params: their one reader, their checks, and the
+color rules that the constructions and the decoder share.
 
-A map file keeps the params its construction was built from.
-``params_of`` reads a 1D braid map's params (a restriction's or a
-modification's included), ``params_of_nd`` an n-dim unitary map's or an
-extension's; each checks every field it reads once, and a field that is
-not an int raises ValueError.  ``_class_colors`` and ``_base_colors``
-give the colors those params imply: ``braid1d.construct`` and
-``braidnd.construct_unitary_nd`` write them, and the decoder proves a
-map against them.
+A map file keeps the params its construction was built from.  ``read``
+is the one place a map's kind is read: one table sends it to the reader
+of its family, which checks every field once and refuses what it cannot
+read with ValueError.  ``params_of`` and ``params_of_nd`` read one
+family.  ``_class_colors`` and ``_base_colors`` give the colors those
+params imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd``
+write them, and the decoder proves a map against them.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -134,29 +133,15 @@ def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
             yield x0, (one * (count // period + 1))[:count]
 
 
-def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
-    """Standard braid parameters and generators a 1D map was built from,
-    and its window on that map: every point x but the last ``tail``
-    carries the standard color at x + ``shift``.
-
-    A restricted or modified map, or a cut of one, gives those of the
-    standard map it was cut from, on M = m * g * lcm(q) points (a cut map
-    has fewer); only stored params are read, no map is rebuilt.  This is
-    the one reader of a 1D map's params: each field it reads, the
-    generators' and the cuts' included, is checked here once, and one that
-    is not an int, such as 19.5 or true, raises ValueError.
-    """
-    p = cmap.params or {}
+def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int, int]:
     cuts = []
     while p.get("kind") in ("restricted", "modified"):
         cuts.append(p)
         p = p.get("base") or {}
     if p.get("kind") != "braid1d":
-        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
-    parts, q = tuple(p["parts"]), tuple(p["q"])
-    params = BraidParams1D(
-        M=sum(parts) * p["g"] * math.lcm(*q), parts=parts, g=p["g"], c=tuple(p["c"]), q=q
-    )
+        raise ValueError(_NOT_1D)
+    parts, q, g = tuple(p["parts"]), tuple(p["q"]), p["g"]
+    params = BraidParams1D(M=sum(parts) * g * math.lcm(*q), parts=parts, g=g, c=tuple(p["c"]), q=q)
     dims = cmap.grid.dims
     if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
         raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
@@ -176,6 +161,9 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
         M_r, s = int_tuple((cut["M_r"], cut["shift"] if modified else 0), "cut fields")
         shift += s
         n = min(n - s, M_r - params.m + 1) if modified else min(n, M_r)
+    errs = validate(params)  # the routing needs g > 1 and g*c_i > m_i
+    if errs:
+        raise ValueError("not braid params: " + "; ".join(errs))
     return params, gens, shift, dims[0] - max(0, min(n, dims[0]))
 
 
@@ -294,20 +282,59 @@ def parse_qtable(raw: dict) -> dict[tuple[int, ...], tuple[int, ...]]:
     return table
 
 
-def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
-    """Parameters an n-dim unitary braid map, or an extension, was built from.
-
-    The grid must fit their period M: equal to it on a standard map, no
-    longer on any axis of an extension, as ``params_of`` requires.
-    This is the one reader of an n-dim map's params; a field that is not
-    an int raises ValueError.
-    """
-    p = cmap.params
-    if p is None or p.get("kind") not in ("unitary-braid-nd", "extended-nd"):
-        raise ValueError("not an n-dim unitary braid map")
+def _params_nd(cmap: ColorMap, p: dict) -> UnitaryBraidParamsND:
     params = UnitaryBraidParamsND(m=tuple(p["m"]), g=p["g"], qtable=parse_qtable(p["q"]))
     dims = cmap.grid.dims
     if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
             or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):
         raise ValueError(f"grid {dims} does not fit the params' period M={params.dims}")
     return params
+
+
+# map kind -> the reader of its family; _window_1d walks the cuts down to the braid map
+_READERS = {"braid1d": _window_1d, "restricted": _window_1d, "modified": _window_1d,
+            "unitary-braid-nd": _params_nd, "extended-nd": _params_nd}
+_NOT_1D = "not a 1D braid map, nor a restriction or modification of one"
+
+
+def read(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int] | UnitaryBraidParamsND:
+    """The checked params a map was built from: ``params_of`` of a 1D map or
+    a cut of one, ``params_of_nd`` of an n-dim map or an extension.  Any
+    other kind, and params of the wrong shape, raise ValueError."""
+    return _read(cmap, None, None)
+
+
+def _read(cmap: ColorMap, family, refusal: str | None):
+    """``read``, refused with ``refusal`` unless the map's reader is ``family``."""
+    try:
+        p = cmap.params or {}
+        reader = _READERS.get(p.get("kind"))
+        if reader is None or family not in (None, reader):
+            raise ValueError(refusal or f"unsupported map kind {p.get('kind')!r}")
+        return reader(cmap, p)
+    except (KeyError, TypeError, AttributeError, IndexError) as e:
+        # the stored params come from outside, e.g. a map file
+        raise ValueError(f"malformed map params: {e!r}") from e
+
+
+def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
+    """Standard braid parameters and generators a 1D map was built from,
+    and its window on that map: every point x but the last ``tail``
+    carries the standard color at x + ``shift``.
+
+    A restricted or modified map, or a cut of one, gives those of the
+    standard map it was cut from, on M = m * g * lcm(q) points (a cut map
+    has fewer); only stored params are read, no map is rebuilt.  A field,
+    the generators' and the cuts' included, that is not an int (19.5,
+    true), params ``validate`` refuses and any other map raise ValueError.
+    """
+    return _read(cmap, _window_1d, _NOT_1D)
+
+
+def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
+    """Parameters an n-dim unitary braid map, or an extension, was built from.
+
+    The grid must fit their period M: equal to it on a standard map, no
+    longer on any axis of an extension.  Any other map raises ValueError.
+    """
+    return _read(cmap, _params_nd, "not an n-dim unitary braid map")

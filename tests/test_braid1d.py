@@ -21,7 +21,7 @@ from braidcode.braid1d import (
     validate,
 )
 from braidcode.core import ColorMap, GridSpec, replace
-from braidcode.generators import find_generator, identity_generator
+from braidcode.generators import GeneratorCode, find_generator, identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
 
@@ -173,7 +173,8 @@ def test_params_of_cut_maps_give_the_base_params(m24, fig_map):
         # the window: every point but the last tail carries the standard color at x + shift
         (L,), (M,) = cut.grid.dims, std.grid.dims
         assert all(cut.colors[x] == std.colors[(x + shift) % M] for x in range(L - tail))
-    for other in (fig_map, replace(m24, params=None), replace(m24, params={"kind": "generator"})):
+    for other in (fig_map, replace(m24, params=None), replace(m24, params={"kind": "generator"}),
+                  replace(m24, params={"kind": "restricted", "base": fig_map.params, "M_r": 24})):
         with pytest.raises(ValueError):
             params_of(other)
 
@@ -229,6 +230,25 @@ def test_optimizer_class_restriction_never_beats_unrestricted():
 def test_optimize_infeasible():
     with pytest.raises(InfeasibleError):
         optimize_generators(12, (2, 3))  # block size 5 does not divide 12
+    with pytest.raises(InfeasibleError, match="no valid braid parameterization for M=2"):
+        optimize_generators(2, (1, 1))  # M / m = 1 leaves no g >= 2
+
+
+P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
+
+
+@pytest.mark.parametrize("params, gens, error, message", [
+    (BraidParams1D(M=30, parts=(1, 1), g=2, c=(1, 1), q=(2, 3)), None, InfeasibleError,
+     r"M=30 != m\*g\*lcm\(q\) = 24"),
+    (P24, [identity_generator(4, 1)], ValueError, "expected 2 generators"),
+    (P24, [identity_generator(6, 1), identity_generator(4, 1)], ValueError,
+     r"generator 0 is \(6,1\), need \(4,1\)"),
+    (P24, [GeneratorCode(4, 1, (0, 0, 1, 2), ("a", "b", "c")), identity_generator(6, 1)],
+     ValueError, "generator 0 is not 1-distinguishable"),
+], ids=["invalid-params", "generator-count", "generator-size", "not-distinguishable"])
+def test_construct_refuses_params_and_generators_that_do_not_fit(params, gens, error, message):
+    with pytest.raises(error, match=message):
+        construct(params, gens)
 
 
 def test_constructed_color_count_matches_optimizer():
@@ -280,9 +300,18 @@ def test_modify_requires_a_standard_unitary_braid_map(m24, fig_map, example_sets
             modify_general_size(cmap, 20)
 
 
+def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
+    # colors that contradict the params: aligned blocks 0 and 9 carry the same colors
+    colors = list(m24.colors)
+    colors[18:20] = colors[0:2]
+    with pytest.raises(InfeasibleError, match="aligned blocks 0 and J-1 share all colors"):
+        modify_general_size(replace(m24, colors=tuple(colors)), 20)
+
+
 def test_restrict_of_a_map_with_malformed_params_is_not_guaranteed(m24):
-    # a base that is not a dict raised AttributeError
-    for params in ({"kind": "restricted", "base": [1], "M_r": 24, "guaranteed": True}, [1]):
+    # a base that is not a dict raised AttributeError; the last two KeyError and TypeError
+    for params in ({"kind": "restricted", "base": [1], "M_r": 24, "guaranteed": True}, [1],
+                   {"kind": "braid1d"}, {**m24.params, "parts": 5}):
         r = restrict(replace(m24, params=params), 19)
         assert r.params["guaranteed"] is False and r.params["base"] == params
 

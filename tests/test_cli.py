@@ -429,8 +429,7 @@ def test_each_command_loads_only_the_modules_it_runs(m24_path, fig_map, tmp_path
     assert proc.returncode == code, proc.stderr
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["sympy"] is False  # the package has no sympy dependency
-    if argv[0] in ("encode", "decode", "verify"):
-        assert report["stdlib"] == []  # the calls a tracker makes most pay for none of them
+    assert report["stdlib"] == []  # no command pays for them, construct and optimize included
     modules = set(report["modules"])
     if loaded is not None:
         assert modules == loaded

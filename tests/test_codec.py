@@ -394,6 +394,27 @@ def test_extension_to_the_full_size_decodes_like_the_standard_map(fig_map):
         assert decode_nd(ext, encode(ext, x)) == decode_nd(fig_map, encode(fig_map, x))
 
 
+_MODIFY = functools.partial(modify_general_size, M_r=20)
+_EXTEND = functools.partial(extend_arbitrary_size, L=(12, 20))
+
+
+@pytest.mark.parametrize("call, base, edit", [
+    (_MODIFY, "m24", lambda params: {"kind": "braid1d"}),
+    (_MODIFY, "m24", lambda params: {"kind": "restricted", "base": [1], "M_r": 24}),
+    (_MODIFY, "m24", lambda params: {**params, "gens": [{"ell": 6}] * 2}),
+    (_EXTEND, "fig", lambda params: {"kind": "unitary-braid-nd"}),
+    (_EXTEND, "fig", lambda params: {**params, "q": [1]}),
+    (_EXTEND, "fig", lambda params: {**params, "m": 3}),
+    (associated_matrix, "m24", lambda params: {**params, "gens": 3}),
+], ids=["modify-no-fields", "modify-base-list", "modify-gens-no-m", "extend-no-fields",
+        "extend-q-list", "extend-m-int", "associated-matrix-gens-int"])
+def test_library_calls_refuse_malformed_params_as_a_decode_does(m24, fig_map, call, base, edit):
+    # each raised KeyError, AttributeError or TypeError
+    cmap = {"m24": m24, "fig": fig_map}[base]
+    with pytest.raises(ValueError, match="malformed map params"):
+        call(replace(cmap, params=edit(cmap.params)))
+
+
 def test_malformed_params_raise_value_error(m24):
     bad = ColorMap(m24.grid, m24.block, m24.colors, m24.palette, params={**m24.params, "q": "ab"})
     with pytest.raises(ValueError, match="malformed map params") as info:
