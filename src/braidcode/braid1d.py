@@ -22,6 +22,7 @@ from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _class_colors, params_of, validate  # noqa: F401  re-exported
+from .params import UnitaryBraidParamsND, _check_colors, read
 
 
 class InfeasibleError(ValueError):
@@ -92,14 +93,23 @@ class OptimizeResult:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """The divisors of n, ascending, by trial division up to sqrt(n); none for n < 1."""
+    small, large = [], []
+    for d in range(1, math.isqrt(max(n, 0)) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
 
 
-def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
-    """All valid (g, c, q) for the given grid size and parts.
+def _choices(M: int, parts: tuple[int, ...], klass: str, score):
+    """Yield (g, q, options) for every shared factor g and q-vector of a
+    valid braid parameterization, in ``enumerate_params`` order.
 
-    ``klass`` restricts to class-1 (c_i = m_i) or class-2 (c_i = 1) codes.
+    ``options[i]`` lists part i's (score(m_i, ell_i), ell_i, c_i), c_i
+    ascending; each pick of one option per part is a valid (g, c, q), so no
+    params record is built per candidate.
     """
     if not parts or any(m_i < 1 for m_i in parts):
         raise ValueError(f"parts must be positive, got {parts}")
@@ -107,19 +117,26 @@ def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
     if M % m != 0:
         raise InfeasibleError(f"block size {m} must divide M={M}")
     N = M // m
-    for g in _divisors(N):
-        if g < 2:
-            continue
+    divs = _divisors(N)
+    for g in divs[1:]:
         Q = N // g
-        qdivs = _divisors(Q)
-        c_opts = {(m_i, q_i): _c_options(m_i, g, q_i, klass, len(parts) == 1)
-                  for m_i in set(parts) for q_i in qdivs}
+        qdivs = [d for d in divs if Q % d == 0]  # ascending, as _divisors(Q)
+        options = {(m_i, q_i): [(score(m_i, g * c_i * q_i), g * c_i * q_i, c_i)
+                                for c_i in _c_options(m_i, g, q_i, klass, len(parts) == 1)]
+                   for m_i in set(parts) for q_i in qdivs}
         for q in itertools.product(qdivs, repeat=len(parts)):
-            if math.lcm(*q) != Q:
-                continue
-            c_choices = [c_opts[m_i, q_i] for m_i, q_i in zip(parts, q)]
-            for c in itertools.product(*c_choices):
-                yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
+            if math.lcm(*q) == Q:
+                yield g, q, [options[pair] for pair in zip(parts, q)]
+
+
+def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
+    """All valid (g, c, q) for the given grid size and parts.
+
+    ``klass`` restricts to class-1 (c_i = m_i) or class-2 (c_i = 1) codes.
+    """
+    for g, q, options in _choices(M, parts, klass, lambda m_i, ell: None):
+        for choice in itertools.product(*options):
+            yield BraidParams1D(M=M, parts=parts, g=g, c=tuple(c_i for _, _, c_i in choice), q=q)
 
 
 def _c_options(m_i: int, g: int, q_i: int, klass: str, single: bool) -> list[int]:
@@ -145,22 +162,24 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 
     Cost is the sum of the fewest-color counts for each (ell_i, m_i);
     ties break toward lexicographically smallest (ell-list, g).  The
-    result is exact when every part is at most 3.
+    result is exact when every part is at most 3.  Candidates are scored
+    as tuples; one params record is built, for the winner.
     """
     parts = tuple(parts)
     fewest = functools.cache(min_colors)  # few distinct (m_i, ell) pairs recur
     best = None
-    for params in enumerate_params(M, parts, klass):
-        mcs = [fewest(m_i, ell) for m_i, ell in zip(params.parts, params.ells)]
-        cost = sum(mc.k for mc in mcs)
-        exact = all(mc.exact for mc in mcs)
-        key = (cost, params.ells, params.g)
-        if best is None or key < best[0]:
-            best = (key, params, tuple(mc.k for mc in mcs), exact)
+    for g, q, options in _choices(M, parts, klass, lambda m_i, ell: fewest(m_i, ell).k):
+        for choice in itertools.product(*options):
+            scores, ells, c = zip(*choice)
+            key = (sum(scores), ells, g)
+            if best is None or key < best[0]:
+                best = (key, c, q)
     if best is None:
         raise InfeasibleError(f"no valid braid parameterization for M={M}, parts={parts}")
-    _, params, costs, exact = best
-    return OptimizeResult(params=params, cost=sum(costs), costs=costs, exact=exact)
+    (cost, ells, g), c, q = best
+    mcs = [fewest(m_i, ell) for m_i, ell in zip(parts, ells)]
+    return OptimizeResult(params=BraidParams1D(M=M, parts=parts, g=g, c=c, q=q), cost=cost,
+                          costs=tuple(mc.k for mc in mcs), exact=all(mc.exact for mc in mcs))
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +191,26 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
 
     Distinguishability is guaranteed when ``params_of`` reads a unitary
     braid map or a restriction of one (window (0, 0)) and the block size
-    does not divide M_r; otherwise check the result with the oracle.
+    does not divide M_r; otherwise check the result with the oracle.  An
+    n-dim braid map, even on one axis, is refused: ``extend_arbitrary_size``
+    cuts those.
     """
+    try:
+        stored = read(cmap)
+    except ValueError:
+        stored = None  # a hand-made map, or params read refuses
+    if isinstance(stored, UnitaryBraidParamsND):
+        raise ValueError("restrict cuts 1D braid maps; cut an n-dim braid map with "
+                         "extend_arbitrary_size")
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]
     if not m < M_r < M:
         raise ValueError(f"need m < M_r < M, got M_r={M_r}")
-    try:
-        params, _, *window = params_of(cmap)
-        guaranteed = window == [0, 0] and params.unitary and M_r % m != 0
-    except ValueError:
+    if stored is None:
         guaranteed = False
+    else:
+        params, _, *window = stored
+        guaranteed = window == [0, 0] and params.unitary and M_r % m != 0
     return ColorMap(
         grid=GridSpec((M_r,)),
         block=cmap.block,
@@ -199,14 +227,17 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     0, restricts to M_r, then overwrites the last m-1 points with the
     color of the last aligned point (or a globally fresh color when
     ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
-    the overwritten run; the decoder reads them into its seam table.
+    the overwritten run; the decoder reads them into its seam table.  A
+    map whose colors contradict its generators raises ValueError, as its
+    decode would.
     """
-    params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
+    params, gens, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
     if cmap.grid.dims != (params.M,) or window != [0, 0] or not params.unitary:
         raise ValueError("modification requires a standard unitary braid map")
     M, m = params.M, params.m
     if M_r % m != 0 or not 2 * m <= M_r < M:
         raise ValueError(f"need M_r = J*m with 2 <= J and M_r < M, got {M_r}")
+    _check_colors(cmap, params, gens, 0, 0)
     J = M_r // m
     shift = None
     for j in range(m):

@@ -31,7 +31,7 @@ from collections import Counter
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read
-from .params import _base_colors, _class_colors, _subgrid_layout
+from .params import _base_colors, _check_colors, _subgrid_layout
 
 
 class AmbiguousDecode(ValueError):
@@ -272,36 +272,6 @@ def _window_table(gen: dict) -> dict[Codeword, int]:
     """Sub-codeword -> start position, over one generator period."""
     ell, m_i, colors = gen["ell"], gen["m"], gen["colors"]
     return {canonical(colors[(x + t) % ell] for t in range(m_i)): x for x in range(ell)}
-
-
-def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail: int) -> None:
-    """Raise ValueError unless the map agrees with the generators it decodes on.
-
-    Every point x but the last ``tail`` must carry the color the
-    generators give to point y = x + shift of the standard map
-    (``params._class_colors``); a decoder trusting contradicting
-    generators decodes wrong; ``params.read`` has checked the generators
-    themselves (one per part, one period of ints each).  Each residue
-    class mod m is compared in one C-level tuple comparison, so no copy of
-    the whole map is held; only a class that differs is searched for its
-    first bad point.
-    """
-    m = params.m
-    if cmap.block.dims != (m,):
-        raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
-    n = len(cmap.colors) - tail
-    bad = []
-    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], shift, n):
-        got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
-        if got != want:
-            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
-            bad.append((x0 + k * m, want[k]))
-    if bad:
-        x, expected = min(bad)
-        raise ValueError(
-            f"map contradicts its generators: point {x} has color {cmap.colors[x]}, "
-            f"they give {expected}"
-        )
 
 
 def _decide(dec, w: Codeword):

@@ -366,12 +366,18 @@ _VERSION = 1
 
 
 def to_json(cmap: ColorMap) -> str:
-    """Serialize a ColorMap to the fixed-field-order JSON document."""
-    doc = {
+    """Serialize a ColorMap to the fixed-field-order JSON document, byte for
+    byte as ``json.dumps`` of it, the color array joined from one string per
+    distinct id.  An id that is not an int raises the ValueError ``from_json``
+    gives, unless it equals an int id met before it, whose text it takes."""
+    head = json.dumps({
         "version": _VERSION,
         "grid": {"M": list(cmap.grid.dims), "cyclic": cmap.grid.cyclic},
         "block": {"m": list(cmap.block.dims)},
-        "colors": list(cmap.colors),
+    })
+    ids = int_tuple(set(cmap.colors), "color ids")
+    text = dict(zip(ids, map(str, ids)))
+    tail = json.dumps({
         "palette": [
             {
                 "id": e.id,
@@ -382,8 +388,8 @@ def to_json(cmap: ColorMap) -> str:
             for e in cmap.palette
         ],
         "params": cmap.params,
-    }
-    return json.dumps(doc)
+    })
+    return f'{head[:-1]}, "colors": [{", ".join(map(text.__getitem__, cmap.colors))}], {tail[1:]}'
 
 
 def from_json(text: str) -> ColorMap:

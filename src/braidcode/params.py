@@ -7,7 +7,9 @@ of its family, which checks every field once and refuses what it cannot
 read with ValueError.  ``params_of`` and ``params_of_nd`` read one
 family.  ``_class_colors`` and ``_base_colors`` give the colors those
 params imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd``
-write them, and the decoder proves a map against them.
+write them, and the decoder proves a map against them; ``_check_colors``
+is that proof for a 1D map, which ``braid1d.modify_general_size`` makes
+too before it cuts one.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -131,6 +133,36 @@ def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
             count = len(range(x0, n, m))
             one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
             yield x0, (one * (count // period + 1))[:count]
+
+
+def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail: int) -> None:
+    """Raise ValueError unless the map agrees with the generators it decodes on.
+
+    Every point x but the last ``tail`` must carry the color the
+    generators give to point y = x + shift of the standard map
+    (``_class_colors``); a decoder trusting contradicting
+    generators decodes wrong; ``read`` has checked the generators
+    themselves (one per part, one period of ints each).  Each residue
+    class mod m is compared in one C-level tuple comparison, so no copy of
+    the whole map is held; only a class that differs is searched for its
+    first bad point.
+    """
+    m = params.m
+    if cmap.block.dims != (m,):
+        raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
+    n = len(cmap.colors) - tail
+    bad = []
+    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], shift, n):
+        got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
+        if got != want:
+            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+            bad.append((x0 + k * m, want[k]))
+    if bad:
+        x, expected = min(bad)
+        raise ValueError(
+            f"map contradicts its generators: point {x} has color {cmap.colors[x]}, "
+            f"they give {expected}"
+        )
 
 
 def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int, int]:

@@ -12,6 +12,7 @@ from braidcode import encode, to_json
 from braidcode.braid1d import (
     BraidParams1D,
     InfeasibleError,
+    _divisors as trial_divisors,
     construct,
     enumerate_params,
     modify_general_size,
@@ -20,8 +21,10 @@ from braidcode.braid1d import (
     restrict,
     validate,
 )
+from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd
 from braidcode.core import ColorMap, GridSpec, replace
-from braidcode.generators import GeneratorCode, find_generator, identity_generator
+from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
+from braidcode.params import _class_colors
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
 
@@ -227,6 +230,88 @@ def test_optimizer_class_restriction_never_beats_unrestricted():
     assert best125.cost < optimize_generators(125, (2, 3), klass="1").cost
 
 
+def reference_enumerate(M, parts, klass="auto"):
+    """``enumerate_params`` as it was before the optimizer scored tuples:
+    each divisor list scanned anew, one params record per candidate."""
+    if not parts or any(m_i < 1 for m_i in parts):
+        raise ValueError(f"parts must be positive, got {parts}")
+    m = sum(parts)
+    if M % m != 0:
+        raise InfeasibleError(f"block size {m} must divide M={M}")
+    N = M // m
+    for g in _divisors(N)[1:]:
+        Q = N // g
+        for q in itertools.product(_divisors(Q), repeat=len(parts)):
+            if math.lcm(*q) != Q:
+                continue
+            c_choices = [[c_i for c_i in _divisors(m_i)
+                          if (klass != "1" or c_i == m_i) and (klass != "2" or c_i == 1)
+                          and (len(parts) > 1 or c_i == m_i) and g * c_i > m_i
+                          and math.gcd(m_i, g * c_i * q_i) == c_i]
+                         for m_i, q_i in zip(parts, q)]
+            for c in itertools.product(*c_choices):
+                yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
+
+
+_fewest = functools.cache(min_colors)
+
+
+def reference_optimize(M, parts, klass="auto"):
+    """``optimize_generators`` as it was before it scored tuples: every
+    candidate a params record, keyed by (cost, ells, g), the first kept."""
+    parts = tuple(parts)
+    best = None
+    for params in reference_enumerate(M, parts, klass):
+        mcs = [_fewest(m_i, ell) for m_i, ell in zip(params.parts, params.ells)]
+        key = (sum(mc.k for mc in mcs), params.ells, params.g)
+        if best is None or key < best[0]:
+            best = (key, params, tuple(mc.k for mc in mcs), all(mc.exact for mc in mcs))
+    if best is None:
+        raise InfeasibleError(f"no valid braid parameterization for M={M}, parts={parts}")
+    _, params, costs, exact = best
+    return params, sum(costs), costs, exact
+
+
+def _outcome(run, *args):
+    """What a call gives: its result, or its error's class and text."""
+    try:
+        return run(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _optimized(M, parts, klass):
+    res = optimize_generators(M, parts, klass)
+    return res.params, res.cost, res.costs, res.exact
+
+
+def _enumerated(enumerate_, M, parts, klass):
+    return [(p.g, p.c, p.q) for p in enumerate_(M, parts, klass)]
+
+
+def test_divisors_match_the_scan():
+    for n in range(-2, 5001):
+        assert trial_divisors(n) == _divisors(n), n
+
+
+@pytest.mark.parametrize("klass", ["auto", "1", "2"])
+@pytest.mark.parametrize("parts", [(1,), (1, 1), (2, 3), (1, 2), (1, 1, 1), (2, 2)])
+def test_optimizer_and_enumeration_match_the_record_scoring(parts, klass):
+    for M in range(2, 301):
+        assert _outcome(_optimized, M, parts, klass) == _outcome(reference_optimize, M, parts, klass), M
+        assert (_outcome(_enumerated, enumerate_params, M, parts, klass)
+                == _outcome(_enumerated, reference_enumerate, M, parts, klass)), M
+
+
+@pytest.mark.parametrize("M, parts", [(4620, (1, 1)), (4620, (2, 3)), (6006, (1, 1, 1)),
+                                      (41612, (1, 1)), (41612, (2, 2)), (4088468, (1, 1))])
+def test_optimizer_matches_the_record_scoring_on_large_grids(M, parts):
+    for klass in ("auto", "1", "2"):
+        assert _optimized(M, parts, klass) == reference_optimize(M, parts, klass)
+        assert (_enumerated(enumerate_params, M, parts, klass)
+                == _enumerated(reference_enumerate, M, parts, klass))
+
+
 def test_optimize_infeasible():
     with pytest.raises(InfeasibleError):
         optimize_generators(12, (2, 3))  # block size 5 does not divide 12
@@ -301,11 +386,41 @@ def test_modify_requires_a_standard_unitary_braid_map(m24, fig_map, example_sets
 
 
 def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
-    # colors that contradict the params: aligned blocks 0 and 9 carry the same colors
+    # colors that contradict the params are refused before any shift is sought
     colors = list(m24.colors)
     colors[18:20] = colors[0:2]
-    with pytest.raises(InfeasibleError, match="aligned blocks 0 and J-1 share all colors"):
+    with pytest.raises(ValueError, match="^map contradicts its generators: point 18 has color 0, "
+                                         "they give 1$"):
         modify_general_size(replace(m24, colors=tuple(colors)), 20)
+    # colors that agree with generators that are not 1-distinguishable: aligned
+    # blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all equal
+    params, gens, _, _ = params_of(m24)
+    gens = [dict(gens[0], colors=[0, 0, 1, 2]), dict(gens[1], colors=[4, 5, 6, 4, 7, 8])]
+    colors = [0] * 24
+    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], 0, 24):
+        colors[x0::2] = want
+    cmap = replace(m24, colors=tuple(colors), params=dict(m24.params, gens=gens))
+    with pytest.raises(InfeasibleError, match="aligned blocks 0 and J-1 share all colors"):
+        modify_general_size(cmap, 20)
+
+
+def test_modify_refuses_a_map_that_contradicts_its_generators(m24):
+    colors = list(m24.colors)
+    colors[5] = colors[7]
+    with pytest.raises(ValueError, match="^map contradicts its generators: point 5 has color 7, "
+                                         "they give 6$"):
+        modify_general_size(replace(m24, colors=tuple(colors)), 20)
+
+
+def test_restrict_refuses_an_n_dim_braid_map(fig_map):
+    line = construct_unitary_nd(UnitaryBraidParamsND(m=(2,), g=2, qtable={(0,): (2,), (1,): (3,)}))
+    assert line.grid.dims == (24,)
+    for cmap in (line, fig_map):
+        with pytest.raises(ValueError, match="^restrict cuts 1D braid maps; cut an n-dim braid "
+                                             "map with extend_arbitrary_size$"):
+            restrict(cmap, 19)
+    # a hand-made map of the same colors still restricts, with no guarantee
+    assert restrict(replace(line, params=None), 19).params["guaranteed"] is False
 
 
 def test_restrict_of_a_map_with_malformed_params_is_not_guaranteed(m24):

@@ -26,7 +26,6 @@ from braidcode.codec import (
     DecodeResultND,
     NotACodeword,
     _Router,
-    _check_colors,
     associated_matrix,
     b_matrix,
     compile_decoder,
@@ -41,6 +40,7 @@ from braidcode.codec import (
     parse_codeword,
     qhat,
 )
+from braidcode.params import _check_colors
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +914,7 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24, fig_map
 
 
 def reference_check_colors(cmap, params, gens, shift, tail):
-    """``codec._check_colors`` as it was before it tiled one generator
+    """``params._check_colors`` as it was before it tiled one generator
     period per residue class: every point compared in a Python loop."""
     m = params.m
     if len(gens) != params.I:

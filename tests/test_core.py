@@ -5,19 +5,25 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidcode import (
     BlockSpec,
+    ColorMap,
     GridSpec,
     OutOfCodingAreaError,
     block_points,
+    braid1d,
     canonical,
     coding_area,
     coding_area_size,
     decode,
     encode,
+    extend_arbitrary_size,
     from_json,
+    modify_general_size,
+    product,
+    restrict,
     to_json,
 )
 from braidcode.core import PaletteEntry, asdict, replace
@@ -113,7 +119,70 @@ def test_json_round_trip(m24, fig_map):
         assert back.params == cmap.params
 
 
+def reference_to_json(cmap):
+    """``to_json`` as it was before it joined the colors from a table:
+    ``json.dumps`` of the whole document."""
+    return json.dumps({
+        "version": 1,
+        "grid": {"M": list(cmap.grid.dims), "cyclic": cmap.grid.cyclic},
+        "block": {"m": list(cmap.block.dims)},
+        "colors": list(cmap.colors),
+        "palette": [{"id": e.id,
+                     "subgrid": list(e.subgrid) if e.subgrid is not None else None,
+                     "factors": list(e.factors) if e.factors is not None else None,
+                     "label": e.label} for e in cmap.palette],
+        "params": cmap.params,
+    })
+
+
+def test_to_json_writes_what_json_dumps_writes_on_every_kind(m24, fig_map, example_sets):
+    m4620 = braid1d.construct(braid1d.BraidParams1D(M=4620, parts=(1, 1), g=2, c=(1, 1), q=(15, 77)))
+    maps = [m24, braid1d.construct(example_sets[1]), m4620, restrict(m24, 19),
+            restrict(m4620, 4001), modify_general_size(m24, 20, fresh=True),
+            modify_general_size(m4620, 4000), fig_map, extend_arbitrary_size(fig_map, (22, 23)),
+            product([m24, m24]), replace(m24, params=None)]
+    kinds = {(cmap.params or {}).get("kind") for cmap in maps}
+    assert kinds == {"braid1d", "restricted", "modified", "unitary-braid-nd", "extended-nd",
+                     "product", None}
+    for cmap in maps:
+        assert to_json(cmap) == reference_to_json(cmap)
+
+
+_ID = st.integers(-2**70, 2**70) | st.integers(2**63, 2**64 + 5)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_to_json_of_hand_made_maps_is_what_json_dumps_writes(data):
+    ids = data.draw(st.lists(_ID, min_size=1, max_size=8, unique=True), label="ids")
+    M = data.draw(st.integers(1, 40), label="M")
+    m = data.draw(st.integers(1, M), label="m")
+    colors = data.draw(st.lists(st.sampled_from(ids), min_size=M, max_size=M), label="colors")
+    palette = tuple(PaletteEntry(id=i, label=data.draw(st.text(max_size=6), label="label"))
+                    for i in ids)
+    params = data.draw(st.none() | st.fixed_dictionaries({"note": st.text(max_size=6)}))
+    cmap = ColorMap(GridSpec((M,)), BlockSpec((m,)), tuple(colors), palette, params)
+    text = to_json(cmap)
+    assert text == reference_to_json(cmap)
+    assert from_json(text) == cmap
+
+
 NOT_INTS = [4.0, True, False, 1e300, math.inf, -math.inf, math.nan, "4", None]
+
+
+@pytest.mark.parametrize("value", [*NOT_INTS, 4.5], ids=map(json.dumps, [*NOT_INTS, 4.5]))
+def test_to_json_refuses_ids_that_are_not_ints(value):
+    # the id from_json would refuse, in the text from_json gives, not a file it refuses
+    cmap = ColorMap(GridSpec((3,)), BlockSpec((1,)), (2, value, 2),
+                    (PaletteEntry(id=2), PaletteEntry(id=value)))
+    message = f"color ids must be integers, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        to_json(cmap)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_json(reference_to_json(cmap))
+    # one equal to an int id met before it is written as that int, and reads back equal
+    same = ColorMap(GridSpec((2,)), BlockSpec((1,)), (1, True), (PaletteEntry(id=1),))
+    assert json.loads(to_json(same))["colors"] == [1, 1] and from_json(to_json(same)) == same
 
 
 @pytest.mark.parametrize("value", NOT_INTS, ids=map(json.dumps, NOT_INTS))
