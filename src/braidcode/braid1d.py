@@ -21,8 +21,8 @@ import math
 from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record
 from .generators import GeneratorCode, find_generator, min_colors
-from .params import BraidParams1D, _class_colors, params_of, validate  # noqa: F401  re-exported
-from .params import UnitaryBraidParamsND, _check_colors, read
+from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
+from .params import is_nd_kind
 
 
 class InfeasibleError(ValueError):
@@ -34,10 +34,10 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
 
     Generator i must be an m_i-distinguishable code on G^c_{ell_i}; ids
     are shifted so sub-grid palettes are disjoint, sub-grid 0 first.
-    When ``gens`` is None, generators are chosen automatically.  Each
-    residue class is written by ``_class_colors``, the rule the decoder
-    proves maps against; ``sunmao.synthesize`` is its reference.  The
-    params it stores are read back by ``params_of`` alone.
+    When ``gens`` is None, generators are chosen automatically.  The
+    colors are ``_colors_1d``'s, the rule ``params_of`` proves a map
+    against; ``sunmao.synthesize`` is its reference.  The params it stores
+    are read back by ``params_of`` alone.
     """
     errs = validate(params)
     if errs:
@@ -60,13 +60,10 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         gen_colors.append(period.colors)
         palette += period.palette
         offset += max(gen.colors) + 1
-    colors = [0] * params.M
-    for x0, want in _class_colors(params, gen_colors, 0, params.M):
-        colors[x0::params.m] = want
     return ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),
-        colors=tuple(colors),
+        colors=tuple(_colors_1d(params, gen_colors, 0, params.M)),
         palette=tuple(palette),
         params={
             "kind": "braid1d",
@@ -189,19 +186,18 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     """Restrict a 1D map to the first M_r points of its grid, kept cyclic.
 
-    Distinguishability is guaranteed when ``params_of`` reads a unitary
-    braid map or a restriction of one (window (0, 0)) and the block size
-    does not divide M_r; otherwise check the result with the oracle.  An
-    n-dim braid map, even on one axis, is refused: ``extend_arbitrary_size``
-    cuts those.
-    """
-    try:
-        stored = read(cmap)
-    except ValueError:
-        stored = None  # a hand-made map, or params read refuses
-    if isinstance(stored, UnitaryBraidParamsND):
+    Distinguishability is guaranteed when ``params_of`` reads (and so
+    proves) a unitary braid map or a restriction of one (window (0, 0)) and
+    the block size does not divide M_r; otherwise check the result with the
+    oracle.  A map on more axes and an n-dim braid map, even on one axis and
+    whatever its colors, are refused: ``extend_arbitrary_size`` cuts those."""
+    if len(cmap.grid.dims) != 1 or is_nd_kind(cmap):
         raise ValueError("restrict cuts 1D braid maps; cut an n-dim braid map with "
                          "extend_arbitrary_size")
+    try:
+        stored = params_of(cmap)
+    except ValueError:
+        stored = None  # a hand-made map, malformed params, or colors that contradict them
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]
     if not m < M_r < M:
@@ -228,16 +224,15 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     color of the last aligned point (or a globally fresh color when
     ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
     the overwritten run; the decoder reads them into its seam table.  A
-    map whose colors contradict its generators raises ValueError, as its
-    decode would.
+    map whose colors contradict its generators raises ValueError in
+    ``params_of``, as its decode would.
     """
-    params, gens, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
+    params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
     if cmap.grid.dims != (params.M,) or window != [0, 0] or not params.unitary:
         raise ValueError("modification requires a standard unitary braid map")
     M, m = params.M, params.m
     if M_r % m != 0 or not 2 * m <= M_r < M:
         raise ValueError(f"need M_r = J*m with 2 <= J and M_r < M, got {M_r}")
-    _check_colors(cmap, params, gens, 0, 0)
     J = M_r // m
     shift = None
     for j in range(m):

@@ -117,7 +117,8 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     Per axis: plain restriction when m_i does not divide L_i (wrapped
     blocks may then collide, as on the 137x137 re-cut of the 140x140 map),
     otherwise the last aligned band of each boundary sub-grid (l; 0, ..., 0)
-    gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.
+    gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.  The colors
+    are cut from the map, which ``params_of_nd`` proves carries the params'.
     """
     params = params_of_nd(cmap)
     dims, m = params.dims, params.m
@@ -132,7 +133,10 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
 
     grid = GridSpec(L)
     layout = _subgrid_layout(params)
-    colors = _base_colors(params, layout, L)
+    colors = []  # the box x < L of the map, one last-axis run at a time
+    for prefix in itertools.product(*map(range, L[:-1])):
+        start = cmap.grid.index(prefix + (0,))
+        colors += cmap.colors[start:start + L[-1]]
     # The fresh band of axis i: its last aligned band x_i div m_i = L_i/m_i - 1
     # in the boundary sub-grids J with J_k = 0 for every other axis k.  A
     # point in the bands of several axes takes a fresh factor on each.

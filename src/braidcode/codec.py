@@ -16,7 +16,7 @@ tables, routing constants and CRT plans, seam table) is compiled once by
 and reads the params and colors, not the palette.
 
 A decode loads ``core``, ``params`` (the one reader of a map's kind and
-params, and the color rules it proves a map against) and this module,
+params, which refuses a map whose colors contradict them) and this module,
 and no construction module: ``braid1d``, ``braidnd``, ``generators``
 and ``sunmao`` stay unloaded.
 """
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read
-from .params import _base_colors, _check_colors, _subgrid_layout
+from .params import _subgrid_layout, _tail_starts
 
 
 class AmbiguousDecode(ValueError):
@@ -150,8 +149,8 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     """A[i][j] = label of the j-th aligned sub-block codeword of sub-grid i.
 
     Labels number distinct sub-grid codewords in order of first
-    appearance along j.  Derived from generator params only; a cut map
-    (or a cut of one) gives the matrix of the standard map it was cut from.
+    appearance along j.  Derived from generator params only (proven by
+    ``params_of``); a cut map gives the matrix of the standard map at its root.
     """
     params, gens, _, _ = params_of(cmap)
     cols = params.M // params.m
@@ -335,13 +334,12 @@ class _Braid:
     tables, router, seam table.
 
     A tag before the seam carries the block of the standard map at
-    tag + shift (the window ``_check_colors`` proves), so its codeword
+    tag + shift (the window ``params.read`` proves), so its codeword
     routes; blocks that wrap or cover the tail start at or past the seam.
     """
 
     def __init__(self, cmap: ColorMap, window: tuple[BraidParams1D, list[dict], int, int]):
         params, gens, self.shift, self.tail = window
-        _check_colors(cmap, params, gens, self.shift, self.tail)
         (L,) = cmap.grid.dims
         self.M, self.m, self.parts = params.M, params.m, params.parts
         self.seams = (None if L == params.M and not self.tail else L - params.m + 1 - self.tail,)
@@ -434,32 +432,22 @@ class _Axis:
 class _UnitaryND:
     """Each axis decodes independently from the codeword's projection.
 
-    Compiling proves that every point carries the color the params give,
+    ``params.read`` proves every point carries the color the params give,
     save in the tail (last m_i points) of each shortened axis, so a tag
     routed before the seam L_i - 2m_i + 1 needs no ``encode``.  Factors come
     from the params: a fresh color has none, and only the seam table reads it.
     """
 
     def __init__(self, cmap: ColorMap, params: UnitaryBraidParamsND):
-        if cmap.block.dims != params.m:
-            raise ValueError(f"block {cmap.block.dims} does not match the generators' {params.m}")
         dims = cmap.grid.dims
-        ends = tuple(None if L_i == M_i else L_i - m_i
-                     for L_i, M_i, m_i in zip(dims, params.dims, params.m))
-        layout = _subgrid_layout(params)
-        want = _base_colors(params, layout, dims)
-        for k in itertools.compress(itertools.count(), map(operator.ne, cmap.colors, want)):
-            x = cmap.grid.point(k)
-            if all(e is None or x_i < e for x_i, e in zip(x, ends)):
-                raise ValueError(f"map contradicts its params: point {x} has color "
-                                 f"{cmap.colors[k]}, they give {want[k]}")
         self.factors_of = {
             offset + k: (J, f)
-            for J, (offset, ells, _) in layout.items()
+            for J, (offset, ells, _) in _subgrid_layout(params).items()
             for k, f in enumerate(itertools.product(*map(range, ells)))
         }
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
-        self.seams = tuple(None if e is None else e - m_i + 1 for e, m_i in zip(ends, params.m))
+        self.seams = tuple(None if e == L else e - m_i + 1
+                           for e, L, m_i in zip(_tail_starts(params, dims), dims, params.m))
         self.table = _seam_table(cmap, self.seams)
 
     def seam_result(self, x: Point) -> DecodeResultND:

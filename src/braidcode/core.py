@@ -368,14 +368,16 @@ _VERSION = 1
 def to_json(cmap: ColorMap) -> str:
     """Serialize a ColorMap to the fixed-field-order JSON document, byte for
     byte as ``json.dumps`` of it, the color array joined from one string per
-    distinct id.  An id that is not an int raises the ValueError ``from_json``
-    gives, unless it equals an int id met before it, whose text it takes."""
+    distinct id.  A color id that is not an int raises the ValueError
+    ``from_json`` gives, unless it equals an int id met before it, whose
+    text it takes; a palette id that is not an int raises it always."""
     head = json.dumps({
         "version": _VERSION,
         "grid": {"M": list(cmap.grid.dims), "cyclic": cmap.grid.cyclic},
         "block": {"m": list(cmap.block.dims)},
     })
     ids = int_tuple(set(cmap.colors), "color ids")
+    int_tuple([e.id for e in cmap.palette], "palette ids")
     text = dict(zip(ids, map(str, ids)))
     tail = json.dumps({
         "palette": [

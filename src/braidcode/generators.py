@@ -6,8 +6,8 @@ larger cyclic grid whose size it divides gives a repetitive code, the raw
 material for braid constructions.
 
 Closed forms for the largest cyclic grid admitting an m-distinguishable
-code with k colors are known for m <= 3; beyond that we fall back to
-bounded exhaustive search.
+code with k colors are known for m <= 3; beyond that ``find_generator``
+builds the identity generator.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ MinColors = collections.namedtuple("MinColors", "k exact")
 def min_colors(m: int, ell: int) -> MinColors:
     """Fewest colors of an m-distinguishable code on G^c_ell.
 
-    Exact (by inverting the closed forms) for m <= 3; for larger m a
-    search-based upper bound is returned with ``exact=False``.
+    Exact (by inverting the closed forms) for m <= 3; for larger m the
+    ell colors of the identity generator ``find_generator`` builds there,
+    with ``exact=False``, so the optimizer's cost is what gets built.
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
@@ -65,14 +66,7 @@ def min_colors(m: int, ell: int) -> MinColors:
         # max_cyclic_length(m, .) is increasing and reaches ell by k = ell
         k = bisect.bisect_left(range(1, ell + 1), ell, key=lambda k: max_cyclic_length(m, k)) + 1
         return MinColors(k, True)
-    # crude search for an upper bound: try growing k until a code is found
-    for k in range(1, ell + 1):
-        res = search_distinguishable(ell, m, k, budget=200_000)
-        if res.status is SearchStatus.FOUND:
-            return MinColors(k, False)
-        if res.status is SearchStatus.INCONCLUSIVE:
-            break
-    return MinColors(ell, False)  # identity coloring always works
+    return MinColors(ell, False)
 
 
 @record

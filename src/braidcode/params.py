@@ -5,11 +5,11 @@ A map file keeps the params its construction was built from.  ``read``
 is the one place a map's kind is read: one table sends it to the reader
 of its family, which checks every field once and refuses what it cannot
 read with ValueError.  ``params_of`` and ``params_of_nd`` read one
-family.  ``_class_colors`` and ``_base_colors`` give the colors those
-params imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd``
-write them, and the decoder proves a map against them; ``_check_colors``
-is that proof for a 1D map, which ``braid1d.modify_general_size`` makes
-too before it cuts one.
+family.  ``_colors_1d`` and ``_base_colors`` give the colors those params
+imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
+them, and each reader proves the map against them with ``_prove``, so
+every caller (the decoder, the cuts, ``associated_matrix``) gets params
+the map's colors obey.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .core import ColorMap, GridSpec, int_tuple, record
 
@@ -113,9 +114,9 @@ def validate(params: BraidParams1D) -> list[str]:
     return errs
 
 
-def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
-    """Yield (x0, colors) per residue class x = x0 (mod m), 0 <= x < n:
-    point x carries the color the generators give to y = x + shift.
+def _colors_1d(params: BraidParams1D, gen_colors, shift: int, n: int) -> list[int]:
+    """The colors of points 0 <= x < n: point x carries the color the
+    generators give to y = x + shift of the standard map.
 
     Sub-grid i holds the classes y = d_i + r (mod m), r < m_i, and
     y = j*m + d_i + r has color gen_colors[i][(j*m_i + r) mod ell_i].
@@ -123,7 +124,8 @@ def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
     period is built and tiled, sharing one int object per color id.
     """
     m = params.m
-    for colors, d, m_i, ell in zip(
+    colors = [0] * n
+    for gen, d, m_i, ell in zip(
         gen_colors, itertools.accumulate(params.parts, initial=0), params.parts, params.ells
     ):
         period = ell // math.gcd(m_i, ell)
@@ -131,38 +133,29 @@ def _class_colors(params: BraidParams1D, gen_colors, shift: int, n: int):
             x0 = (d + r - shift) % m
             j0 = (x0 + shift) // m
             count = len(range(x0, n, m))
-            one = tuple(colors[((j0 + k) * m_i + r) % ell] for k in range(period))
-            yield x0, (one * (count // period + 1))[:count]
+            one = [gen[((j0 + k) * m_i + r) % ell] for k in range(period)]
+            tiled = one * (count // period)
+            tiled += one[:count % period]  # in place: no second copy of the class
+            colors[x0::m] = tiled
+    return colors
 
 
-def _check_colors(cmap: ColorMap, params: BraidParams1D, gens, shift: int, tail: int) -> None:
-    """Raise ValueError unless the map agrees with the generators it decodes on.
-
-    Every point x but the last ``tail`` must carry the color the
-    generators give to point y = x + shift of the standard map
-    (``_class_colors``); a decoder trusting contradicting
-    generators decodes wrong; ``read`` has checked the generators
-    themselves (one per part, one period of ints each).  Each residue
-    class mod m is compared in one C-level tuple comparison, so no copy of
-    the whole map is held; only a class that differs is searched for its
-    first bad point.
-    """
-    m = params.m
-    if cmap.block.dims != (m,):
-        raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
-    n = len(cmap.colors) - tail
-    bad = []
-    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], shift, n):
-        got = tuple(cmap.colors[x0:n:m])  # a list slice would never equal want
-        if got != want:
-            k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
-            bad.append((x0 + k * m, want[k]))
-    if bad:
-        x, expected = min(bad)
-        raise ValueError(
-            f"map contradicts its generators: point {x} has color {cmap.colors[x]}, "
-            f"they give {expected}"
-        )
+def _prove(cmap: ColorMap, m: tuple, want: list[int], ends: tuple, what: str, name) -> None:
+    """Raise ValueError unless the map has block ``m`` and each point before
+    ``ends[i]`` on every axis i carries the color ``want`` lists for it,
+    row-major.  When ``want`` lists just those points (a 1D window, a whole
+    n-D grid), one C-level list comparison proves them; else, or when it
+    fails, the first proven point x that differs is named by ``name(x)``."""
+    if cmap.block.dims != m:
+        raise ValueError(f"block {cmap.block.dims} does not match the generators' {m}")
+    colors, n = cmap.colors, len(want)
+    if n == math.prod(ends) and want == list(colors[:n]):
+        return
+    for k in itertools.compress(itertools.count(), map(operator.ne, colors, want)):
+        x = cmap.grid.point(k)
+        if all(x_i < e for x_i, e in zip(x, ends)):
+            raise ValueError(f"map contradicts its {what}: point {name(x)} "
+                             f"has color {colors[k]}, they give {want[k]}")
 
 
 def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int, int]:
@@ -196,7 +189,10 @@ def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int,
     errs = validate(params)  # the routing needs g > 1 and g*c_i > m_i
     if errs:
         raise ValueError("not braid params: " + "; ".join(errs))
-    return params, gens, shift, dims[0] - max(0, min(n, dims[0]))
+    n = max(0, min(n, dims[0]))
+    want = _colors_1d(params, [gen["colors"] for gen in gens], shift, n)
+    _prove(cmap, (params.m,), want, (n,), "generators", operator.itemgetter(0))
+    return params, gens, shift, dims[0] - n
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +316,15 @@ def _params_nd(cmap: ColorMap, p: dict) -> UnitaryBraidParamsND:
     if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
             or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):
         raise ValueError(f"grid {dims} does not fit the params' period M={params.dims}")
+    want = _base_colors(params, _subgrid_layout(params), dims)
+    _prove(cmap, params.m, want, _tail_starts(params, dims), "params", str)
     return params
+
+
+def _tail_starts(params: UnitaryBraidParamsND, dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Per axis, L_i on an axis as long as the period, else L_i - m_i: the
+    start of the tail (last m_i points) an extension may recolor."""
+    return tuple(L if L == M else L - m_i for L, M, m_i in zip(dims, params.dims, params.m))
 
 
 # map kind -> the reader of its family; _window_1d walks the cuts down to the braid map
@@ -332,7 +336,8 @@ _NOT_1D = "not a 1D braid map, nor a restriction or modification of one"
 def read(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int] | UnitaryBraidParamsND:
     """The checked params a map was built from: ``params_of`` of a 1D map or
     a cut of one, ``params_of_nd`` of an n-dim map or an extension.  Any
-    other kind, and params of the wrong shape, raise ValueError."""
+    other kind, params of the wrong shape and a map whose colors contradict
+    them raise ValueError."""
     return _read(cmap, None, None)
 
 
@@ -358,7 +363,8 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
     standard map it was cut from, on M = m * g * lcm(q) points (a cut map
     has fewer); only stored params are read, no map is rebuilt.  A field,
     the generators' and the cuts' included, that is not an int (19.5,
-    true), params ``validate`` refuses and any other map raise ValueError.
+    true), params ``validate`` refuses, a map with a point before the tail
+    that is not so colored, and any other map raise ValueError.
     """
     return _read(cmap, _window_1d, _NOT_1D)
 
@@ -367,6 +373,14 @@ def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
     """Parameters an n-dim unitary braid map, or an extension, was built from.
 
     The grid must fit their period M: equal to it on a standard map, no
-    longer on any axis of an extension.  Any other map raises ValueError.
+    longer on any axis of an extension; every point but the tail (last m_i
+    points) of a shortened axis carries the color they give.  Any other map
+    raises ValueError.
     """
     return _read(cmap, _params_nd, "not an n-dim unitary braid map")
+
+
+def is_nd_kind(cmap: ColorMap) -> bool:
+    """Whether the map's kind is an n-dim braid map's; nothing else is read."""
+    p = cmap.params
+    return isinstance(p, dict) and p.get("kind") in ("unitary-braid-nd", "extended-nd")

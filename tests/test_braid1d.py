@@ -24,7 +24,7 @@ from braidcode.braid1d import (
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd
 from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
-from braidcode.params import _class_colors
+from braidcode.params import _colors_1d
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
 
@@ -342,6 +342,17 @@ def test_constructed_color_count_matches_optimizer():
     assert count_colors(cmap) == best.cost == 8
 
 
+@pytest.mark.parametrize("M, parts, built", [
+    (40, (4, 1), 16), (120, (1, 4), 30), (60, (2, 4), 12), (80, (4,), 80),
+])
+def test_optimizer_cost_is_what_construct_builds_for_parts_of_four(M, parts, built):
+    # a part of 4 or more gets the identity generator: ell_i colors, not a searched count
+    best = optimize_generators(M, parts)
+    cmap = construct(best.params)
+    assert count_colors(cmap) == best.cost == built and not best.exact
+    assert is_distinguishable(cmap).ok
+
+
 def test_restrict_unitary_non_multiple_lengths(m24):
     for M_r in range(3, 24, 2):
         r = restrict(m24, M_r)
@@ -396,9 +407,7 @@ def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
     # blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all equal
     params, gens, _, _ = params_of(m24)
     gens = [dict(gens[0], colors=[0, 0, 1, 2]), dict(gens[1], colors=[4, 5, 6, 4, 7, 8])]
-    colors = [0] * 24
-    for x0, want in _class_colors(params, [gen["colors"] for gen in gens], 0, 24):
-        colors[x0::2] = want
+    colors = _colors_1d(params, [gen["colors"] for gen in gens], 0, 24)
     cmap = replace(m24, colors=tuple(colors), params=dict(m24.params, gens=gens))
     with pytest.raises(InfeasibleError, match="aligned blocks 0 and J-1 share all colors"):
         modify_general_size(cmap, 20)
@@ -415,7 +424,12 @@ def test_modify_refuses_a_map_that_contradicts_its_generators(m24):
 def test_restrict_refuses_an_n_dim_braid_map(fig_map):
     line = construct_unitary_nd(UnitaryBraidParamsND(m=(2,), g=2, qtable={(0,): (2,), (1,): (3,)}))
     assert line.grid.dims == (24,)
-    for cmap in (line, fig_map):
+    # whatever its colors: with point 5 given point 7's color the one-axis map was
+    # cut into a restricted map no decoder reads, and a hand-made 2D map raised
+    # "too many values to unpack"
+    bad = [replace(cmap, colors=cmap.colors[:5] + cmap.colors[7:8] + cmap.colors[6:])
+           for cmap in (line, fig_map)]
+    for cmap in (line, fig_map, *bad, replace(fig_map, params=None)):
         with pytest.raises(ValueError, match="^restrict cuts 1D braid maps; cut an n-dim braid "
                                              "map with extend_arbitrary_size$"):
             restrict(cmap, 19)

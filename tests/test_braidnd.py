@@ -76,6 +76,20 @@ def test_codewords_have_one_color_per_subgrid(fig_map):
         assert sorted(by_id[c] for c in w) == sorted(itertools.product((0, 1), (0, 1)))
 
 
+def test_product_of_no_maps_is_refused():
+    with pytest.raises(ValueError, match="^need at least one factor map$"):
+        product([])
+
+
+def test_project_refuses_a_color_without_factors(m24):
+    a = identity_generator(4, 2).to_colormap()
+    prod = product([a, a])  # factor tuples, but no sub-grid
+    for cmap in (m24, prod):
+        w = encode(cmap, (1,) * cmap.grid.n)
+        with pytest.raises(ValueError, match=f"^color {w[0]} has no factor structure$"):
+            project(cmap, w, 0)
+
+
 def test_projection_determines_each_axis(fig_map):
     """Axis projections of codewords are in bijection with the axis coordinate."""
     for axis in range(2):

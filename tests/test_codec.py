@@ -9,7 +9,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from braidcode import (
     braid1d, canonical, codec, coding_area, encode, from_json, is_distinguishable, to_json,
@@ -18,7 +18,9 @@ from braidcode.braid1d import (
     BraidParams1D, InfeasibleError, construct, modify_general_size, params_of, restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
-from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
+from braidcode.braidnd import (
+    UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size, params_of_nd,
+)
 from braidcode.codec import (
     AmbiguousDecode,
     AssociatedMatrix,
@@ -40,7 +42,6 @@ from braidcode.codec import (
     parse_codeword,
     qhat,
 )
-from braidcode.params import _check_colors
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +915,10 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24, fig_map
 
 
 def reference_check_colors(cmap, params, gens, shift, tail):
-    """``params._check_colors`` as it was before it tiled one generator
-    period per residue class: every point compared in a Python loop."""
+    """The 1D proof ``params_of`` makes, as it was before it tiled one
+    generator period per residue class: every point compared in a Python
+    loop, against the params and window read from the map before it was
+    recolored."""
     m = params.m
     if len(gens) != params.I:
         raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
@@ -945,13 +948,21 @@ def reference_check_colors(cmap, params, gens, shift, tail):
         )
 
 
-def _check_outcome(check, cmap):
-    """The message ``check`` raises on ``cmap``, or None when it passes."""
+def _check_outcome(check, *args):
+    """The message ``check(*args)`` raises, or None when it passes."""
     try:
-        check(cmap, *params_of(cmap))
+        check(*args)
     except ValueError as e:
         return str(e)
     return None
+
+
+def _both_outcomes(cmap, base):
+    """What ``params_of`` raises on ``cmap``, and what the reference loop
+    raises on it with the params of ``base``, the map before it was
+    recolored: ``params_of`` of ``cmap`` would raise before any check ran."""
+    return (_check_outcome(params_of, cmap),
+            _check_outcome(reference_check_colors, cmap, *params_of(base)))
 
 
 _MIXED_36 = BraidParams1D(M=36, parts=(2, 2), g=3, c=(2, 1), q=(1, 3))  # c_0 = m_0, c_1 = 1
@@ -997,8 +1008,7 @@ def _recolored(data, cmap, points):
 def test_check_maps_pass_both_checks_unchanged():
     for name in CHECK_MAPS:
         cmap = _check_map(name)
-        assert _check_outcome(_check_colors, cmap) is None, name
-        assert _check_outcome(reference_check_colors, cmap) is None, name
+        assert _both_outcomes(cmap, cmap) == (None, None), name
     assert _check_map("mixed-36").params["c"] == [2, 1]
     assert params_of(_check_map("mod-u36-27-shift"))[2:] == (1, 2)  # shift 1, tail m - 1
     assert params_of(_check_map("r-mod-u84-62-shift-51"))[2] == 1
@@ -1007,12 +1017,96 @@ def test_check_maps_pass_both_checks_unchanged():
 @settings(deadline=None, max_examples=300)
 @given(st.data())
 def test_check_colors_names_the_point_the_per_point_loop_names(data):
-    cmap = _recolored(data, _check_map(data.draw(st.sampled_from(sorted(CHECK_MAPS)))), 1)
-    assert _check_outcome(_check_colors, cmap) == _check_outcome(reference_check_colors, cmap)
+    base = _check_map(data.draw(st.sampled_from(sorted(CHECK_MAPS))))
+    proof, reference = _both_outcomes(_recolored(data, base, 1), base)
+    event("contradicts" if proof else "agrees")
+    assert proof == reference
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_check_colors_with_two_recolored_points_names_the_first(data):
-    cmap = _recolored(data, _check_map("mod-u36-27-shift"), 2)
-    assert _check_outcome(_check_colors, cmap) == _check_outcome(reference_check_colors, cmap)
+    base = _check_map("mod-u36-27-shift")
+    proof, reference = _both_outcomes(_recolored(data, base, 2), base)
+    event("contradicts" if proof else "agrees")
+    assert proof == reference
+
+
+def reference_check_nd(cmap, params):
+    """The n-D proof ``params_of_nd`` makes, point by point: every point but
+    those in the last m_i of a shortened axis must carry the color of the
+    same point of the standard map, built in full."""
+    if cmap.block.dims != params.m:
+        raise ValueError(f"block {cmap.block.dims} does not match the generators' {params.m}")
+    std = construct_unitary_nd(params)
+    for k, x in enumerate(cmap.grid.points()):
+        if all(x_i < L - m_i or L == M for x_i, L, M, m_i
+               in zip(x, cmap.grid.dims, params.dims, params.m)):
+            if cmap.colors[k] != std.color_at(x):
+                raise ValueError(f"map contradicts its params: point {x} has color "
+                                 f"{cmap.colors[k]}, they give {std.color_at(x)}")
+
+
+_QTABLE_12 = {(0, 0): (1, 3), (0, 1): (3, 1), (1, 0): (3, 1), (1, 1): (1, 3)}  # a 12x12 map
+
+# n-D maps: standard, an extension with fresh bands on both axes, and cuts
+# of one axis, with and without a fresh band.
+CHECK_MAPS_ND = {
+    "fig-24": _fig,
+    "std-12": lambda: construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=_QTABLE_12)),
+    "ext-12-20": lambda: extend_arbitrary_size(_fig(), (12, 20)),
+    "ext-13-24": lambda: extend_arbitrary_size(_fig(), (13, 24)),
+    "ext-24-10": lambda: extend_arbitrary_size(_fig(), (24, 10)),
+    "ext-12-24": lambda: extend_arbitrary_size(_fig(), (12, 24)),
+    "line-24-19": lambda: extend_arbitrary_size(construct_unitary_nd(
+        UnitaryBraidParamsND(m=(2,), g=2, qtable={(0,): (2,), (1,): (3,)})), (19,)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _check_map_nd(name):
+    return CHECK_MAPS_ND[name]()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_nd_proof_names_the_point_the_per_point_loop_names(data):
+    base = _check_map_nd(data.draw(st.sampled_from(sorted(CHECK_MAPS_ND))))
+    cmap = _recolored(data, base, data.draw(st.integers(0, 2)))
+    proof = _check_outcome(params_of_nd, cmap)
+    event("contradicts" if proof else "agrees")
+    assert proof == _check_outcome(reference_check_nd, cmap, params_of_nd(base))
+
+
+def _m24_with_colors_4_5_of_0_1(m24):
+    colors = list(m24.colors)
+    colors[4:6] = colors[0:2]
+    return _with_colors(m24, colors)
+
+
+def test_restrict_guarantees_nothing_of_a_map_that_contradicts_its_generators(m24):
+    # the parent wrote "guaranteed": true, and tags (0,) and (4,) share (0, 4)
+    bad = _m24_with_colors_4_5_of_0_1(m24)
+    cut = restrict(bad, 19)
+    assert cut.params["guaranteed"] is False
+    assert is_distinguishable(cut).counterexample == ((0,), (4,), (0, 4))
+    assert restrict(m24, 19).params["guaranteed"] is True
+
+
+def test_associated_matrix_refuses_a_map_that_contradicts_its_generators(m24):
+    with pytest.raises(ValueError, match="^map contradicts its generators: point 4 has color 0, "
+                                         "they give 2$"):
+        associated_matrix(_m24_with_colors_4_5_of_0_1(m24))
+
+
+def test_extension_refuses_a_map_that_contradicts_its_params():
+    # the parent rebuilt the map from the params: color 12 at (0, 5), where the source has 13
+    std = _check_map_nd("std-12")
+    colors = list(std.colors)
+    colors[5] = colors[7]
+    bad = _with_colors(std, colors)
+    message = "^map contradicts its params: point \\(0, 5\\) has color 13, they give 12$"
+    with pytest.raises(ValueError, match=message):
+        decode(bad, encode(bad, (0, 0)))
+    with pytest.raises(ValueError, match=message):
+        extend_arbitrary_size(bad, (8, 10))

@@ -56,6 +56,18 @@ def test_wrap_reduces_coordinates(dims, data):
     assert all((r - w) % d == 0 for r, w, d in zip(raw, wrapped, dims))
 
 
+def test_index_refuses_a_point_outside_the_grid():
+    grid = GridSpec((3, 4))
+    assert grid.index((2, 3)) == 11
+    for point in [(3, 0), (0, 4), (-1, 0)]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'point {point} outside grid (3, 4)')}$"):
+            grid.index(point)
+
+
+def test_encode_takes_an_int_tag_on_a_1d_map(m24):
+    assert encode(m24, 23) == encode(m24, (23,)) == canonical((m24.colors[23], m24.colors[0]))
+
+
 def test_block_points_wraps_cyclic_grid():
     grid = GridSpec((6,))
     block = BlockSpec((3,))
@@ -185,6 +197,22 @@ def test_to_json_refuses_ids_that_are_not_ints(value):
     assert json.loads(to_json(same))["colors"] == [1, 1] and from_json(to_json(same)) == same
 
 
+@pytest.mark.parametrize("value", [*NOT_INTS, 4.5], ids=map(json.dumps, [*NOT_INTS, 4.5]))
+def test_to_json_refuses_palette_ids_that_are_not_ints(value):
+    # a palette id no color uses: written as it is, it made a file from_json refuses
+    cmap = ColorMap(GridSpec((2,)), BlockSpec((1,)), (2, 2),
+                    (PaletteEntry(id=2), PaletteEntry(id=value)))
+    message = f"palette ids must be integers, got {json.dumps(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        to_json(cmap)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_json(reference_to_json(cmap))
+    # a palette id equal to the int color ids, unlike such a color id, is refused too
+    same = ColorMap(GridSpec((2,)), BlockSpec((1,)), (1, 1), (PaletteEntry(id=True),))
+    with pytest.raises(ValueError, match="^palette ids must be integers, got true$"):
+        to_json(same)
+
+
 @pytest.mark.parametrize("value", NOT_INTS, ids=map(json.dumps, NOT_INTS))
 def test_from_json_refuses_ids_that_are_not_ints(m24, value):
     doc = json.loads(to_json(m24))
@@ -200,6 +228,13 @@ def test_from_json_refuses_ids_that_are_not_ints(m24, value):
         message = f"{what} ids must be integers, got {json.dumps(value)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             from_json(json.dumps(bad))
+
+
+def test_from_json_refuses_another_version(m24):
+    doc = json.loads(to_json(m24))
+    for version in (2, 0, None, "1"):
+        with pytest.raises(ValueError, match=f"^unsupported version {version}$"):
+            from_json(json.dumps(dict(doc, version=version)))
 
 
 def test_palette_ids_match_colors(m24):
