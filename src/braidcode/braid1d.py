@@ -100,14 +100,10 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _choices(M: int, parts: tuple[int, ...], klass: str, score):
-    """Yield (g, q, options) for every shared factor g and q-vector of a
-    valid braid parameterization, in ``enumerate_params`` order.
-
-    ``options[i]`` lists part i's (score(m_i, ell_i), ell_i, c_i), c_i
-    ascending; each pick of one option per part is a valid (g, c, q), so no
-    params record is built per candidate.
-    """
+def _shared_factors(M: int, parts: tuple[int, ...]):
+    """Yield (g, Q, qdivs) for every shared factor g > 1 of N = M/m,
+    ascending: Q = N/g is the lcm the q-vector must reach and ``qdivs``
+    its divisors, ascending, the values each q_i may take."""
     if not parts or any(m_i < 1 for m_i in parts):
         raise ValueError(f"parts must be positive, got {parts}")
     m = sum(parts)
@@ -117,23 +113,23 @@ def _choices(M: int, parts: tuple[int, ...], klass: str, score):
     divs = _divisors(N)
     for g in divs[1:]:
         Q = N // g
-        qdivs = [d for d in divs if Q % d == 0]  # ascending, as _divisors(Q)
-        options = {(m_i, q_i): [(score(m_i, g * c_i * q_i), g * c_i * q_i, c_i)
-                                for c_i in _c_options(m_i, g, q_i, klass, len(parts) == 1)]
-                   for m_i in set(parts) for q_i in qdivs}
-        for q in itertools.product(qdivs, repeat=len(parts)):
-            if math.lcm(*q) == Q:
-                yield g, q, [options[pair] for pair in zip(parts, q)]
+        yield g, Q, [d for d in divs if Q % d == 0]  # ascending, as _divisors(Q)
 
 
 def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
-    """All valid (g, c, q) for the given grid size and parts.
+    """All valid (g, c, q) for the given grid size and parts: g ascending,
+    then q and c in ``itertools.product`` order.
 
     ``klass`` restricts to class-1 (c_i = m_i) or class-2 (c_i = 1) codes.
     """
-    for g, q, options in _choices(M, parts, klass, lambda m_i, ell: None):
-        for choice in itertools.product(*options):
-            yield BraidParams1D(M=M, parts=parts, g=g, c=tuple(c_i for _, _, c_i in choice), q=q)
+    single = len(parts) == 1
+    for g, Q, qdivs in _shared_factors(M, parts):
+        options = {(m_i, q_i): _c_options(m_i, g, q_i, klass, single)
+                   for m_i in set(parts) for q_i in qdivs}
+        for q in itertools.product(qdivs, repeat=len(parts)):
+            if math.lcm(*q) == Q:
+                for c in itertools.product(*(options[pair] for pair in zip(parts, q))):
+                    yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
 
 
 def _c_options(m_i: int, g: int, q_i: int, klass: str, single: bool) -> list[int]:
@@ -159,18 +155,62 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 
     Cost is the sum of the fewest-color counts for each (ell_i, m_i);
     ties break toward lexicographically smallest (ell-list, g).  The
-    result is exact when every part is at most 3.  Candidates are scored
-    as tuples; one params record is built, for the winner.
+    result is exact when every part is at most 3.
+
+    The walk is a depth-first branch and bound over ``enumerate_params``'s
+    order: g ascending, then q_1, q_2, ... each over the divisors of
+    Q = N/g, then the c picks.  ``min_colors(m_i, ell)`` never decreases
+    as ell grows and ell_i = g*c_i*q_i >= g*q_i, so a part costs at least
+    ``min_colors(m_i, g*q_i)``.  A g stops the walk once its floor
+    sum_i min_colors(m_i, g) exceeds the best cost, a q_i ends its part's
+    scan once the cost so far (each chosen part's cheapest c), part i's
+    floor at g*q_i and the later parts' floors at g exceed it, and the last
+    q must lift the lcm so far, L, to Q, so it costs at least
+    ``min_colors(m_n, g*Q/L)``.  Pruning is strict, so candidates that
+    could tie still reach the key in order, and the result is the one
+    scoring every candidate gives.  Each part's c options are built only
+    for the (m_i, q_i) the walk reaches; one params record is built, for
+    the winner.
     """
     parts = tuple(parts)
     fewest = functools.cache(min_colors)  # few distinct (m_i, ell) pairs recur
-    best = None
-    for g, q, options in _choices(M, parts, klass, lambda m_i, ell: fewest(m_i, ell).k):
-        for choice in itertools.product(*options):
-            scores, ells, c = zip(*choice)
-            key = (sum(scores), ells, g)
-            if best is None or key < best[0]:
-                best = (key, c, q)
+    single, last = len(parts) == 1, len(parts) - 1
+    best = None  # ((cost, ells, g), c, q)
+    for g, Q, qdivs in _shared_factors(M, parts):
+        floors = [fewest(m_i, g).k for m_i in parts]
+        if best is not None and sum(floors) > best[0][0]:
+            break  # a larger g raises every floor
+        later = [sum(floors[i + 1:]) for i in range(len(parts))]
+        options = {}  # (m_i, q_i) -> [(cost, ell_i, c_i)], c_i ascending
+
+        def walk(i, lcm, partial, q, picked):
+            nonlocal best
+            m_i = parts[i]
+            if i == last and best is not None and partial + fewest(m_i, g * Q // lcm).k > best[0][0]:
+                return
+            for q_i in qdivs:
+                if best is not None and partial + fewest(m_i, g * q_i).k + later[i] > best[0][0]:
+                    break  # later q_i are no cheaper
+                lcm_i = math.lcm(lcm, q_i)
+                if i == last and lcm_i != Q:
+                    continue
+                opts = options.get((m_i, q_i))
+                if opts is None:
+                    opts = options[m_i, q_i] = [
+                        (fewest(m_i, g * c_i * q_i).k, g * c_i * q_i, c_i)
+                        for c_i in _c_options(m_i, g, q_i, klass, single)]
+                if not opts:
+                    continue
+                if i < last:
+                    walk(i + 1, lcm_i, partial + opts[0][0], q + (q_i,), picked + [opts])
+                    continue
+                for choice in itertools.product(*picked, opts):
+                    costs, ells, c = zip(*choice)
+                    key = (sum(costs), ells, g)
+                    if best is None or key < best[0]:
+                        best = (key, c, q + (q_i,))
+
+        walk(0, 1, 0, (), [])
     if best is None:
         raise InfeasibleError(f"no valid braid parameterization for M={M}, parts={parts}")
     (cost, ells, g), c, q = best

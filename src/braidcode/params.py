@@ -272,20 +272,28 @@ def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) ->
     and carries factor tuple f = l mod ell_J, i.e. the color
     offset_J + sum_i f_i * stride_J,i.  Along the last axis the points of
     one J form every m_n-th entry of a row, with f_n = l_n mod ell_J,n:
-    one period of ell_J,n consecutive ids, tiled along the row.
+    one period of ell_J,n consecutive ids, tiled along the row.  A
+    segment's first id names its J, so its tiled list is built once per
+    first id and reused by every row that starts J there.
     """
     m = params.m
     *outer, width = dims
+    step = m[-1]
+    counts = [len(range(j, width, step)) for j in range(step)]
+    tiled: dict[int, list[int]] = {}
     colors: list[int] = []
     for prefix in itertools.product(*(range(d) for d in outer)):
-        J_outer = tuple(x % m_i for x, m_i in zip(prefix, m))
-        l_outer = [x // m_i for x, m_i in zip(prefix, m)]
+        J_outer = tuple(map(operator.mod, prefix, m))
+        l_outer = tuple(map(operator.floordiv, prefix, m))
         row = [0] * width
-        for j in range(m[-1]):
+        for j in range(step):
             offset, ells, strides = layout[J_outer + (j,)]
-            start = offset + sum(l % e * s for l, e, s in zip(l_outer, ells, strides))
-            count = len(range(j, width, m[-1]))
-            row[j::m[-1]] = (list(range(start, start + ells[-1])) * (count // ells[-1] + 1))[:count]
+            start = offset + sum(map(operator.mul, map(operator.mod, l_outer, ells), strides))
+            segment = tiled.get(start)
+            if segment is None:
+                e, count = ells[-1], counts[j]
+                segment = tiled[start] = (list(range(start, start + e)) * (count // e + 1))[:count]
+            row[j::step] = segment
         colors += row
     return colors
 

@@ -295,7 +295,8 @@ def test_divisors_match_the_scan():
 
 
 @pytest.mark.parametrize("klass", ["auto", "1", "2"])
-@pytest.mark.parametrize("parts", [(1,), (1, 1), (2, 3), (1, 2), (1, 1, 1), (2, 2)])
+@pytest.mark.parametrize("parts", [(1,), (1, 1), (2, 3), (1, 2), (1, 1, 1), (2, 2), (3, 3),
+                                   (1, 1, 1, 1)])
 def test_optimizer_and_enumeration_match_the_record_scoring(parts, klass):
     for M in range(2, 301):
         assert _outcome(_optimized, M, parts, klass) == _outcome(reference_optimize, M, parts, klass), M
@@ -310,6 +311,25 @@ def test_optimizer_matches_the_record_scoring_on_large_grids(M, parts):
         assert _optimized(M, parts, klass) == reference_optimize(M, parts, klass)
         assert (_enumerated(enumerate_params, M, parts, klass)
                 == _enumerated(reference_enumerate, M, parts, klass))
+
+
+@pytest.mark.parametrize("M, parts, g, q, costs", [
+    (720720, (1, 1, 1), 2, (39, 55, 56), (78, 110, 112)),
+    (55440, (1, 1, 1, 1), 2, (7, 9, 10, 11), (14, 18, 20, 22)),
+    (1441440, (1, 1), 2, (585, 616), (1170, 1232)),
+])
+def test_optimizer_gives_what_scoring_every_candidate_gave_on_highly_composite_grids(
+        M, parts, g, q, costs):
+    # what reference_optimize gave; running it here takes minutes
+    c = (1,) * len(parts)
+    assert _optimized(M, parts, "auto") == (BraidParams1D(M=M, parts=parts, g=g, c=c, q=q),
+                                            sum(costs), costs, True)
+
+
+def test_optimizer_keeps_a_larger_g_that_ties_on_cost():
+    # g = 2 (ells (12, 2)) and g = 4 (ells (4, 4)) both cost 6; the smaller ells win
+    assert _optimized(16, (3, 1), "auto") == reference_optimize(16, (3, 1), "auto")
+    assert optimize_generators(16, (3, 1)).params.g == 4
 
 
 def test_optimize_infeasible():

@@ -245,3 +245,49 @@ def test_base_colors_follow_the_factor_formula_point_by_point(case):
         want.append(offset + sum(c // m_i % e * s
                                  for c, m_i, e, s in zip(x, params.m, ells, strides)))
     assert _base_colors(params, layout, dims) == want
+
+
+def row_by_row_base_colors(params, layout, dims):
+    """``_base_colors`` as it was before it reused each row segment's
+    tiled list: every segment's ids tiled anew on every row."""
+    m = params.m
+    *outer, width = dims
+    colors = []
+    for prefix in itertools.product(*(range(d) for d in outer)):
+        J_outer = tuple(x % m_i for x, m_i in zip(prefix, m))
+        l_outer = [x // m_i for x, m_i in zip(prefix, m)]
+        row = [0] * width
+        for j in range(m[-1]):
+            offset, ells, strides = layout[J_outer + (j,)]
+            start = offset + sum(l % e * s for l, e, s in zip(l_outer, ells, strides))
+            count = len(range(j, width, m[-1]))
+            row[j::m[-1]] = (list(range(start, start + ells[-1])) * (count // ells[-1] + 1))[:count]
+        colors += row
+    return colors
+
+
+QTABLE_24 = {(0, 0): (1, 3), (0, 1): (2, 1), (1, 0): (1, 2), (1, 1): (3, 1)}  # the figure's
+QTABLE_140 = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
+
+
+QTABLE_2X3 = {(0, 0): (1, 2), (0, 1): (2, 1), (0, 2): (1, 1),
+              (1, 0): (2, 2), (1, 1): (1, 1), (1, 2): (1, 2)}
+
+
+@pytest.mark.parametrize("m, g, qtable, dims", [
+    ((2, 2), 2, QTABLE_24, (24, 24)),
+    ((2, 2), 2, QTABLE_24, (22, 22)),
+    ((2, 2), 2, QTABLE_24, (21, 24)),
+    ((2, 2), 2, QTABLE_140, (140, 140)),
+    ((2, 2), 2, QTABLE_140, (138, 138)),
+    ((2, 2), 2, QTABLE_140, (137, 140)),
+    ((2, 2, 2), 2, QTABLE_3D, (8, 12, 4)),
+    ((2, 2, 2), 2, QTABLE_3D, (6, 10, 3)),
+    ((2, 3), 3, QTABLE_2X3, (12, 18)),
+    ((2, 3), 3, QTABLE_2X3, (11, 16)),
+], ids=["24", "24-cut-22", "24-cut-21x24", "140", "140-cut-138", "140-cut-137x140",
+        "3d", "3d-cut", "2x3-g3", "2x3-g3-cut"])
+def test_base_colors_match_the_row_by_row_tiling(m, g, qtable, dims):
+    params = UnitaryBraidParamsND(m=m, g=g, qtable=qtable)
+    layout = _subgrid_layout(params)
+    assert _base_colors(params, layout, dims) == row_by_row_base_colors(params, layout, dims)

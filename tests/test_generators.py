@@ -83,6 +83,29 @@ def test_min_colors_inverts_max_length(m, k):
     assert min_colors(m, ell).k == k
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_min_colors_never_decreases_as_ell_grows(m):
+    # the optimizer's bounds rest on this: a part costs at least min_colors(m_i, g*q_i)
+    ks = [min_colors(m, ell).k for ell in range(2, 3001)]
+    assert ks == sorted(ks)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: max_cyclic_length(0, 3), "m and k must be positive"),
+    (lambda: max_cyclic_length(2, 0), "m and k must be positive"),
+    (lambda: max_cyclic_length(4, 3), "no closed form for m=4"),
+    (lambda: min_colors(2, 1), "ell must be at least 2"),
+    (lambda: GeneratorCode(3, 1, (0, 1), ("a", "b")), "generator length mismatch"),
+    (lambda: identity_generator(3, 3), r"need 1 <= m < ell, got m=3, ell=3"),
+    (lambda: identity_generator(3, 0), r"need 1 <= m < ell, got m=0, ell=3"),
+    (lambda: builtin("no-such-code"), "no builtin generator 'no-such-code'"),
+], ids=["max-length-m-0", "max-length-k-0", "max-length-m-4", "min-colors-ell-1",
+        "generator-length", "identity-m-ell", "identity-m-0", "builtin-name"])
+def test_generator_helpers_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_catalog_codes_are_distinguishable():
     for name in catalog_names():
         gen = builtin(name)
