@@ -32,12 +32,15 @@ class InfeasibleError(ValueError):
 def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) -> ColorMap:
     """Build the braid code map from validated params and generators.
 
-    Generator i must be an m_i-distinguishable code on G^c_{ell_i}; ids
-    are shifted so sub-grid palettes are disjoint, sub-grid 0 first.
-    When ``gens`` is None, generators are chosen automatically.  The
-    colors are ``_colors_1d``'s, the rule ``params_of`` proves a map
-    against; ``sunmao.synthesize`` is its reference.  The params it stores
-    are read back by ``params_of`` alone.
+    Generator i must be an m_i-distinguishable code on G^c_{ell_i} with
+    ids 0..k_i-1, k_i = max id + 1; its ids are shifted by the k_j of the
+    generators before it, so sub-grid palettes are disjoint, sub-grid 0
+    first.  Each generator's shifted period and its k_i palette entries
+    (subgrid (i,), label ``labels[c]``) are built directly, with no
+    per-generator map.  When ``gens`` is None, generators are chosen
+    automatically.  The colors are ``_colors_1d``'s, the rule
+    ``params_of`` proves a map against; ``sunmao.synthesize`` is its
+    reference.  The params it stores are read back by ``params_of`` alone.
     """
     errs = validate(params)
     if errs:
@@ -56,10 +59,12 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     gen_colors, palette = [], []
     offset = 0
     for i, gen in enumerate(gens):
-        period = gen.to_colormap(id_offset=offset, subgrid=(i,))  # one period, ids shifted
-        gen_colors.append(period.colors)
-        palette += period.palette
-        offset += max(gen.colors) + 1
+        k = max(gen.colors) + 1  # generator ids 0..k-1 become offset..offset+k-1
+        if min(gen.colors) < 0:
+            raise ValueError(f"generator {i} has a negative color id")
+        gen_colors.append(tuple(map(offset.__add__, gen.colors)))
+        palette += [PaletteEntry(offset + c, (i,), None, gen.labels[c]) for c in range(k)]
+        offset += k
     return ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),

@@ -59,14 +59,17 @@ def product(maps: list[ColorMap]) -> ColorMap:
 
 
 def _base_palette(layout) -> list[PaletteEntry]:
-    """One entry per factor tuple of every sub-grid, ids in layout order."""
+    """One entry per factor tuple of every sub-grid, ids in layout order.
+
+    A label joins the factors' digit strings, made once per sub-grid and
+    axis and walked in step with the factor tuples."""
     palette = []
     for J, (offset, ells, _) in layout.items():
         prefix = "s" + "".join(map(str, J)) + "_"
-        for k, f in enumerate(itertools.product(*(range(e) for e in ells))):
-            palette.append(
-                PaletteEntry(id=offset + k, subgrid=J, factors=f, label=prefix + ",".join(map(str, f)))
-            )
+        factors = itertools.product(*map(range, ells))
+        digits = itertools.product(*([str(i) for i in range(e)] for e in ells))
+        palette += [PaletteEntry(k, J, f, prefix + ",".join(d))
+                    for k, f, d in zip(itertools.count(offset), factors, digits)]
     return palette
 
 

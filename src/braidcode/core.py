@@ -148,6 +148,14 @@ class NotACodeword(ValueError):
         super().__init__(f"not a codeword ({step}){': ' + detail if detail else ''}")
 
 
+def take(table, keys) -> tuple:
+    """``tuple(table[k] for k in keys)`` for a sequence of keys, looked up
+    in one C call (``operator.itemgetter``), a 1-tuple for one key."""
+    if len(keys) < 2:  # itemgetter gives one key's bare value, and refuses none
+        return tuple(map(table.__getitem__, keys))
+    return operator.itemgetter(*keys)(table)
+
+
 def canonical(colors) -> Codeword:
     """Canonical form of a color multiset: ascending tuple."""
     return tuple(sorted(colors))
@@ -381,17 +389,13 @@ def to_json(cmap: ColorMap) -> str:
     text = dict(zip(ids, map(str, ids)))
     tail = json.dumps({
         "palette": [
-            {
-                "id": e.id,
-                "subgrid": list(e.subgrid) if e.subgrid is not None else None,
-                "factors": list(e.factors) if e.factors is not None else None,
-                "label": e.label,
-            }
+            {"id": e.id, "subgrid": None if (s := e.subgrid) is None else list(s),
+             "factors": None if (f := e.factors) is None else list(f), "label": e.label}
             for e in cmap.palette
         ],
         "params": cmap.params,
     })
-    return f'{head[:-1]}, "colors": [{", ".join(map(text.__getitem__, cmap.colors))}], {tail[1:]}'
+    return f'{head[:-1]}, "colors": [{", ".join(take(text, cmap.colors))}], {tail[1:]}'
 
 
 def from_json(text: str) -> ColorMap:
@@ -404,12 +408,8 @@ def from_json(text: str) -> ColorMap:
         raise ValueError(f"unsupported version {doc.get('version')}")
     try:
         palette = tuple(
-            PaletteEntry(
-                id=e["id"],
-                subgrid=tuple(e["subgrid"]) if e.get("subgrid") is not None else None,
-                factors=tuple(e["factors"]) if e.get("factors") is not None else None,
-                label=e.get("label", ""),
-            )
+            PaletteEntry(e["id"], None if (s := e.get("subgrid")) is None else tuple(s),
+                         None if (f := e.get("factors")) is None else tuple(f), e.get("label", ""))
             for e in doc["palette"]
         )
         cyclic = doc["grid"]["cyclic"]

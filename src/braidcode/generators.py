@@ -90,13 +90,16 @@ class GeneratorCode:
         return canonical(self.colors[(x + t) % self.ell] for t in range(self.m))
 
     def is_distinguishable(self) -> bool:
-        seen = set()
-        for x in range(self.ell):
-            w = self.codeword(x)
-            if w in seen:
-                return False
-            seen.add(w)
-        return True
+        """True when the ell cyclic windows of m colors hold distinct
+        multisets.  Window x is the x-th column of the m copies of
+        ``colors`` rotated left by t mod ell, t < m (m may pass ell), so
+        one C-level pass sorts every window into a set.  For m = 1 the
+        windows are the colors themselves."""
+        colors, ell = self.colors, self.ell
+        if self.m == 1 or not colors:
+            return len(set(colors)) == ell
+        rotated = [colors[t % ell:] + colors[:t % ell] for t in range(self.m)]
+        return len(set(map(tuple, map(sorted, zip(*rotated))))) == ell
 
     def to_colormap(self, id_offset: int = 0, subgrid: tuple[int, ...] | None = None) -> ColorMap:
         """Dense ColorMap view with ids shifted by ``id_offset``."""

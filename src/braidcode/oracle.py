@@ -13,7 +13,9 @@ import math
 import operator
 import time
 
-from .core import ColorMap, coding_area_shape, coding_area_size, int_tuple, record, uncompared
+from .core import (
+    ColorMap, coding_area_shape, coding_area_size, int_tuple, record, take, uncompared,
+)
 
 DEFAULT_LIMIT = 100_000
 
@@ -63,11 +65,14 @@ def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyRepo
 
     Each color id gets its own prime, and each tag the product of the
     primes of its block: by unique factorization two tags share a key
-    exactly when their blocks hold the same color multiset.  The products
-    are built one block axis at a time, each factor one shifted slice of
-    the (cyclically padded) prime array.  The first collision in
-    coding-area order (lexicographically smallest tag pair) is reported.
-    Refuses coding areas beyond the limit.
+    exactly when their blocks hold the same color multiset.  The prime
+    array is looked up in one C call (``take``) and, on a cyclic grid,
+    padded by its first m_i - 1 slices along each axis (on one axis, one
+    concatenation).  The products are built one block axis at a time: the
+    row of products so far is multiplied by m_i - 1 shifted windows of
+    itself, read with ``islice`` rather than copied, and only the result
+    is stored.  The first collision in coding-area order (lexicographically
+    smallest tag pair) is reported.  Refuses coding areas beyond the limit.
     """
     size = coding_area_size(cmap.grid, cmap.block)
     if size > limit:
@@ -76,16 +81,20 @@ def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyRepo
     grid, block = cmap.grid, cmap.block
     ids = sorted(set(cmap.colors))
     prime_of = dict(zip(ids, prime_window(1, len(ids))))
-    arr, dims = list(map(prime_of.__getitem__, cmap.colors)), grid.dims
-    if grid.cyclic:
+    arr, dims = take(prime_of, cmap.colors), grid.dims
+    if grid.cyclic and len(dims) == 1:
+        arr += arr[:block.dims[0] - 1]
+    elif grid.cyclic:
         arr, dims = _wrap_pad(arr, dims, block.dims)
     strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
     prods = arr
     for m, s in zip(block.dims, strides):
         n = len(prods) - (m - 1) * s
-        head, prods = prods, prods[:n]
-        for a in range(s, m * s, s):
-            prods = list(map(operator.mul, prods, head[a:a + n]))
+        head = prods
+        for a in range(s, m * s, s):  # map stops at the window's end: n products
+            prods = map(operator.mul, prods, itertools.islice(head, a, a + n))
+        if m > 1:
+            prods = list(prods)
     area = coding_area_shape(grid, block)
     *outer, width = area.dims
     keys = prods  # on a 1D grid every product belongs to a tag

@@ -3,6 +3,7 @@
 import pytest
 
 from braidcode import braid1d, braidnd
+from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,30 @@ def fig_map():
     """2D unitary braid map on a 24x24 grid with 2x2 blocks and 40 colors."""
     params = braidnd.UnitaryBraidParamsND(m=(2, 2), g=2, qtable=FIG1_QTABLE)
     return braidnd.construct_unitary_nd(params)
+
+
+def _edge_map(dims, block, cyclic, colors):
+    return ColorMap(GridSpec(dims, cyclic), BlockSpec(block), tuple(colors),
+                    tuple(PaletteEntry(c, label=f"c{c}") for c in sorted(set(colors))))
+
+
+# 4 rows of 5 colors over ids 10-13, so that blocks of every shape collide.
+_ROWS = (10, 11, 12, 10, 13, 11, 10, 12, 13, 10, 12, 12, 13, 11, 10, 13, 10, 11, 12, 12)
+
+
+@pytest.fixture(scope="session")
+def edge_maps():
+    """Hand-made maps on the edge paths of the oracle and the JSON writer:
+    one point (one color id, of two digits), and 2D grids with a block of
+    size 1 on one axis, cyclic and flat."""
+    return {
+        "one-point": _edge_map((1,), (1,), True, (42,)),
+        "one-point-flat": _edge_map((1,), (1,), False, (42,)),
+        "2d-block-2x1": _edge_map((4, 5), (2, 1), True, _ROWS),
+        "2d-block-2x1-flat": _edge_map((4, 5), (2, 1), False, _ROWS),
+        "2d-block-1x2": _edge_map((4, 5), (1, 2), True, _ROWS),
+        "2d-block-1x2-flat": _edge_map((4, 5), (1, 2), False, _ROWS),
+        "2d-block-1x1": _edge_map((4, 5), (1, 1), True, _ROWS),
+        "2d-distinct-1x2": _edge_map((3, 4), (1, 2), True, range(20, 32)),
+        "2d-distinct-2x1-flat": _edge_map((3, 4), (2, 1), False, range(20, 32)),
+    }

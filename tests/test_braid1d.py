@@ -350,7 +350,10 @@ P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
      r"generator 0 is \(6,1\), need \(4,1\)"),
     (P24, [GeneratorCode(4, 1, (0, 0, 1, 2), ("a", "b", "c")), identity_generator(6, 1)],
      ValueError, "generator 0 is not 1-distinguishable"),
-], ids=["invalid-params", "generator-count", "generator-size", "not-distinguishable"])
+    (P24, [identity_generator(4, 1), GeneratorCode(6, 1, (0, 1, 2, 3, 4, -1), tuple("abcde"))],
+     ValueError, "generator 1 has a negative color id"),
+], ids=["invalid-params", "generator-count", "generator-size", "not-distinguishable",
+        "negative-id"])
 def test_construct_refuses_params_and_generators_that_do_not_fit(params, gens, error, message):
     with pytest.raises(error, match=message):
         construct(params, gens)

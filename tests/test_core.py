@@ -131,6 +131,15 @@ def test_json_round_trip(m24, fig_map):
         assert back.params == cmap.params
 
 
+def test_json_round_trip_of_edge_maps(edge_maps):
+    # a one-point map joins one color id, of two digits
+    for name, cmap in edge_maps.items():
+        text = to_json(cmap)
+        assert text == reference_to_json(cmap), name
+        assert from_json(text) == cmap, name
+    assert json.loads(to_json(edge_maps["one-point"]))["colors"] == [42]
+
+
 def reference_to_json(cmap):
     """``to_json`` as it was before it joined the colors from a table:
     ``json.dumps`` of the whole document."""

@@ -1,11 +1,15 @@
 """Seed codes: closed forms, minimum colors, catalog, search, tiling."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcode.generators import (
     GeneratorCode,
+    SearchResult,
     SearchStatus,
+    UnsupportedGeneratorError,
     builtin,
     catalog_names,
     find_generator,
@@ -104,6 +108,64 @@ def test_min_colors_never_decreases_as_ell_grows(m):
 def test_generator_helpers_refuse_arguments_outside_their_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: search_distinguishable(3, 3, 2), SearchResult(SearchStatus.NOT_FOUND)),
+    (lambda: search_distinguishable(2, 5, 2), SearchResult(SearchStatus.NOT_FOUND)),
+    (lambda: search_distinguishable(20, 2, 5, budget=10),
+     SearchResult(SearchStatus.INCONCLUSIVE, None, 11)),
+    (lambda: search_distinguishable(20, 2, 5, budget=100),
+     SearchResult(SearchStatus.INCONCLUSIVE, None, 101)),
+], ids=["ell-equals-m", "ell-below-m", "budget-10", "budget-100"])
+def test_search_gives_up_on_a_period_no_longer_than_the_block_or_past_its_budget(call, want):
+    # ell <= m has no m-window apart from the whole period; the budget stops
+    # the walk one node past it, at any depth
+    assert call() == want
+
+
+@pytest.mark.parametrize("ell, m", [(4, 4), (3, 5)])
+def test_find_generator_refuses_a_period_no_longer_than_a_block_of_4_or_more(ell, m):
+    with pytest.raises(UnsupportedGeneratorError,
+                       match=f"no generator available for ell={ell}, m={m}"):
+        find_generator(ell, m)
+
+
+def reference_generator_distinguishable(gen):
+    """The per-window check ``is_distinguishable`` replaced: each window
+    sorted on its own and looked up in the windows seen so far."""
+    seen = set()
+    for x in range(gen.ell):
+        w = gen.codeword(x)
+        if w in seen:
+            return False
+        seen.add(w)
+    return True
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_is_distinguishable_matches_the_per_window_reference(data):
+    ell = data.draw(st.integers(1, 40), label="ell")
+    m = data.draw(st.integers(1, 6), label="m")  # m may reach and pass ell
+    k = data.draw(st.integers(1, 6), label="k")
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=ell, max_size=ell), label="colors")
+    gen = GeneratorCode(ell, m, tuple(colors), ())
+    assert gen.is_distinguishable() == reference_generator_distinguishable(gen)
+
+
+def test_is_distinguishable_matches_the_reference_on_every_short_period():
+    # every coloring with 3 colors of a period up to 5, blocks up to 6: the
+    # windows of m >= ell + 2 rotate by t mod ell, past a whole turn
+    answers = set()
+    for ell in range(1, 6):
+        for colors in itertools.product(range(3), repeat=ell):
+            for m in range(1, 7):
+                gen = GeneratorCode(ell, m, colors, ())
+                answer = gen.is_distinguishable()
+                assert answer == reference_generator_distinguishable(gen), gen
+                answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_catalog_codes_are_distinguishable():

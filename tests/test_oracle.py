@@ -112,6 +112,16 @@ def test_block_walk_matches_the_reference_on_fixture_maps(m24, fig_map, example_
         assert is_distinguishable(cmap) == reference_is_distinguishable(cmap)
 
 
+def test_block_walk_matches_the_reference_on_edge_maps(edge_maps):
+    # a one-point map looks up one key; a block of 1 on an axis multiplies no window there
+    reports = {name: is_distinguishable(cmap) for name, cmap in edge_maps.items()}
+    for name, cmap in edge_maps.items():
+        assert reports[name] == reference_is_distinguishable(cmap), name
+    assert reports["one-point"] == VerifyReport(True, 1, None)
+    assert {name for name, rep in reports.items() if rep.ok} == {
+        "one-point", "one-point-flat", "2d-distinct-1x2", "2d-distinct-2x1-flat"}
+
+
 def test_block_walk_finds_the_140_map_recut_counterexample():
     qtable = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
     base = braidnd.construct_unitary_nd(braidnd.UnitaryBraidParamsND(m=(2, 2), g=2, qtable=qtable))
@@ -266,6 +276,19 @@ def test_check_structure_flags_a_block_with_a_repeated_color(m24):
     rep = check_structure(broken)
     assert not rep.ok
     assert rep.problems[0] == f"block 0 repeats a color: {(colors[0], colors[0])}"
+
+
+def test_check_structure_flags_a_generator_that_repeats_a_color():
+    # sub-grid 0 tiles the period (0, 0) and sub-grid 1 the period (1, 2, 3, 4):
+    # the colors follow both periods and no block of 2 repeats a color
+    params = {"kind": "braid1d", "g": 2, "parts": [1, 1], "c": [1, 1], "q": [1, 2],
+              "gens": [{"ell": 2, "m": 1, "colors": [0, 0]},
+                       {"ell": 4, "m": 1, "colors": [1, 2, 3, 4]}]}
+    cmap = ColorMap(GridSpec((8,)), BlockSpec((2,)), (0, 1, 0, 2, 0, 3, 0, 4),
+                    tuple(PaletteEntry(c) for c in range(5)), params)
+    want = StructureReport(False, ("sub-grid 0: generator not injective on its period",))
+    assert check_structure(cmap) == want
+    assert reference_check_structure(cmap) == want
 
 
 def test_check_structure_counts_the_generators(m24):

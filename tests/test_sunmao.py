@@ -94,6 +94,31 @@ def test_classification_covers_each_subgrid_once(dec, data):
             assert start == (expect_j * dec.parts[l]) % dec.subgrid_sizes[l]
 
 
+DEC_12 = Decomposition1D(M=12, parts=(1, 2))  # sub-grids of 4 and 8 points
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Decomposition1D(12, (0, 1)), r"parts must be positive: \(0, 1\)"),
+    (lambda: Decomposition1D(10, (1, 2)), "block size 3 must divide M=10"),
+    (lambda: theta(DEC_12, 0, 1), "point 1 not in sub-grid 0"),
+    (lambda: theta_inv(DEC_12, 0, 4), "4 outside sub-grid 0 of size 4"),
+    (lambda: synthesize(DEC_12, []), "expected 2 sub-maps, got 0"),
+    (lambda: synthesize(DEC_12, [identity_generator(4, 1).to_colormap(),
+                                 identity_generator(6, 1).to_colormap(id_offset=4)]),
+     r"sub-map 1 grid \(6,\) != cyclic 8"),
+    (lambda: synthesize(DEC_12, [identity_generator(4, 1).to_colormap(),
+                                 identity_generator(8, 1).to_colormap(id_offset=4)]),
+     r"sub-map 1 block \(1,\) != 2"),
+    (lambda: UnitaryDecompositionND((4, 4), (2,)), "dims and block dimension mismatch"),
+    (lambda: UnitaryDecompositionND((4, 5), (2, 2)),
+     r"block \(2, 2\) must divide dims \(4, 5\) componentwise"),
+], ids=["part-0", "block-off-M", "theta-other-subgrid", "theta-inv-outside", "submap-count",
+        "submap-grid", "submap-block", "nd-arity", "nd-block-off-dims"])
+def test_decompositions_refuse_arguments_outside_their_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_synthesize_requires_disjoint_palettes():
     dec = Decomposition1D(M=12, parts=(1, 1))
     a = identity_generator(6, 1).to_colormap(id_offset=0, subgrid=(0,))
