@@ -19,7 +19,7 @@ import math
 # Nothing here uses sunmao, but perfbench's tracer needs it loaded with
 # braid1d until ROADMAP direction 1 step 1 lands.
 from . import sunmao  # noqa: F401
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record, take
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
 from .params import is_nd_kind
@@ -63,7 +63,8 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         if min(gen.colors) < 0:
             raise ValueError(f"generator {i} has a negative color id")
         gen_colors.append(tuple(map(offset.__add__, gen.colors)))
-        palette += [PaletteEntry(offset + c, (i,), None, gen.labels[c]) for c in range(k)]
+        palette += map(PaletteEntry._make, zip(range(offset, offset + k), itertools.repeat((i,)),
+                                               itertools.repeat(None), take(gen.labels, range(k))))
         offset += k
     return ColorMap(
         grid=GridSpec((params.M,)),

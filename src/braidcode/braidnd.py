@@ -14,8 +14,9 @@ sub-grids with fresh factors so wrapped blocks stay identifiable.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, take
 from .params import (  # noqa: F401  re-exported
     UnitaryBraidParamsND, _base_colors, _subgrid_layout, parse_qtable, params_of_nd,
 )
@@ -62,14 +63,17 @@ def _base_palette(layout) -> list[PaletteEntry]:
     """One entry per factor tuple of every sub-grid, ids in layout order.
 
     A label joins the factors' digit strings, made once per sub-grid and
-    axis and walked in step with the factor tuples."""
+    axis and walked in step with the factor tuples; each sub-grid's
+    entries are built by ``map`` over zipped fields, with no Python frame
+    an entry."""
     palette = []
     for J, (offset, ells, _) in layout.items():
         prefix = "s" + "".join(map(str, J)) + "_"
         factors = itertools.product(*map(range, ells))
         digits = itertools.product(*([str(i) for i in range(e)] for e in ells))
-        palette += [PaletteEntry(k, J, f, prefix + ",".join(d))
-                    for k, f, d in zip(itertools.count(offset), factors, digits)]
+        labels = map(prefix.__add__, map(",".join, digits))
+        palette += map(PaletteEntry._make,
+                       zip(itertools.count(offset), itertools.repeat(J), factors, labels))
     return palette
 
 
@@ -121,7 +125,9 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     blocks may then collide, as on the 137x137 re-cut of the 140x140 map),
     otherwise the last aligned band of each boundary sub-grid (l; 0, ..., 0)
     gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.  The colors
-    are cut from the map, which ``params_of_nd`` proves carries the params'.
+    are cut from the map, which ``params_of_nd`` proves carries the params',
+    and the fresh band is written a row at a time, one extended slice of
+    the colors per row, its ids looked up in one C call (``core.take``).
     """
     params = params_of_nd(cmap)
     dims, m = params.dims, params.m
@@ -142,24 +148,41 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
         colors += cmap.colors[start:start + L[-1]]
     # The fresh band of axis i: its last aligned band x_i div m_i = L_i/m_i - 1
     # in the boundary sub-grids J with J_k = 0 for every other axis k.  A
-    # point in the bands of several axes takes a fresh factor on each.
-    fresh_axes = [i for i in range(params.n) if L[i] != dims[i] and L[i] % m[i] == 0]
-    band: dict[int, tuple] = {}
+    # point in the bands of several axes takes a fresh factor on each.  The
+    # band is built one slice x_i at a time, where J is fixed: each other
+    # axis k runs over its aligned points x_k = j*m_k, of factor j mod ell_k,
+    # fresh at the last j of a fresh axis when J_i = 0.  A row runs along the
+    # last such axis r: one extended slice of the colors, taking len(run) keys.
+    n = params.n
+    fresh_axes = [i for i in range(n) if L[i] != dims[i] and L[i] % m[i] == 0]
+    strides = [math.prod(L[k + 1:]) for k in range(n)]
+    keys, rows = [], []
     for i in fresh_axes:
-        ranges = [range(0, L_k, m_k) for L_k, m_k in zip(L, m)]
-        ranges[i] = range(L[i] - m[i], L[i])
-        for x in itertools.product(*ranges):
-            J = tuple(c % m_k for c, m_k in zip(x, m))
+        r = max((k for k in range(n) if k != i), default=i)
+        for x_i in range(L[i] - m[i], L[i]):
+            J = tuple(x_i % m_k if k == i else 0 for k, m_k in enumerate(m))
             ells = layout[J][1]
-            f = [c // m_k % e for c, m_k, e in zip(x, m, ells)]
-            for a in fresh_axes:
-                if x[a] >= L[a] - m[a] and all(J[k] == 0 for k in range(params.n) if k != a):
-                    f[a] = FRESH
-            band[grid.index(x)] = (J, tuple(f))
+            factors, starts = [], []
+            for k in range(n):
+                if k == i:
+                    factors.append((FRESH,))
+                    starts.append(range(x_i * strides[k], x_i * strides[k] + 1))
+                    continue
+                f = [x // m[k] % ells[k] for x in range(0, L[k], m[k])]
+                if k in fresh_axes and J[i] == 0:
+                    f[-1] = FRESH
+                factors.append(f)
+                starts.append(range(0, L[k] * strides[k], m[k] * strides[k]))
+            keys += zip(itertools.repeat(J), itertools.product(*factors))
+            run = starts.pop(r)
+            rows += (range(s + run.start, s + run.stop, run.step)
+                     for s in map(sum, itertools.product(*starts)))
     base_total = params.color_count()
-    fresh_ids = {key: base_total + n for n, key in enumerate(sorted(set(band.values())))}
-    for idx, key in band.items():
-        colors[idx] = fresh_ids[key]
+    fresh_ids = {key: base_total + c for c, key in enumerate(sorted(set(keys)))}
+    ids, at = take(fresh_ids, keys), 0
+    for row in rows:
+        colors[row.start:row.stop:row.step] = ids[at:at + len(row)]
+        at += len(row)
 
     palette = _base_palette(layout)
     for (J, f), cid in fresh_ids.items():

@@ -270,20 +270,54 @@ class BlockSpec:
             raise ValueError(f"block {self.dims} exceeds grid {grid.dims}")
 
 
-@record
-class PaletteEntry:
+class PaletteEntry(tuple):
     """Metadata for one color id.
 
     ``subgrid`` is the sub-grid index the color belongs to (a 1-tuple for
     1D sunmao constructions, the offset vector J for unitary ones), or
     None for hand-made maps.  ``factors`` is the per-axis factor tuple for
     product colors.  ``label`` is a free-form human name such as ``a_1``.
+
+    A frozen record like those ``record`` makes (the same ``repr``,
+    keyword construction, ``replace`` and ``asdict``, and fields that
+    cannot be set or deleted), but a tuple of its four fields with no
+    per-instance dict: a map holds one entry per color id, and the
+    palette builders make them with ``PaletteEntry._make``, one C call
+    and no Python frame an entry.  An entry equals, and hashes as, only
+    another entry of the same fields, not a plain tuple of them.
     """
 
-    id: int
-    subgrid: tuple[int, ...] | None = None
-    factors: tuple[int, ...] | None = None
-    label: str = ""
+    __slots__ = ()
+    __record_fields__ = ("id", "subgrid", "factors", "label")
+
+    def __new__(cls, id, subgrid=None, factors=None, label=""):
+        return tuple.__new__(cls, (id, subgrid, factors, label))
+
+    # An entry from an iterable of exactly its four fields, in order: a
+    # bound tuple.__new__, so it runs no Python code and checks no count.
+    _make = classmethod(tuple.__new__)
+
+    id = property(operator.itemgetter(0))
+    subgrid = property(operator.itemgetter(1))
+    factors = property(operator.itemgetter(2))
+    label = property(operator.itemgetter(3))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # tuple's own would compare an entry with a plain tuple
+    __hash__ = tuple.__hash__
+    __repr__ = _record_repr
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __getnewargs__(self):  # copy, deepcopy and pickle rebuild an entry from its fields
+        return tuple(self)
+
+
+_entry_id = PaletteEntry.id.fget  # the id of an entry, in one C call
 
 
 @record
@@ -293,7 +327,9 @@ class ColorMap:
     ``colors`` is the dense row-major array of color ids; ``palette``
     carries one entry per color id; ``params`` is the construction
     descriptor (None for hand-made maps).  Treat a map as immutable,
-    ``params`` included: the codec keeps a compiled decoder on it.
+    ``params`` included: the codec keeps a compiled decoder on it, and
+    the map keeps the set of its color ids, made once by the palette
+    check, for ``to_json``; neither is a field, in ``==`` or in JSON.
     """
 
     grid: GridSpec
@@ -309,13 +345,13 @@ class ColorMap:
                 f"colors array has {len(self.colors)} entries, "
                 f"grid has {self.grid.volume} points"
             )
-        ids = [e.id for e in self.palette]
-        if len(ids) != len(set(ids)):
+        known = set(map(_entry_id, self.palette))
+        if len(known) != len(self.palette):
             raise PaletteError("duplicate palette ids")
-        known = set(ids)
         used = set(self.colors)
         if not used <= known:
             raise PaletteError(f"colors reference ids missing from palette: {sorted(used - known)[:5]}")
+        object.__setattr__(self, "_color_ids", used)
 
     @property
     def palette_by_id(self) -> dict[int, PaletteEntry]:
@@ -376,22 +412,24 @@ _VERSION = 1
 def to_json(cmap: ColorMap) -> str:
     """Serialize a ColorMap to the fixed-field-order JSON document, byte for
     byte as ``json.dumps`` of it, the color array joined from one string per
-    distinct id.  A color id that is not an int raises the ValueError
-    ``from_json`` gives, unless it equals an int id met before it, whose
-    text it takes; a palette id that is not an int raises it always."""
+    distinct id: the map's set of color ids, made once when the map was.
+    A color id that is not an int raises the ValueError ``from_json``
+    gives, unless it equals an int id met before it, whose text it takes;
+    a palette id that is not an int raises it always.  Each palette entry
+    is read by unpacking its four fields."""
     head = json.dumps({
         "version": _VERSION,
         "grid": {"M": list(cmap.grid.dims), "cyclic": cmap.grid.cyclic},
         "block": {"m": list(cmap.block.dims)},
     })
-    ids = int_tuple(set(cmap.colors), "color ids")
-    int_tuple([e.id for e in cmap.palette], "palette ids")
+    ids = int_tuple(cmap._color_ids, "color ids")
+    int_tuple(map(_entry_id, cmap.palette), "palette ids")
     text = dict(zip(ids, map(str, ids)))
     tail = json.dumps({
         "palette": [
-            {"id": e.id, "subgrid": None if (s := e.subgrid) is None else list(s),
-             "factors": None if (f := e.factors) is None else list(f), "label": e.label}
-            for e in cmap.palette
+            {"id": i, "subgrid": None if s is None else list(s),
+             "factors": None if f is None else list(f), "label": label}
+            for i, s, f, label in cmap.palette
         ],
         "params": cmap.params,
     })
@@ -407,18 +445,19 @@ def from_json(text: str) -> ColorMap:
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')}")
     try:
-        palette = tuple(
-            PaletteEntry(e["id"], None if (s := e.get("subgrid")) is None else tuple(s),
-                         None if (f := e.get("factors")) is None else tuple(f), e.get("label", ""))
+        entry = PaletteEntry._make
+        palette = tuple([
+            entry((e["id"], None if (s := e.get("subgrid")) is None else tuple(s),
+                   None if (f := e.get("factors")) is None else tuple(f), e.get("label", "")))
             for e in doc["palette"]
-        )
+        ])
         cyclic = doc["grid"]["cyclic"]
         if not isinstance(cyclic, bool):
             raise ValueError(f"grid.cyclic must be true or false, got {cyclic!r}")
         # An id that is not an int (4.0, true, Infinity, "4") can equal an int id
         # or itself, but prints as no codeword parses.
         colors = int_tuple(doc["colors"], "color ids")
-        int_tuple([e.id for e in palette], "palette ids")
+        int_tuple(map(_entry_id, palette), "palette ids")
         return ColorMap(
             grid=GridSpec(tuple(doc["grid"]["M"]), cyclic),
             block=BlockSpec(tuple(doc["block"]["m"])),

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from braidcode import GridSpec, canonical, coding_area, encode, to_json
 from braidcode.braidnd import (
+    FRESH,
     UnitaryBraidParamsND,
     _base_colors,
+    _base_palette,
+    _params_dict,
     _subgrid_layout,
     construct_unitary_nd,
     extend_arbitrary_size,
@@ -20,6 +23,7 @@ from braidcode.braidnd import (
     product,
     project,
 )
+from braidcode.core import BlockSpec, ColorMap, PaletteEntry
 from braidcode.generators import identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
 
@@ -33,8 +37,6 @@ def test_product_of_distinguishable_factors_is_distinguishable():
 
 
 def test_product_fails_iff_some_factor_fails():
-    from braidcode.core import BlockSpec, ColorMap, PaletteEntry
-
     bad = ColorMap(
         grid=GridSpec((4,)),
         block=BlockSpec((2,)),
@@ -191,6 +193,7 @@ def test_parse_qtable_reads_the_keys_it_writes(fig_map):
     assert parse_qtable(fig_map.params["q"]) == params_of_nd(fig_map).qtable
 
 
+QTABLE_140 = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
 QTABLE_3D = {
     (0, 0, 0): (1, 3, 1), (0, 0, 1): (2, 1, 1), (0, 1, 0): (1, 1, 1), (0, 1, 1): (1, 3, 1),
     (1, 0, 0): (2, 1, 1), (1, 0, 1): (1, 1, 1), (1, 1, 0): (1, 3, 1), (1, 1, 1): (2, 1, 1),
@@ -206,6 +209,8 @@ PINNED_SHA256 = {
     (20, 17): "61f82719181eefe3b7401c0ae9cf182ee76bf4bef8df8f8c47d1b6ea62faab30",
     "3d": "4f38884bc143556a36578cdce0aeef197e452e4a466c298ce1cacfd2682d2138",
     "3d-ext": "604763df25c49df3c371b987e543979d9924406a59ec49ad287e29242a249b60",
+    "140": "9c64487b48f2a7effa25f161f3e6dcbdd558c384d9deccb0c64b08c3eba9452e",
+    (138, 138): "32d85fa4b5d35dd93ea764ad2948244ff6e8d9a0399664476abd49a81804f49e",
 }
 
 
@@ -215,6 +220,8 @@ def test_builders_reproduce_pinned_maps_byte_for_byte(fig_map):
     maps = {"fig": fig_map, "3d": cube, "3d-ext": extend_arbitrary_size(cube, (6, 10, 4))}
     for L in [(22, 22), (21, 24), (23, 22), (20, 17)]:
         maps[L] = extend_arbitrary_size(fig_map, L)
+    maps["140"] = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=QTABLE_140))
+    maps[138, 138] = extend_arbitrary_size(maps["140"], (138, 138))
     got = {k: hashlib.sha256(to_json(cmap).encode()).hexdigest() for k, cmap in maps.items()}
     assert got == PINNED_SHA256
 
@@ -267,7 +274,6 @@ def row_by_row_base_colors(params, layout, dims):
 
 
 QTABLE_24 = {(0, 0): (1, 3), (0, 1): (2, 1), (1, 0): (1, 2), (1, 1): (3, 1)}  # the figure's
-QTABLE_140 = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
 
 
 QTABLE_2X3 = {(0, 0): (1, 2), (0, 1): (2, 1), (0, 2): (1, 1),
@@ -291,3 +297,57 @@ def test_base_colors_match_the_row_by_row_tiling(m, g, qtable, dims):
     params = UnitaryBraidParamsND(m=m, g=g, qtable=qtable)
     layout = _subgrid_layout(params)
     assert _base_colors(params, layout, dims) == row_by_row_base_colors(params, layout, dims)
+
+
+def per_point_extension(cmap, L):
+    """``extend_arbitrary_size`` as it was before it built the fresh band by
+    rows: each band point's sub-grid, factors and index worked out alone."""
+    params = params_of_nd(cmap)
+    dims, m, n = params.dims, params.m, params.n
+    layout = _subgrid_layout(params)
+    grid = GridSpec(L)
+    colors = [cmap.colors[cmap.grid.index(x)] for x in itertools.product(*map(range, L))]
+    fresh_axes = [i for i in range(n) if L[i] != dims[i] and L[i] % m[i] == 0]
+    band = {}
+    for i in fresh_axes:
+        ranges = [range(0, L_k, m_k) for L_k, m_k in zip(L, m)]
+        ranges[i] = range(L[i] - m[i], L[i])
+        for x in itertools.product(*ranges):
+            J = tuple(c % m_k for c, m_k in zip(x, m))
+            ells = layout[J][1]
+            f = [c // m_k % e for c, m_k, e in zip(x, m, ells)]
+            for a in fresh_axes:
+                if x[a] >= L[a] - m[a] and all(J[k] == 0 for k in range(n) if k != a):
+                    f[a] = FRESH
+            band[grid.index(x)] = (J, tuple(f))
+    base_total = params.color_count()
+    fresh_ids = {key: base_total + c for c, key in enumerate(sorted(set(band.values())))}
+    for idx, key in band.items():
+        colors[idx] = fresh_ids[key]
+    palette = _base_palette(layout)
+    for (J, f), cid in fresh_ids.items():
+        shown = tuple(e if fi == FRESH else fi for fi, e in zip(f, layout[J][1]))
+        label = "s" + "".join(map(str, J)) + "_d" + ",".join(map(str, shown))
+        palette.append(PaletteEntry(cid, J, shown, label))
+    return ColorMap(grid, cmap.block, tuple(colors), tuple(palette), _params_dict(params, L))
+
+
+def _every_target(cmap):
+    m = cmap.block.dims
+    return itertools.product(*(range(2 * m_i, M + 1) for m_i, M in zip(m, cmap.grid.dims)))
+
+
+def test_the_band_by_rows_matches_the_per_point_band_on_every_target(fig_map):
+    cube = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2, 2), g=2, qtable=QTABLE_3D))
+    for cmap in (fig_map, cube):
+        for L in _every_target(cmap):
+            assert extend_arbitrary_size(cmap, L) == per_point_extension(cmap, L), L
+
+
+@settings(deadline=None, max_examples=200)
+@given(unitary_params_and_dims())
+def test_the_band_by_rows_matches_the_per_point_band_on_random_maps(case):
+    params, dims = case
+    cmap = construct_unitary_nd(params)
+    L = tuple(max(d, 2 * m_i) for d, m_i in zip(dims, params.m))  # M_i >= g*m_i >= 2*m_i
+    assert extend_arbitrary_size(cmap, L) == per_point_extension(cmap, L)

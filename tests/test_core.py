@@ -1,7 +1,9 @@
 """Grid primitives: indexing, blocks, canonical codewords, JSON round trip."""
 
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -26,7 +28,7 @@ from braidcode import (
     restrict,
     to_json,
 )
-from braidcode.core import PaletteEntry, asdict, replace
+from braidcode.core import PaletteEntry, asdict, record, replace
 from braidcode.oracle import VerifyReport
 
 
@@ -321,3 +323,97 @@ def test_replace_and_asdict(m24, fig_map):
     assert asdict(VerifyReport(True, 24, None, 0.5, 48.0)) == {
         "ok": True, "checked": 24, "counterexample": None, "elapsed_s": 0.5, "blocks_per_s": 48.0,
     }
+
+
+# ---------------------------------------------------------------------------
+# Palette entries: tuples of their four fields, with the contract of a record
+
+
+@record
+class _FourFields:
+    id: int
+    subgrid: tuple | None = None
+    factors: tuple | None = None
+    label: str = ""
+
+
+ENTRY = PaletteEntry(3, (0,), None, "a")
+
+
+def test_a_palette_entry_equals_only_an_entry():
+    fields = (3, (0,), None, "a")
+    for other in (fields, _FourFields(*fields)):
+        assert ENTRY != other and other != ENTRY, other
+        assert not (ENTRY == other or other == ENTRY), other
+    assert ENTRY == PaletteEntry(id=3, subgrid=(0,), label="a") == PaletteEntry._make(fields)
+    assert ENTRY != PaletteEntry(3, (0,), None, "b")
+    assert ENTRY != 3 and ENTRY is not None
+
+
+def test_equal_palette_entries_hash_equal_and_key_only_entries():
+    twin = PaletteEntry._make([3, (0,), None, "a"])
+    assert twin == ENTRY and twin is not ENTRY and hash(twin) == hash(ENTRY)
+    by_entry = {ENTRY: "entry"}
+    assert by_entry[twin] == "entry"
+    assert by_entry.get((3, (0,), None, "a")) is None
+    assert len({ENTRY, twin, (3, (0,), None, "a")}) == 2
+
+
+def test_a_palette_entry_field_cannot_be_set_or_deleted():
+    entry = PaletteEntry(3, (0,), None, "a")
+    with pytest.raises(AttributeError, match="^cannot assign to field 'id'$"):
+        entry.id = 4
+    with pytest.raises(AttributeError, match="^cannot delete field 'label'$"):
+        del entry.label
+    with pytest.raises(AttributeError, match="^cannot assign to field 'note'$"):
+        entry.note = "x"  # no per-instance dict to hold it
+    with pytest.raises(TypeError):
+        vars(entry)
+    assert entry == ENTRY
+
+
+def test_palette_entry_repr_asdict_and_replace():
+    assert repr(ENTRY) == "PaletteEntry(id=3, subgrid=(0,), factors=None, label='a')"
+    assert repr(PaletteEntry._make((5, None, (1, 2), ""))) == (
+        "PaletteEntry(id=5, subgrid=None, factors=(1, 2), label='')"
+    )
+    assert asdict(ENTRY) == {"id": 3, "subgrid": (0,), "factors": None, "label": "a"}
+    cmap = ColorMap(GridSpec((2,)), BlockSpec((1,)), (3, 3), (ENTRY,))
+    assert asdict(cmap)["palette"] == (asdict(ENTRY),)
+    renamed = replace(ENTRY, label="b")
+    assert type(renamed) is PaletteEntry and renamed == PaletteEntry(3, (0,), None, "b")
+    assert renamed != (3, (0,), None, "b")
+    assert replace(ENTRY) == ENTRY
+    with pytest.raises(TypeError):
+        replace(ENTRY, colour="b")
+
+
+def _copies(obj):
+    yield "copy", copy.copy(obj)
+    yield "deepcopy", copy.deepcopy(obj)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield f"pickle {protocol}", pickle.loads(pickle.dumps(obj, protocol))
+
+
+def test_palette_entries_copy_and_pickle_to_equal_entries():
+    for entry in (ENTRY, PaletteEntry(7), PaletteEntry(1, (0, 1), (2, 3), "s01_2,3")):
+        for how, back in _copies(entry):
+            assert type(back) is PaletteEntry, how
+            assert repr(back) == repr(entry) and back == entry, how
+
+
+def test_maps_copy_and_pickle_to_equal_maps(m24, fig_map, edge_maps):
+    # a copy keeps the map's color id set, derived state that to_json reads
+    # and that is neither a field nor in the JSON document
+    for name, cmap in {"m24": m24, "fig": fig_map, **edge_maps}.items():
+        assert cmap._color_ids == set(cmap.colors), name
+        for how, back in _copies(cmap):
+            assert back == cmap, (name, how)
+            assert all(type(e) is PaletteEntry for e in back.palette), (name, how)
+            assert back._color_ids == cmap._color_ids, (name, how)
+            assert to_json(back) == to_json(cmap), (name, how)
+    assert list(asdict(m24)) == ["grid", "block", "colors", "palette", "params"]
+    assert "_color_ids" not in to_json(m24)
+    again = from_json(to_json(m24))
+    object.__setattr__(again, "_color_ids", set())
+    assert again == m24
