@@ -1,10 +1,10 @@
 """Product codes and unitary braid codes in n dimensions.
 
-Colors of an n-dim product construction are tuples of per-axis factors;
-a codeword projects onto each axis by taking the i-th factor of every
-element.  The unitary braid construction assigns each sub-grid J (a
-residue vector mod m) its own factor palette with per-axis periods
-ell^(i)_J = g * q^(i)_J.
+Colors of an n-dim product construction are tuples of per-axis factors
+with no sub-grid.  The unitary braid construction assigns each sub-grid J
+(a residue vector mod m) its own factor palette with per-axis periods
+ell^(i)_J = g * q^(i)_J; ``project`` maps a codeword of such a palette
+onto an axis by the (J, i-th factor) pair of every element.
 
 Arbitrary grid sizes are reached by restricting each axis and, where the
 block size divides the target length, recoloring one band of boundary
@@ -27,34 +27,32 @@ FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
 def product(maps: list[ColorMap]) -> ColorMap:
     """Product of n one-dimensional maps: colors are factor tuples.
 
-    The product is block-distinguishable iff every factor map is.
-    Factor tuples are interned row-major over the factor id ranges.
+    Block-distinguishable iff every factor map is: a product codeword fixes
+    each factor's.  A color is its factors' colors in mixed radix over the
+    palette sizes k_i, folded one axis at a time as ``c * k_i + x``; factor
+    tuples and labels run in the same order.  Flat factors give a flat grid.
     """
     if not maps:
         raise ValueError("need at least one factor map")
-    dims = tuple(mp.grid.dims[0] for mp in maps)
-    block = tuple(mp.block.dims[0] for mp in maps)
-    ranges = tuple(max(e.id for e in mp.palette) + 1 for mp in maps)
-    shape = GridSpec(ranges)
-    grid = GridSpec(dims)
-    colors = []
-    for x in grid.points():
-        factors = tuple(mp.colors[c] for mp, c in zip(maps, x))
-        colors.append(shape.index(factors))
-    palette = tuple(
-        PaletteEntry(
-            id=shape.index(f),
-            subgrid=None,
-            factors=f,
-            label="*".join(mp.palette_by_id[c].label for mp, c in zip(maps, f)),
-        )
-        for f in shape.points()
-    )
+    if len({mp.grid.cyclic for mp in maps}) != 1:
+        raise ValueError("factors mix cyclic and flat grids")
+    labels, colors = [], [0]
+    for i, mp in enumerate(maps):
+        if mp.grid.n != 1:
+            raise ValueError(f"factor {i} lies on {mp.grid.n} axes, not one")
+        by_id = {e.id: e.label for e in mp.palette}
+        if by_id.keys() != set(range(len(by_id))):
+            raise ValueError(f"factor {i} has palette ids other than 0..{len(by_id) - 1}")
+        labels.append([by_id[c] for c in range(len(by_id))])
+        colors = [c * len(by_id) + x for c in colors for x in mp.colors]
+    factors = itertools.product(*(range(len(names)) for names in labels))
+    palette = zip(itertools.count(), itertools.repeat(None), factors,
+                  map("*".join, itertools.product(*labels)))
     return ColorMap(
-        grid=grid,
-        block=BlockSpec(block),
+        grid=GridSpec(tuple(mp.grid.dims[0] for mp in maps), maps[0].grid.cyclic),
+        block=BlockSpec(tuple(mp.block.dims[0] for mp in maps)),
         colors=tuple(colors),
-        palette=palette,
+        palette=tuple(map(PaletteEntry._make, palette)),
         params={"kind": "product", "factors": [mp.params for mp in maps]},
     )
 
@@ -104,11 +102,12 @@ def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dic
 
 
 def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], int]]:
-    """Axis projection of a codeword: list of (J, factor index) pairs.
+    """Axis projection of a unitary n-D codeword: (J, factor index) pairs.
 
-    A fresh factor projects to index ell^(i)_J (one past the base range).
+    Product entries carry factors but no sub-grid J, and are refused.  A
+    fresh factor projects to index ell^(i)_J (one past the base range).
     """
-    by_id = cmap.palette_by_id
+    by_id = {e.id: e for e in cmap.palette}
     out = []
     for cid in codeword:
         e = by_id[cid]

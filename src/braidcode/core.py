@@ -284,7 +284,8 @@ class PaletteEntry(tuple):
     per-instance dict: a map holds one entry per color id, and the
     palette builders make them with ``PaletteEntry._make``, one C call
     and no Python frame an entry.  An entry equals, and hashes as, only
-    another entry of the same fields, not a plain tuple of them.
+    another entry of the same fields, not a plain tuple of them, and never
+    orders.  A foreign tuple subclass's ``==`` runs first, and may say equal.
     """
 
     __slots__ = ()
@@ -308,6 +309,10 @@ class PaletteEntry(tuple):
         return False if isinstance(other, tuple) else NotImplemented
 
     __ne__ = object.__ne__  # tuple's own would compare an entry with a plain tuple
+
+    def __lt__(self, other):  # tuple's order, tried from either side, would rank entries
+        raise TypeError("palette entries do not order")
+    __le__ = __gt__ = __ge__ = __lt__
     __hash__ = tuple.__hash__
     __repr__ = _record_repr
     __setattr__ = _frozen_setattr
@@ -352,10 +357,6 @@ class ColorMap:
         if not used <= known:
             raise PaletteError(f"colors reference ids missing from palette: {sorted(used - known)[:5]}")
         object.__setattr__(self, "_color_ids", used)
-
-    @property
-    def palette_by_id(self) -> dict[int, PaletteEntry]:
-        return {e.id: e for e in self.palette}
 
     def color_at(self, point: Point) -> int:
         return self.colors[self.grid.index(point)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcode import GridSpec, canonical, coding_area, encode, to_json
+from braidcode.braid1d import BraidParams1D, construct, modify_general_size, restrict
 from braidcode.braidnd import (
     FRESH,
     UnitaryBraidParamsND,
@@ -47,6 +48,87 @@ def test_product_fails_iff_some_factor_fails():
     good = identity_generator(6, 2).to_colormap()
     assert not is_distinguishable(bad).ok
     assert not is_distinguishable(product([bad, good])).ok
+
+
+def per_point_product(maps):
+    """``product`` as it was before it folded the factors in mixed radix:
+    every grid point's factor tuple indexed alone, and the factor palette's
+    id dict built anew for every factor of every entry."""
+    ranges = tuple(max(e.id for e in mp.palette) + 1 for mp in maps)
+    shape, grid = GridSpec(ranges), GridSpec(tuple(mp.grid.dims[0] for mp in maps))
+    colors = [shape.index(tuple(mp.colors[c] for mp, c in zip(maps, x))) for x in grid.points()]
+    palette = tuple(
+        PaletteEntry(shape.index(f), None, f,
+                     "*".join({e.id: e for e in mp.palette}[c].label for mp, c in zip(maps, f)))
+        for f in shape.points()
+    )
+    return ColorMap(grid, BlockSpec(tuple(mp.block.dims[0] for mp in maps)), tuple(colors), palette,
+                    {"kind": "product", "factors": [mp.params for mp in maps]})
+
+
+def assert_same_product(maps):
+    got, want = product(maps), per_point_product(maps)
+    assert got == want
+    assert to_json(got) == to_json(want)
+
+
+def test_the_mixed_radix_product_matches_the_per_point_product(m24):
+    m60 = construct(BraidParams1D(M=60, parts=(1, 1), g=2, c=(1, 1), q=(3, 5)))
+    fresh = modify_general_size(m24, 20, fresh=True)
+    assert fresh.palette[-1].label == "fresh"
+    for maps in ([m24, m24], [m24, m60, m24], [m24], [restrict(m24, 19), m24], [fresh, m60]):
+        assert_same_product(maps)
+
+
+@st.composite
+def hand_made_1d_maps(draw):
+    """A cyclic 1D map with palette ids 0..k-1, listed in any order."""
+    k = draw(st.integers(1, 4))
+    M = draw(st.integers(1, 6))
+    colors = tuple(draw(st.lists(st.integers(0, k - 1), min_size=M, max_size=M)))
+    order = draw(st.permutations(range(k)))
+    palette = tuple(PaletteEntry(c, None, None, draw(st.text("ab*", max_size=2))) for c in order)
+    return ColorMap(GridSpec((M,)), BlockSpec((draw(st.integers(1, M)),)), colors, palette)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(hand_made_1d_maps(), min_size=1, max_size=3))
+def test_the_mixed_radix_product_matches_the_per_point_product_on_random_factors(maps):
+    assert_same_product(maps)
+
+
+def test_product_refuses_a_factor_on_more_than_one_axis(fig_map, m24):
+    with pytest.raises(ValueError, match="^factor 0 lies on 2 axes, not one$"):
+        product([fig_map, m24])
+
+
+def _flat(colors, cyclic=False):
+    palette = tuple(PaletteEntry(c, None, None, str(c)) for c in sorted(set(colors)))
+    return ColorMap(GridSpec((len(colors),), cyclic), BlockSpec((2,)), tuple(colors), palette)
+
+
+def test_a_product_of_flat_factors_is_flat():
+    # (0, 0, 1, 1) is distinguishable flat; its wrapped block {1, 0} repeats {0, 1}
+    flat, wrapped = _flat((0, 0, 1, 1)), _flat((0, 0, 1, 1), cyclic=True)
+    assert is_distinguishable(flat).ok and not is_distinguishable(wrapped).ok
+    prod = product([flat, flat])
+    assert prod.grid == GridSpec((4, 4), cyclic=False)
+    assert is_distinguishable(prod).ok
+    assert not is_distinguishable(product([wrapped, wrapped])).ok
+
+
+def test_product_refuses_cyclic_and_flat_factors_together(m24):
+    for maps in ([_flat((0, 0, 1, 1)), m24], [m24, m24, _flat((0, 0, 1, 1))]):
+        with pytest.raises(ValueError, match="^factors mix cyclic and flat grids$"):
+            product(maps)
+
+
+@pytest.mark.parametrize("ids", [(0, 2), (-1, 0), (1, 2)])
+def test_product_refuses_a_factor_whose_palette_ids_are_not_0_to_k(m24, ids):
+    palette = tuple(PaletteEntry(c, None, None, "x") for c in ids)
+    gappy = ColorMap(GridSpec((4,)), BlockSpec((2,)), (ids[0],) * 2 + (ids[1],) * 2, palette)
+    with pytest.raises(ValueError, match=r"^factor 1 has palette ids other than 0\.\.1$"):
+        product([m24, gappy])
 
 
 def test_nd_params_derived_quantities(fig_map):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import operator
 import pickle
 import re
 
@@ -357,6 +358,18 @@ def test_equal_palette_entries_hash_equal_and_key_only_entries():
     assert by_entry[twin] == "entry"
     assert by_entry.get((3, (0,), None, "a")) is None
     assert len({ENTRY, twin, (3, (0,), None, "a")}) == 2
+
+
+def test_palette_entries_do_not_order(m24):
+    """Entries order against nothing, as no record does: tuple's order
+    would rank them, and rank an entry against a plain tuple either way."""
+    fields = (3, (0,), None, "a")
+    for left, right in [(ENTRY, PaletteEntry(4)), (ENTRY, fields), (fields, ENTRY), (ENTRY, ENTRY)]:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="^palette entries do not order$"):
+                op(left, right)
+    with pytest.raises(TypeError, match="^palette entries do not order$"):
+        sorted(m24.palette)
 
 
 def test_a_palette_entry_field_cannot_be_set_or_deleted():
