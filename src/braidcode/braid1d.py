@@ -19,7 +19,7 @@ import math
 # Nothing here uses sunmao, but perfbench's tracer needs it loaded with
 # braid1d until ROADMAP direction 1 step 1 lands.
 from . import sunmao  # noqa: F401
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, record, take
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
 from .params import is_nd_kind
@@ -57,15 +57,12 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
             raise ValueError(f"generator {i} is not {m_i}-distinguishable")
 
     gen_colors, palette = [], []
-    offset = 0
     for i, gen in enumerate(gens):
-        k = max(gen.colors) + 1  # generator ids 0..k-1 become offset..offset+k-1
         if min(gen.colors) < 0:
             raise ValueError(f"generator {i} has a negative color id")
-        gen_colors.append(tuple(map(offset.__add__, gen.colors)))
-        palette += map(PaletteEntry._make, zip(range(offset, offset + k), itertools.repeat((i,)),
-                                               itertools.repeat(None), take(gen.labels, range(k))))
-        offset += k
+        ids, entries = gen.shifted(len(palette), (i,))  # ids 0..k-1 follow the palette so far
+        gen_colors.append(ids)
+        palette += entries
     return ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),
@@ -232,11 +229,11 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     """Restrict a 1D map to the first M_r points of its grid, kept cyclic.
 
-    Distinguishability is guaranteed when ``params_of`` reads (and so
-    proves) a unitary braid map or a restriction of one (window (0, 0)) and
-    the block size does not divide M_r; otherwise check the result with the
-    oracle.  A map on more axes and an n-dim braid map, even on one axis and
-    whatever its colors, are refused: ``extend_arbitrary_size`` cuts those."""
+    Distinguishability is guaranteed when ``params_of`` reads (and so proves,
+    its generators included) a unitary braid map or a restriction of one (window
+    (0, 0)) and the block size does not divide M_r; otherwise check the result
+    with the oracle.  A map on more axes and an n-dim braid map, even on one
+    axis and whatever its colors, are refused: ``extend_arbitrary_size`` cuts those."""
     if len(cmap.grid.dims) != 1 or is_nd_kind(cmap):
         raise ValueError("restrict cuts 1D braid maps; cut an n-dim braid map with "
                          "extend_arbitrary_size")
@@ -270,23 +267,20 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     color of the last aligned point (or a globally fresh color when
     ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
     the overwritten run; the decoder reads them into its seam table.  A
-    map whose colors contradict its generators raises ValueError in
-    ``params_of``, as its decode would.
+    map whose colors contradict its generators, or with a generator that is not
+    distinguishable, raises ValueError in ``params_of``, as its decode would.
     """
     params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
+    (M_r,) = int_tuple((M_r,), "modification size M_r")
     if cmap.grid.dims != (params.M,) or window != [0, 0] or not params.unitary:
         raise ValueError("modification requires a standard unitary braid map")
     M, m = params.M, params.m
     if M_r % m != 0 or not 2 * m <= M_r < M:
         raise ValueError(f"need M_r = J*m with 2 <= J and M_r < M, got {M_r}")
     J = M_r // m
-    shift = None
-    for j in range(m):
-        if cmap.colors[j] != cmap.colors[(J - 1) * m + j]:
-            shift = j
-            break
-    if shift is None:
-        raise InfeasibleError("aligned blocks 0 and J-1 share all colors; cannot anchor shift")
+    # an offset differs: point i of aligned block j has color gen_i[j mod ell_i], each
+    # gen_i is injective (params_of proves it), and lcm(ell_i) = M/m cannot divide 0 < J-1 < M/m
+    shift = next(j for j in range(m) if cmap.colors[j] != cmap.colors[(J - 1) * m + j])
     # the window [shift, shift + M_r) does not wrap: shift < m and M_r <= M - m
     cstar = cmap.colors[shift + M_r - m]
     fill = max(e.id for e in cmap.palette) + 1 if fresh else cstar

@@ -30,9 +30,17 @@ EXIT_COUNTEREXAMPLE = 6
 
 def _ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(map(core.parse_int, text.split(",")))
     except ValueError:
         raise ValueError(f"expected comma-separated ints, got {text!r}") from None
+
+
+def _int(text: str) -> int:
+    """An int option, spelled as ``core.parse_int`` reads it."""
+    try:
+        return core.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _load_map(path: str) -> core.ColorMap:
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a braid code map")
     p.add_argument("--dims", help="grid size M (1D)")
     p.add_argument("--parts", help="comma-separated parts m_i (1D)")
-    p.add_argument("--g", type=int, help="shared factor g (1D: the optimizer picks g, c, q "
+    p.add_argument("--g", type=_int, help="shared factor g (1D: the optimizer picks g, c, q "
                    "when omitted)")
     p.add_argument("--c", help="comma-separated c_i")
     p.add_argument("--q", help="comma-separated q_i")
@@ -248,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qtable", help='JSON like {"0,0": [1,3], ...} (n-dim unitary)')
     p.add_argument("--target", help="target dims L for n-dim extension")
     cut = p.add_mutually_exclusive_group()
-    cut.add_argument("--restrict", type=int, help="restrict 1D map to M_r points")
-    cut.add_argument("--modify", type=int, help="shrink 1D unitary map to M_r = J*m points")
+    cut.add_argument("--restrict", type=_int, help="restrict 1D map to M_r points")
+    cut.add_argument("--modify", type=_int, help="shrink 1D unitary map to M_r = J*m points")
     p.add_argument("--fresh", action="store_true", help="use a fresh color when modifying")
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(func=cmd_construct)
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("erasure-decode", help="locate a block from a partial codeword")
     p.add_argument("--map", required=True)
     p.add_argument("--codeword", required=True, help="surviving colors")
-    p.add_argument("--erasures", type=int, default=None, help="declared erasure count")
+    p.add_argument("--erasures", type=_int, default=None, help="declared erasure count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_erasure_decode)
 
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bench", help="prime-window scaling table (TSV)")
-    p.add_argument("--m", type=int, required=True,
+    p.add_argument("--m", type=_int, required=True,
                    help="half the block size b = 2m; L is half the standard M = b*g*lcm(q)")
     p.add_argument("--s", default="1,2,3", help="comma-separated window starts")
     p.add_argument("--json", action="store_true")

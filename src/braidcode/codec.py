@@ -29,7 +29,7 @@ from collections import Counter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read
+from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read, windows
 from .params import _subgrid_layout, _tail_starts
 
 
@@ -156,13 +156,9 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     cols = params.M // params.m
     rows = []
     for gen in gens:
-        ell, m_i, colors = gen["ell"], gen["m"], gen["colors"]
+        ell, m_i, ws = gen["ell"], gen["m"], windows(gen["colors"], gen["m"])
         labels: dict[tuple, int] = {}
-        row = []
-        for j in range(cols):
-            w = canonical(colors[(j * m_i + t) % ell] for t in range(m_i))
-            row.append(labels.setdefault(w, len(labels)))
-        rows.append(tuple(row))
+        rows.append(tuple(labels.setdefault(ws[j * m_i % ell], len(labels)) for j in range(cols)))
     return AssociatedMatrix(rows=tuple(rows), g=params.g, q=params.q)
 
 
@@ -267,12 +263,6 @@ class _Router:
         return results
 
 
-def _window_table(gen: dict) -> dict[Codeword, int]:
-    """Sub-codeword -> start position, over one generator period."""
-    ell, m_i, colors = gen["ell"], gen["m"], gen["colors"]
-    return {canonical(colors[(x + t) % ell] for t in range(m_i)): x for x in range(ell)}
-
-
 def _decide(dec, w: Codeword):
     """The decode rule of every map: ``dec``'s seam-table tags for ``w``,
     plus each ``dec.route(w)`` result before every seam.  Returns the
@@ -336,6 +326,7 @@ class _Braid:
     A tag before the seam carries the block of the standard map at
     tag + shift (the window ``params.read`` proves), so its codeword
     routes; blocks that wrap or cover the tail start at or past the seam.
+    ``params.read`` refuses a generator whose ell windows are not distinct.
     """
 
     def __init__(self, cmap: ColorMap, window: tuple[BraidParams1D, list[dict], int, int]):
@@ -345,11 +336,8 @@ class _Braid:
         self.seams = (None if L == params.M and not self.tail else L - params.m + 1 - self.tail,)
         self.table = _seam_table(cmap, self.seams)
         self.sub_of = {cid: i for i, gen in enumerate(gens) for cid in gen["colors"]}
-        self.tables = tuple(_window_table(gen) for gen in gens)
-        for i, (table, m_i, ell) in enumerate(zip(self.tables, params.parts, params.ells)):
-            if len(table) != ell:
-                raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
-                                 f"{ell} windows share a sub-codeword")
+        self.tables = tuple({w: x for x, w in enumerate(windows(gen["colors"], gen["m"]))}
+                            for gen in gens)
         self.router = _Router(params.g, params.parts, params.c, params.q)
 
     def route(self, w: Codeword) -> list[DecodeResult]:

@@ -170,9 +170,20 @@ def format_codeword(w) -> str:
 
 def parse_codeword(text: str) -> Codeword:
     try:
-        return canonical(int(t) for t in text.split(",") if t.strip() != "")
+        return canonical(parse_int(t) for t in text.split(",") if t.strip() != "")
     except ValueError as e:
         raise NotACodeword("parse", str(e)) from None
+
+
+def parse_int(text: str) -> int:
+    """An integer spelled as written: an optional sign and ASCII digits,
+    with surrounding spaces.  ``int()`` also reads "1_0" as 10 and "٧" as 7;
+    here they raise the ValueError ``int()`` gives a token it refuses."""
+    token = text.strip()
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(token)
 
 
 @record

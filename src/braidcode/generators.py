@@ -16,9 +16,11 @@ import bisect
 import collections
 import enum
 import functools
+import itertools
 import math
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, record
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, record, take
+from .params import distinguishable
 
 
 class UnsupportedGeneratorError(ValueError):
@@ -90,28 +92,27 @@ class GeneratorCode:
         return canonical(self.colors[(x + t) % self.ell] for t in range(self.m))
 
     def is_distinguishable(self) -> bool:
-        """True when the ell cyclic windows of m colors hold distinct
-        multisets.  Window x is the x-th column of the m copies of
-        ``colors`` rotated left by t mod ell, t < m (m may pass ell), so
-        one C-level pass sorts every window into a set.  For m = 1 the
-        windows are the colors themselves."""
-        colors, ell = self.colors, self.ell
-        if self.m == 1 or not colors:
-            return len(set(colors)) == ell
-        rotated = [colors[t % ell:] + colors[:t % ell] for t in range(self.m)]
-        return len(set(map(tuple, map(sorted, zip(*rotated))))) == ell
+        """True when the ell cyclic windows of m colors hold distinct multisets:
+        ``params.distinguishable``, the rule a map's reader applies."""
+        return distinguishable(self.colors, self.m)
+
+    def shifted(self, id_offset: int, subgrid: tuple[int, ...] | None = None):
+        """The colors with ids moved up by ``id_offset``, and the palette
+        entries of ids 0..k-1 so moved, k = max id + 1, labelled
+        ``labels[c]``, each made in one C call."""
+        k = max(self.colors) + 1
+        palette = tuple(map(PaletteEntry._make, zip(
+            range(id_offset, id_offset + k), itertools.repeat(subgrid), itertools.repeat(None),
+            take(self.labels, range(k)))))
+        return tuple(map(id_offset.__add__, self.colors)), palette
 
     def to_colormap(self, id_offset: int = 0, subgrid: tuple[int, ...] | None = None) -> ColorMap:
         """Dense ColorMap view with ids shifted by ``id_offset``."""
-        k = max(self.colors) + 1
-        palette = tuple(
-            PaletteEntry(id=c + id_offset, subgrid=subgrid, factors=None, label=self.labels[c])
-            for c in range(k)
-        )
+        colors, palette = self.shifted(id_offset, subgrid)
         return ColorMap(
             grid=GridSpec((self.ell,)),
             block=BlockSpec((self.m,)),
-            colors=tuple(map(id_offset.__add__, self.colors)),
+            colors=colors,
             palette=palette,
             params={"kind": "generator", "ell": self.ell, "m": self.m},
         )

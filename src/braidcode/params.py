@@ -7,9 +7,9 @@ of its family, which checks every field once and refuses what it cannot
 read with ValueError.  ``params_of`` and ``params_of_nd`` read one
 family.  ``_colors_1d`` and ``_base_colors`` give the colors those params
 imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
-them, and each reader proves the map against them with ``_prove``, so
-every caller (the decoder, the cuts, ``associated_matrix``) gets params
-the map's colors obey.
+them, and each reader proves the map against them with ``_prove`` (and
+the 1D reader its generators with ``distinguishable``), so every caller
+(the decoder, the cuts, ``associated_matrix``) gets params the map's colors obey.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 
-from .core import ColorMap, GridSpec, int_tuple, record
+from .core import Codeword, ColorMap, GridSpec, int_tuple, record
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,21 @@ def _colors_1d(params: BraidParams1D, gen_colors, shift: int, n: int) -> list[in
     return colors
 
 
+def windows(colors, m: int) -> list[Codeword]:
+    """The sorted m-window colors[(x + t) % ell], t < m, at each start x of
+    the cyclic sequence ``colors`` (m may pass ell): column x of the m
+    rotations of ``colors``, so one C-level pass sorts every window."""
+    ell = len(colors)
+    rotated = [colors[t % ell:] + colors[:t % ell] for t in range(m)]
+    return list(map(tuple, map(sorted, zip(*rotated))))
+
+
+def distinguishable(colors, m: int) -> bool:
+    """Whether the ell cyclic m-windows of ``colors`` hold distinct multisets."""
+    ws = colors if m == 1 or not colors else windows(colors, m)
+    return len(set(ws)) == len(colors)
+
+
 def _prove(cmap: ColorMap, m: tuple, want: list[int], ends: tuple, what: str, name) -> None:
     """Raise ValueError unless the map has block ``m`` and each point before
     ``ends[i]`` on every axis i carries the color ``want`` lists for it,
@@ -192,6 +207,10 @@ def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int,
     n = max(0, min(n, dims[0]))
     want = _colors_1d(params, [gen["colors"] for gen in gens], shift, n)
     _prove(cmap, (params.m,), want, (n,), "generators", operator.itemgetter(0))
+    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
+        if not distinguishable(gen["colors"], m_i):
+            raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
+                             f"{ell} windows share a sub-codeword")
     return params, gens, shift, dims[0] - n
 
 
@@ -372,7 +391,8 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
     has fewer); only stored params are read, no map is rebuilt.  A field,
     the generators' and the cuts' included, that is not an int (19.5,
     true), params ``validate`` refuses, a map with a point before the tail
-    that is not so colored, and any other map raise ValueError.
+    that is not so colored, then a generator ``distinguishable`` refuses,
+    and any other map raise ValueError.
     """
     return _read(cmap, _window_1d, _NOT_1D)
 

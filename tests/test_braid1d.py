@@ -426,14 +426,23 @@ def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
     with pytest.raises(ValueError, match="^map contradicts its generators: point 18 has color 0, "
                                          "they give 1$"):
         modify_general_size(replace(m24, colors=tuple(colors)), 20)
-    # colors that agree with generators that are not 1-distinguishable: aligned
-    # blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all equal
+    # colors that agree with generators that are not 1-distinguishable, under which
+    # aligned blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all
+    # equal: the reader refuses the generators, so no shift is sought
     params, gens, _, _ = params_of(m24)
     gens = [dict(gens[0], colors=[0, 0, 1, 2]), dict(gens[1], colors=[4, 5, 6, 4, 7, 8])]
     colors = _colors_1d(params, [gen["colors"] for gen in gens], 0, 24)
     cmap = replace(m24, colors=tuple(colors), params=dict(m24.params, gens=gens))
-    with pytest.raises(InfeasibleError, match="aligned blocks 0 and J-1 share all colors"):
+    with pytest.raises(ValueError, match="^generator 0 is not 1-distinguishable: two of its 4 "
+                                         "windows share a sub-codeword$"):
         modify_general_size(cmap, 20)
+
+
+@pytest.mark.parametrize("M_r", [20.0, True, "20"])
+def test_modify_refuses_a_size_that_is_not_an_int(m24, M_r):
+    # 20.0 would raise "tuple indices must be integers or slices, not float"
+    with pytest.raises(ValueError, match="^modification size M_r must be integers, got "):
+        modify_general_size(m24, M_r)
 
 
 def test_modify_refuses_a_map_that_contradicts_its_generators(m24):

@@ -162,6 +162,25 @@ def test_decode_not_a_codeword(m24_path, capsys):
     assert code == EXIT_NOT_A_CODEWORD and "parse" in err
 
 
+# int() would read "1_0" as 10 and "\u0667" (Arabic-Indic seven) as 7
+@pytest.mark.parametrize("point", ["1_0", "\u0667", "7_"])
+def test_encode_reads_a_point_as_written(m24_path, capsys, point):
+    code, out, err = run(capsys, "encode", "--map", str(m24_path), "--point", point)
+    assert (code, out, err) == (EXIT_INVALID, "", f"error: expected comma-separated ints, got {point!r}\n")
+
+
+def test_encode_reads_a_sign_and_surrounding_spaces(m24_path, capsys):
+    want = run(capsys, "encode", "--map", str(m24_path), "--point", "7")
+    assert run(capsys, "encode", "--map", str(m24_path), "--point", " +7 ") == want
+
+
+@pytest.mark.parametrize("codeword", ["2,1_0", "2,\u0667", "1_0"])
+def test_decode_reads_a_codeword_as_written(m24_path, capsys, codeword):
+    code, out, err = run(capsys, "decode", "--map", str(m24_path), "--codeword", codeword)
+    assert (code, out) == (EXIT_NOT_A_CODEWORD, "")
+    assert err.startswith("error: not a codeword (parse): "), err
+
+
 def test_decode_rejects_a_map_whose_generators_contradict_its_colors(m24_path, capsys):
     doc = json.loads(m24_path.read_text())
     doc["params"]["gens"][0]["colors"].reverse()
@@ -268,6 +287,31 @@ def test_bad_build_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INVALID and not out
     assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_construct_reads_dims_as_written(tmp_path, capsys):
+    # int() would read "2_4" as 24 and build the map
+    path = tmp_path / "map.json"
+    code, out, err = run(capsys, "construct", "--dims", "2_4", *M24_ARGS[2:], "--out", str(path))
+    assert (code, out, err) == (EXIT_INVALID, "", "error: expected comma-separated ints, got '2_4'\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,token", [
+    (("construct", *M24_ARGS[:4], "--g", "\u0662", "--q", "2,3"), "\u0662"),
+    (("construct", *M24_ARGS, "--restrict", "1_9"), "1_9"),
+    (("construct", *M24_ARGS, "--modify", "2_0"), "2_0"),
+    (("erasure-decode", "--codeword", "0", "--erasures", "\u0661"), "\u0661"),
+    (("bench", "--m", "\u0662", "--s", "1"), "\u0662"),
+], ids=["g", "restrict", "modify", "erasures", "m"])
+def test_an_int_option_reads_its_value_as_written(m24_path, capsys, argv, token):
+    # int() would read each token, and the command would run
+    if argv[0] == "erasure-decode":
+        argv = (*argv, "--map", str(m24_path))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_INVALID
+    assert f"invalid int value: {token!r}" in capsys.readouterr().err
 
 
 ND8_ARGS = ("--block", "2", "--g", "2", "--qtable", '{"0": [1], "1": [2]}')

@@ -18,6 +18,7 @@ from braidcode.braid1d import (
     BraidParams1D, InfeasibleError, construct, modify_general_size, params_of, restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
+from braidcode.params import _colors_1d
 from braidcode.braidnd import (
     UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size, params_of_nd,
 )
@@ -1097,6 +1098,38 @@ def test_associated_matrix_refuses_a_map_that_contradicts_its_generators(m24):
     with pytest.raises(ValueError, match="^map contradicts its generators: point 4 has color 0, "
                                          "they give 2$"):
         associated_matrix(_m24_with_colors_4_5_of_0_1(m24))
+
+
+def _m24_with_generator_0_of(m24, colors):
+    """m24 with generator 0's colors replaced, and the map's colors rebuilt to match."""
+    params, gens, _, _ = params_of(m24)
+    gens = [dict(gens[0], colors=list(colors)), gens[1]]
+    return replace(m24, colors=tuple(_colors_1d(params, [gen["colors"] for gen in gens], 0, 24)),
+                   params=dict(m24.params, gens=gens))
+
+
+NOT_DISTINGUISHABLE = ("^generator 0 is not 1-distinguishable: two of its 4 windows share a "
+                       "sub-codeword$")
+
+
+@pytest.mark.parametrize("call", [
+    params_of,
+    lambda cmap: modify_general_size(cmap, 20),
+    associated_matrix,
+    lambda cmap: decode(cmap, (0, 4)),
+], ids=["params_of", "modify", "associated-matrix", "decode"])
+def test_every_reader_refuses_a_generator_that_is_not_distinguishable(m24, call):
+    # the map obeys its generators, so only the generator check refuses it; without
+    # it, the map was cut into a 20-point map that no decode reads, and given a matrix
+    with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
+        call(_m24_with_generator_0_of(m24, [0, 1, 0, 1]))
+
+
+def test_restrict_guarantees_nothing_of_a_map_whose_generator_is_not_distinguishable(m24):
+    # without the generator check the cut said "guaranteed": true, yet it collides
+    cut = restrict(_m24_with_generator_0_of(m24, [0, 1, 0, 1]), 19)
+    assert cut.params["guaranteed"] is False
+    assert not is_distinguishable(cut).ok
 
 
 def test_extension_refuses_a_map_that_contradicts_its_params():

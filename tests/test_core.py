@@ -29,7 +29,7 @@ from braidcode import (
     restrict,
     to_json,
 )
-from braidcode.core import PaletteEntry, asdict, record, replace
+from braidcode.core import PaletteEntry, asdict, parse_codeword, parse_int, record, replace
 from braidcode.oracle import VerifyReport
 
 
@@ -65,6 +65,20 @@ def test_index_refuses_a_point_outside_the_grid():
     for point in [(3, 0), (0, 4), (-1, 0)]:
         with pytest.raises(ValueError, match=f"^{re.escape(f'point {point} outside grid (3, 4)')}$"):
             grid.index(point)
+
+
+@pytest.mark.parametrize("text,value", [("7", 7), (" 7 ", 7), ("+7", 7), ("-3", -3), ("007", 7)])
+def test_parse_int_reads_a_sign_digits_and_surrounding_spaces(text, value):
+    assert parse_int(text) == value
+
+
+# int() reads the first three as 10, 7 and 1 ("\uff11" is a fullwidth 1)
+@pytest.mark.parametrize("text", ["1_0", "\u0667", "\uff11", "\u00b2", "", "+", "-+1", "1 0", "1.0"])
+def test_parse_int_refuses_any_other_spelling(text):
+    with pytest.raises(ValueError, match=re.escape(f"invalid literal for int() with base 10: {text!r}")):
+        parse_int(text)
+    with pytest.raises(ValueError, match=re.escape("not a codeword (parse)")):
+        parse_codeword(f"2,{text}" if text else "2,x")
 
 
 def test_encode_takes_an_int_tag_on_a_1d_map(m24):

@@ -19,6 +19,8 @@ from braidcode.generators import (
     repetitive_extend,
     search_distinguishable,
 )
+from braidcode.core import canonical
+from braidcode.params import distinguishable, windows
 
 
 def test_max_cyclic_length_closed_forms():
@@ -152,6 +154,24 @@ def test_is_distinguishable_matches_the_per_window_reference(data):
     colors = data.draw(st.lists(st.integers(0, k - 1), min_size=ell, max_size=ell), label="colors")
     gen = GeneratorCode(ell, m, tuple(colors), ())
     assert gen.is_distinguishable() == reference_generator_distinguishable(gen)
+
+
+def reference_windows(colors, m):
+    """The per-start rule ``params.windows`` replaced in the codec's tables
+    and ``associated_matrix``: each window sorted on its own."""
+    ell = len(colors)
+    return [canonical(colors[(x + t) % ell] for t in range(m)) for x in range(ell)]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_windows_match_the_per_start_reference(data):
+    ell = data.draw(st.integers(1, 30), label="ell")
+    m = data.draw(st.integers(1, ell + 2), label="m")  # m may reach and pass ell
+    k = data.draw(st.integers(1, 6), label="k")
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=ell, max_size=ell), label="colors")
+    assert windows(colors, m) == windows(tuple(colors), m) == reference_windows(colors, m)
+    assert distinguishable(colors, m) == (len(set(reference_windows(colors, m))) == ell)
 
 
 def test_is_distinguishable_matches_the_reference_on_every_short_period():
