@@ -106,9 +106,14 @@ def _divisors(n: int) -> list[int]:
 def _shared_factors(M: int, parts: tuple[int, ...]):
     """Yield (g, Q, qdivs) for every shared factor g > 1 of N = M/m,
     ascending: Q = N/g is the lcm the q-vector must reach and ``qdivs``
-    its divisors, ascending, the values each q_i may take."""
+    its divisors, ascending, the values each q_i may take.  M and the parts
+    are read as the params reader reads them: a value that is not an int
+    (24.0, true), M < 1 and a part < 1 raise ValueError."""
+    M, *parts = int_tuple((M, *parts), "grid size M and parts")
+    if M < 1:
+        raise ValueError(f"grid size M must be positive, got {M}")
     if not parts or any(m_i < 1 for m_i in parts):
-        raise ValueError(f"parts must be positive, got {parts}")
+        raise ValueError(f"parts must be positive, got {tuple(parts)}")
     m = sum(parts)
     if M % m != 0:
         raise InfeasibleError(f"block size {m} must divide M={M}")
@@ -158,7 +163,8 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
 
     Cost is the sum of the fewest-color counts for each (ell_i, m_i);
     ties break toward lexicographically smallest (ell-list, g).  The
-    result is exact when every part is at most 3.
+    result is exact when every part is at most 3.  M and the parts must be
+    positive ints (else ValueError); InfeasibleError says no code fits them.
 
     The walk is a depth-first branch and bound over ``enumerate_params``'s
     order: g ascending, then q_1, q_2, ... each over the divisors of
@@ -230,9 +236,9 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     """Restrict a 1D map to the first M_r points of its grid, kept cyclic.
 
     Distinguishability is guaranteed when ``params_of`` reads (and so proves,
-    its generators included) a unitary braid map or a restriction of one (window
-    (0, 0)) and the block size does not divide M_r; otherwise check the result
-    with the oracle.  A map on more axes and an n-dim braid map, even on one
+    its generators and their disjoint ids included) a unitary braid map or a
+    restriction of one (window (0, 0)) and the block size does not divide M_r;
+    otherwise check the result with the oracle.  A map on more axes and an n-dim braid map, even on one
     axis and whatever its colors, are refused: ``extend_arbitrary_size`` cuts those."""
     if len(cmap.grid.dims) != 1 or is_nd_kind(cmap):
         raise ValueError("restrict cuts 1D braid maps; cut an n-dim braid map with "
@@ -267,8 +273,9 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     color of the last aligned point (or a globally fresh color when
     ``fresh``).  Only the blocks from M_r - 2m + 2 on wrap or cover
     the overwritten run; the decoder reads them into its seam table.  A
-    map whose colors contradict its generators, or with a generator that is not
-    distinguishable, raises ValueError in ``params_of``, as its decode would.
+    map whose colors contradict its generators, with a generator that is not
+    distinguishable, or with generators that share a color id, raises
+    ValueError in ``params_of``, as its decode would.
     """
     params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
     (M_r,) = int_tuple((M_r,), "modification size M_r")

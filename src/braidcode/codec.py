@@ -10,10 +10,10 @@ past a seam on each cut axis, read into a seam table; one rule decodes
 every cyclic map: the routed tag when it lies before every seam, plus
 every seam tag the table lists for the codeword.
 
-All a decode needs that depends only on the map (sub-grid split, generator
-tables, routing constants and CRT plans, seam table) is compiled once by
-``compile_decoder`` and kept on the map: a decode costs O(ell), not O(M),
-and reads the params and colors, not the palette.
+``compile_decoder`` is the one step that reads a map to decode it, once, and
+keeps the result on the map: the decoder (sub-grid split, generator tables,
+routing constants, CRT plans) is built from ``params.read``'s value, one seam
+rule picks the blocks of the seam table.  A decode then costs O(ell), not O(M).
 
 A decode loads ``core``, ``params`` (the one reader of a map's kind and
 params, which refuses a map whose colors contradict them) and this module,
@@ -301,7 +301,6 @@ def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
     """
     dims, m, colors = cmap.grid.dims, cmap.block.dims, cmap.colors
     strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
-    seams = [None if s is None else max(s, 0) for s in seams]  # params may come from a file
     table: dict[Codeword, list[Point]] = {}
     for k, seam in enumerate(seams):
         if seam is None:
@@ -320,21 +319,18 @@ def _seam_table(cmap: ColorMap, seams) -> dict[Codeword, tuple[Point, ...]]:
 
 
 class _Braid:
-    """Compiled 1D braid code, standard or cut: sub-grid split, generator
-    tables, router, seam table.
+    """Compiled 1D braid code, standard or cut, from ``params.read``'s value
+    alone: sub-grid split, generator tables, router.
 
     A tag before the seam carries the block of the standard map at
     tag + shift (the window ``params.read`` proves), so its codeword
     routes; blocks that wrap or cover the tail start at or past the seam.
-    ``params.read`` refuses a generator whose ell windows are not distinct.
+    ``params.read`` refuses a generator with two equal windows or a shared id.
     """
 
-    def __init__(self, cmap: ColorMap, window: tuple[BraidParams1D, list[dict], int, int]):
+    def __init__(self, window: tuple[BraidParams1D, list[dict], int, int]):
         params, gens, self.shift, self.tail = window
-        (L,) = cmap.grid.dims
         self.M, self.m, self.parts = params.M, params.m, params.parts
-        self.seams = (None if L == params.M and not self.tail else L - params.m + 1 - self.tail,)
-        self.table = _seam_table(cmap, self.seams)
         self.sub_of = {cid: i for i, gen in enumerate(gens) for cid in gen["colors"]}
         self.tables = tuple({w: x for x, w in enumerate(windows(gen["colors"], gen["m"]))}
                             for gen in gens)
@@ -418,7 +414,8 @@ class _Axis:
 
 
 class _UnitaryND:
-    """Each axis decodes independently from the codeword's projection.
+    """Each axis decodes independently from the codeword's projection;
+    compiled from the params alone.
 
     ``params.read`` proves every point carries the color the params give,
     save in the tail (last m_i points) of each shortened axis, so a tag
@@ -426,17 +423,13 @@ class _UnitaryND:
     from the params: a fresh color has none, and only the seam table reads it.
     """
 
-    def __init__(self, cmap: ColorMap, params: UnitaryBraidParamsND):
-        dims = cmap.grid.dims
+    def __init__(self, params: UnitaryBraidParamsND):
         self.factors_of = {
             offset + k: (J, f)
             for J, (offset, ells, _) in _subgrid_layout(params).items()
             for k, f in enumerate(itertools.product(*map(range, ells)))
         }
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
-        self.seams = tuple(None if e == L else e - m_i + 1
-                           for e, L, m_i in zip(_tail_starts(params, dims), dims, params.m))
-        self.table = _seam_table(cmap, self.seams)
 
     def seam_result(self, x: Point) -> DecodeResultND:
         return DecodeResultND(x, (None,) * len(x), "seam")
@@ -453,24 +446,28 @@ class _UnitaryND:
 def compile_decoder(cmap: ColorMap):
     """The map's compiled decoder: built on first use, then kept on the map.
 
-    The type of what ``params.read`` gives picks the decoder; what it
-    refuses, and a flat grid, raise ``ValueError``.  Maps are immutable, so
-    the decoder stays valid; not a record field, it is not in ``==`` or JSON.
+    The one decode step that reads the map: the type of what ``params.read``
+    gives picks the decoder, built from that value alone; what it refuses,
+    and a flat grid, raise ``ValueError``.  On each axis, with e its proven
+    prefix (L - tail in 1D, the tail start in n-D), the seam is e - m + 1
+    (at least 0: params may come from a file), or None when e is the whole
+    period M; the seam table holds the blocks from the seams on.  Maps are
+    immutable, so the decoder stays valid; not a record field, it is not in
+    ``==`` or JSON.
     """
     dec = getattr(cmap, "_decoder", None)
     if dec is None:
         if not cmap.grid.cyclic:
             raise ValueError("decoding requires a cyclic grid")
-        value = read(cmap)
-        dec = _UnitaryND(cmap, value) if isinstance(value, UnitaryBraidParamsND) else _Braid(cmap, value)
+        value, dims = read(cmap), cmap.grid.dims
+        if isinstance(value, UnitaryBraidParamsND):
+            dec, axes = _UnitaryND(value), zip(_tail_starts(value, dims), value.dims, value.m)
+        else:
+            dec = _Braid(value)
+            axes = [(dims[0] - dec.tail, dec.M, dec.m)]
+        dec.seams = tuple(None if e == M else max(e - m + 1, 0) for e, M, m in axes)
+        dec.table = _seam_table(cmap, dec.seams)
         object.__setattr__(cmap, "_decoder", dec)
-    return dec
-
-
-def _decoder(cmap: ColorMap, kind: type, message: str):
-    dec = compile_decoder(cmap)
-    if not isinstance(dec, kind):
-        raise ValueError(message)
     return dec
 
 
@@ -481,21 +478,25 @@ def decode(cmap: ColorMap, w) -> DecodeResult | DecodeResultND:
 
 def decode_1d(cmap: ColorMap, w) -> DecodeResult:
     """Decode a codeword of a standard 1D braid map back to its tag."""
-    dec = _decoder(cmap, _Braid, "not a 1D braid map")
-    if dec.seams != (None,):  # a cut map
+    dec = compile_decoder(cmap)
+    if not isinstance(dec, _Braid) or dec.seams != (None,):  # or a cut map
         raise ValueError("not a 1D braid map")
     return _decide(dec, canonical(w))
 
 
 def decode_1d_general(cmap: ColorMap, w) -> DecodeResult:
     """Decode on standard, restricted or modified 1D braid maps."""
-    dec = _decoder(cmap, _Braid, "not a 1D braid map, nor a restriction or modification of one")
+    dec = compile_decoder(cmap)
+    if not isinstance(dec, _Braid):
+        raise ValueError("not a 1D braid map, nor a restriction or modification of one")
     return _decide(dec, canonical(w))
 
 
 def decode_nd(cmap: ColorMap, w) -> DecodeResultND:
     """Decode a codeword of an n-dim unitary braid map (or its extension)."""
-    dec = _decoder(cmap, _UnitaryND, "not an n-dim unitary braid map")
+    dec = compile_decoder(cmap)
+    if not isinstance(dec, _UnitaryND):
+        raise ValueError("not an n-dim unitary braid map")
     return _decide(dec, canonical(w))
 
 
@@ -513,10 +514,9 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     tags whose block holds every survivor as often as it survives.  They
     are returned along with their spread (max pairwise cyclic distance).
     """
-    message = "erasure decoding requires a unitary braid map or restriction"
-    braid = _decoder(cmap, _Braid, message)
-    if braid.shift or braid.tail:  # a modified map, or a cut of one
-        raise ValueError(message)
+    braid = compile_decoder(cmap)
+    if not isinstance(braid, _Braid) or braid.shift or braid.tail:  # or a modification, or its cut
+        raise ValueError("erasure decoding requires a unitary braid map or restriction")
     if any(p != 1 for p in braid.parts):
         raise ValueError("erasure decoding requires a unitary map")
     (M_r,) = cmap.grid.dims

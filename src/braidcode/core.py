@@ -169,8 +169,12 @@ def format_codeword(w) -> str:
 
 
 def parse_codeword(text: str) -> Codeword:
+    """The canonical codeword of its wire format.  Every comma-separated
+    token is a color id as ``parse_int`` reads it, so an empty one (as in
+    "0,,4", ",0,4," or "") raises ``NotACodeword("parse", ...)``, as a
+    misspelled one does, rather than being dropped."""
     try:
-        return canonical(parse_int(t) for t in text.split(",") if t.strip() != "")
+        return canonical(map(parse_int, text.split(",")))
     except ValueError as e:
         raise NotACodeword("parse", str(e)) from None
 

@@ -8,8 +8,9 @@ read with ValueError.  ``params_of`` and ``params_of_nd`` read one
 family.  ``_colors_1d`` and ``_base_colors`` give the colors those params
 imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
 them, and each reader proves the map against them with ``_prove`` (and
-the 1D reader its generators with ``distinguishable``), so every caller
-(the decoder, the cuts, ``associated_matrix``) gets params the map's colors obey.
+the 1D reader its generators distinguishable, with ``distinguishable``, and
+their color ids disjoint), so every caller (the decoder, the cuts,
+``associated_matrix``) gets params the map's colors obey.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -211,6 +212,11 @@ def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int,
         if not distinguishable(gen["colors"], m_i):
             raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
                              f"{ell} windows share a sub-codeword")
+    owner: dict[int, int] = {}  # color id -> its generator: the sub-grid palettes are disjoint
+    for i, gen in enumerate(gens):
+        for cid in gen["colors"]:
+            if owner.setdefault(cid, i) != i:
+                raise ValueError(f"generators {owner[cid]} and {i} share color id {cid}")
     return params, gens, shift, dims[0] - n
 
 
@@ -392,7 +398,8 @@ def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
     the generators' and the cuts' included, that is not an int (19.5,
     true), params ``validate`` refuses, a map with a point before the tail
     that is not so colored, then a generator ``distinguishable`` refuses,
-    and any other map raise ValueError.
+    then two generators that share a color id, and any other map raise
+    ValueError.
     """
     return _read(cmap, _window_1d, _NOT_1D)
 

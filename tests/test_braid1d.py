@@ -332,6 +332,21 @@ def test_optimizer_keeps_a_larger_g_that_ties_on_cost():
     assert optimize_generators(16, (3, 1)).params.g == 4
 
 
+@pytest.mark.parametrize("M, parts, message", [
+    (24.0, (1, 1), "grid size M and parts must be integers, got 24.0"),
+    (24, (1.0, 1), "grid size M and parts must be integers, got 1.0"),
+    (True, (1, 1), "grid size M and parts must be integers, got true"),
+    (0, (1, 1), "grid size M must be positive, got 0"),
+    (-24, (1, 1), "grid size M must be positive, got -24"),
+])
+def test_optimizer_refuses_a_size_or_part_that_is_not_a_positive_int(M, parts, message):
+    # 24.0 and 1.0 ended in a TypeError, and M < 1 in InfeasibleError
+    for call in (optimize_generators, lambda M, parts: list(enumerate_params(M, parts))):
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            call(M, parts)
+        assert type(info.value) is ValueError
+
+
 def test_optimize_infeasible():
     with pytest.raises(InfeasibleError):
         optimize_generators(12, (2, 3))  # block size 5 does not divide 12

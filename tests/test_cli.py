@@ -174,7 +174,8 @@ def test_encode_reads_a_sign_and_surrounding_spaces(m24_path, capsys):
     assert run(capsys, "encode", "--map", str(m24_path), "--point", " +7 ") == want
 
 
-@pytest.mark.parametrize("codeword", ["2,1_0", "2,\u0667", "1_0"])
+# the empty tokens were dropped: the first three decoded 0,4 to tag 0
+@pytest.mark.parametrize("codeword", ["2,1_0", "2,\u0667", "1_0", "0,,4", ",0,4,", "0, ,4", ""])
 def test_decode_reads_a_codeword_as_written(m24_path, capsys, codeword):
     code, out, err = run(capsys, "decode", "--map", str(m24_path), "--codeword", codeword)
     assert (code, out) == (EXIT_NOT_A_CODEWORD, "")
@@ -249,6 +250,18 @@ def test_a_map_whose_generator_is_not_distinguishable_exits_2(m24_path, capsys, 
     assert "generator 0 is not 1-distinguishable" in err
 
 
+@pytest.mark.parametrize("command,codeword", [("decode", "0,4"), ("erasure-decode", "0")])
+def test_a_map_whose_generators_share_a_color_id_exits_2(m24_path, capsys, command, codeword):
+    # generator 1 on ids 0..5, the colors of its sub-grid (the odd points) moved with it;
+    # erasure-decode printed candidates=0,1,12,13, 4 of the 9 tags holding color 0
+    doc = json.loads(m24_path.read_text())
+    doc["params"]["gens"][1]["colors"] = list(range(6))
+    doc["colors"] = [c - 4 * (x % 2) for x, c in enumerate(doc["colors"])]
+    m24_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--map", str(m24_path), "--codeword", codeword)
+    assert (code, out, err) == (EXIT_INVALID, "", "error: generators 0 and 1 share color id 0\n")
+
+
 @pytest.mark.parametrize("command,codeword", [("decode", "0,9"), ("erasure-decode", "0")])
 def test_a_map_on_a_flat_grid_exits_2(m24_path, capsys, command, codeword):
     # tag 23's block wraps past the end of a flat grid; decoding used to return it
@@ -279,6 +292,9 @@ BAD_BUILD_ARGS = [
     ("construct", "--dims", "x", "--parts", "1,1"),
     ("optimize", "--dims", "24", "--parts", "0"),
     ("optimize", "--dims", "24", "--parts", "1,-1"),
+    # a size below 1 exited 3, as if no code fitted it
+    ("optimize", "--dims", "0", "--parts", "1,1"),
+    ("construct", "--dims", "-24", "--parts", "1,1"),
 ]
 
 

@@ -9,13 +9,14 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from braidcode import (
     braid1d, canonical, codec, coding_area, encode, from_json, is_distinguishable, to_json,
 )
 from braidcode.braid1d import (
-    BraidParams1D, InfeasibleError, construct, modify_general_size, params_of, restrict,
+    BraidParams1D, InfeasibleError, construct, enumerate_params, modify_general_size, params_of,
+    restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
 from braidcode.params import _colors_1d
@@ -717,14 +718,17 @@ def test_every_one_axis_recut_of_the_fixture_map_decodes_like_encode(fig_map, ax
         assert_decodes_like_encode(extend_arbitrary_size(fig_map, tuple(dims)))
 
 
-@pytest.mark.parametrize("cut, seam_tags", [
-    (lambda m24, fig: restrict(m24, 19), [(18,)]),
-    (lambda m24, fig: modify_general_size(m24, 20), [(18,), (19,)]),
-    (lambda m24, fig: extend_arbitrary_size(fig, (12, 21)), None),
-], ids=["restricted", "modified", "extended"])
-def test_seam_table_holds_the_encoded_blocks_past_the_seam(m24, fig_map, cut, seam_tags):
+@pytest.mark.parametrize("cut, seam_tags, seams", [
+    (lambda m24, fig: restrict(m24, 19), [(18,)], (18,)),
+    (lambda m24, fig: modify_general_size(m24, 20), [(18,), (19,)], (18,)),
+    (lambda m24, fig: extend_arbitrary_size(fig, (12, 21)), None, (9, 18)),
+    # the modification's tail is cut off: 15 proven points, seam 15 - 2 + 1
+    (lambda m24, fig: restrict(modify_general_size(m24, 20), 15), [(14,)], (14,)),
+], ids=["restricted", "modified", "extended", "restricted-modified"])
+def test_seam_table_holds_the_encoded_blocks_past_the_seam(m24, fig_map, cut, seam_tags, seams):
     cmap = cut(m24, fig_map)
     table = compile_decoder(cmap).table
+    assert compile_decoder(cmap).seams == seams
     if seam_tags is None:  # the tags with x_0 >= 12 - 4 + 1 or x_1 >= 21 - 4 + 1
         seam_tags = [x for x in coding_area(cmap.grid, cmap.block) if x[0] >= 9 or x[1] >= 18]
         assert len(seam_tags) == 3 * 21 + 12 * 3 - 3 * 3
@@ -732,7 +736,40 @@ def test_seam_table_holds_the_encoded_blocks_past_the_seam(m24, fig_map, cut, se
     for x in seam_tags:
         expect.setdefault(encode(cmap, x), []).append(x)
     assert {w: sorted(tags) for w, tags in table.items()} == expect
-    assert compile_decoder(fig_map).table == {}  # a standard map has no seam
+    for std, none in [(m24, (None,)), (fig_map, (None, None))]:  # a standard map has no seam
+        assert (compile_decoder(std).seams, compile_decoder(std).table) == (none, {})
+
+
+@functools.lru_cache(maxsize=None)
+def _built_1d(params):
+    return construct(params)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_a_decoder_compiled_from_params_alone_routes_every_tag_home(data):
+    # the decoder classes take the params reader's value and no map; the map only encodes.
+    # A codeword routes to every tag that carries it: some params validate accepts give
+    # a map that is not distinguishable (M=12, parts (2, 2), g=3: tags 1 and 7 collide).
+    if data.draw(st.booleans(), label="1D"):
+        parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
+        choices = list(enumerate_params(sum(parts) * data.draw(st.integers(2, 12), label="N"), parts))
+        assume(choices)
+        cmap = _built_1d(data.draw(st.sampled_from(choices), label="params"))
+        dec = codec._Braid(params_of(cmap))
+    else:
+        m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="m"))
+        q = st.lists(st.integers(1, 3), min_size=len(m), max_size=len(m)).map(tuple)
+        qtable = {J: data.draw(q, label=f"q{J}") for J in GridSpec(m).points()}
+        params = UnitaryBraidParamsND(m=m, g=data.draw(st.integers(2, 3), label="g"), qtable=qtable)
+        cmap = construct_unitary_nd(params)
+        dec = codec._UnitaryND(params_of_nd(cmap))
+    event(type(dec).__name__)
+    carriers = {}
+    for x in coding_area(cmap.grid, cmap.block):  # an n-D tag is a tuple on one axis too
+        carriers.setdefault(encode(cmap, x), []).append(x[0] if isinstance(dec, codec._Braid) else x)
+    for w, tags in carriers.items():
+        assert sorted(res.tag for res in dec.route(w)) == tags
 
 
 def test_decode_reports_its_path(m24, fig_map):
@@ -1100,10 +1137,10 @@ def test_associated_matrix_refuses_a_map_that_contradicts_its_generators(m24):
         associated_matrix(_m24_with_colors_4_5_of_0_1(m24))
 
 
-def _m24_with_generator_0_of(m24, colors):
-    """m24 with generator 0's colors replaced, and the map's colors rebuilt to match."""
+def _m24_with_generator(m24, i, colors):
+    """m24 with generator i's colors replaced, and the map's colors rebuilt to match."""
     params, gens, _, _ = params_of(m24)
-    gens = [dict(gens[0], colors=list(colors)), gens[1]]
+    gens = [dict(gen, colors=list(colors)) if k == i else gen for k, gen in enumerate(gens)]
     return replace(m24, colors=tuple(_colors_1d(params, [gen["colors"] for gen in gens], 0, 24)),
                    params=dict(m24.params, gens=gens))
 
@@ -1122,12 +1159,40 @@ def test_every_reader_refuses_a_generator_that_is_not_distinguishable(m24, call)
     # the map obeys its generators, so only the generator check refuses it; without
     # it, the map was cut into a 20-point map that no decode reads, and given a matrix
     with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
-        call(_m24_with_generator_0_of(m24, [0, 1, 0, 1]))
+        call(_m24_with_generator(m24, 0, [0, 1, 0, 1]))
 
 
 def test_restrict_guarantees_nothing_of_a_map_whose_generator_is_not_distinguishable(m24):
     # without the generator check the cut said "guaranteed": true, yet it collides
-    cut = restrict(_m24_with_generator_0_of(m24, [0, 1, 0, 1]), 19)
+    cut = restrict(_m24_with_generator(m24, 0, [0, 1, 0, 1]), 19)
+    assert cut.params["guaranteed"] is False
+    assert not is_distinguishable(cut).ok
+
+
+def _m24_sharing_ids(m24):
+    """m24 with generator 1 on generator 0's ids 0..5: each generator is distinguishable
+    and the map obeys them, but tags 7 and 13 share the codeword 0,3."""
+    bad = _m24_with_generator(m24, 1, range(6))
+    assert encode(bad, (7,)) == encode(bad, (13,)) == (0, 3)
+    return bad
+
+
+@pytest.mark.parametrize("call", [
+    params_of,
+    lambda cmap: modify_general_size(cmap, 20),
+    associated_matrix,
+    lambda cmap: decode(cmap, encode(cmap, (3,))),
+    lambda cmap: erasure_decode(cmap, (0,)),
+], ids=["params_of", "modify", "associated-matrix", "decode", "erasure-decode"])
+def test_every_reader_refuses_generators_that_share_a_color_id(m24, call):
+    # without the check every decode failed on the palette split, the erasure decode
+    # named 4 of the 9 tags holding color 0, and the map was cut into a colliding one
+    with pytest.raises(ValueError, match="^generators 0 and 1 share color id 0$"):
+        call(_m24_sharing_ids(m24))
+
+
+def test_restrict_guarantees_nothing_of_generators_that_share_a_color_id(m24):
+    cut = restrict(_m24_sharing_ids(m24), 19)
     assert cut.params["guaranteed"] is False
     assert not is_distinguishable(cut).ok
 

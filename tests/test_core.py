@@ -81,6 +81,14 @@ def test_parse_int_refuses_any_other_spelling(text):
         parse_codeword(f"2,{text}" if text else "2,x")
 
 
+@pytest.mark.parametrize("text", ["0,,4", ",0,4,", "0, ,4", "0,4,", ""])
+def test_parse_codeword_refuses_an_empty_token(text):
+    # these were read as the codeword 0,4 (the empty text as no color at all)
+    with pytest.raises(ValueError, match=re.escape("not a codeword (parse): invalid literal")):
+        parse_codeword(text)
+    assert parse_codeword(" 4, 0 ") == (0, 4)
+
+
 def test_encode_takes_an_int_tag_on_a_1d_map(m24):
     assert encode(m24, 23) == encode(m24, (23,)) == canonical((m24.colors[23], m24.colors[0]))
 
