@@ -22,7 +22,7 @@ from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
-from .params import is_nd_kind
+from .params import _split_clash, is_nd_kind
 
 
 class InfeasibleError(ValueError):
@@ -137,7 +137,8 @@ def enumerate_params(M: int, parts: tuple[int, ...], klass: str = "auto"):
         for q in itertools.product(qdivs, repeat=len(parts)):
             if math.lcm(*q) == Q:
                 for c in itertools.product(*(options[pair] for pair in zip(parts, q))):
-                    yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
+                    if not _split_clash(parts, g, c, q):  # the rule validate applies
+                        yield BraidParams1D(M=M, parts=parts, g=g, c=c, q=q)
 
 
 def _c_options(m_i: int, g: int, q_i: int, klass: str, single: bool) -> list[int]:
@@ -216,7 +217,7 @@ def optimize_generators(M: int, parts: tuple[int, ...], klass: str = "auto") -> 
                 for choice in itertools.product(*picked, opts):
                     costs, ells, c = zip(*choice)
                     key = (sum(costs), ells, g)
-                    if best is None or key < best[0]:
+                    if (best is None or key < best[0]) and not _split_clash(parts, g, c, q + (q_i,)):
                         best = (key, c, q + (q_i,))
 
         walk(0, 1, 0, (), [])

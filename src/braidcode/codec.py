@@ -3,8 +3,10 @@
 A decode never scans the grid.  The codeword is split by sub-grid, each
 piece is decoded on its small generator, and the sub-grid positions are
 routed to the block tag by a generalized CRT: their residues mod g name
-the split sub-grid and its offset, so a decode solves one CRT on unitary
-rows (every n-D axis) and at most two otherwise.  A cut map (restriction,
+the split sub-grid and its offset, so a 1D decode solves one CRT on
+unitary rows and at most two otherwise.  Each n-D axis is a unitary band
+and routes in closed form, with one CRT: its split row is the number of
+leading rows one ahead of the last mod g.  A cut map (restriction,
 modification, extension, a cut of a cut) changes only the blocks at or
 past a seam on each cut axis, read into a seam table; one rule decodes
 every cyclic map: the routed tag when it lies before every seam, plus
@@ -221,7 +223,11 @@ class _Router:
         k = (j_i* - b*)*(m_i*/c_i*) mod g, unique because k < m_i*/c_i* < g
         (the braid condition g*c_i > m_i).  One CRT of the a-residues of
         j = a*g + b* then gives the tag, which carries every alpha by
-        construction.  A valid braid code yields at most one tag.
+        construction.  Params ``validate`` accepts yield at most one tag:
+        two tags with the same positions need two parts, split one in
+        each at offsets k_0, k_1 that ``params._split_clash`` finds and
+        ``validate`` refuses.  Each n-D axis routes its unitary rows in
+        closed form (``_Axis.decode``); this serves 1D decoders.
         """
         g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
         I = len(parts)
@@ -369,17 +375,23 @@ class _Braid:
 
 
 class _Axis:
-    """Routing data of one axis of a unitary n-D braid code.
+    """Routing data of one axis of a unitary n-D braid code, and its
+    routing in closed form.
 
     The band matrix of the axis is the associated matrix of a 1D unitary
     braid code with block nu(m); its rows (r; J^-) are labelled with band
-    r = J_axis outermost and the remaining components row-major, and the
-    1D router is reused on them.
+    r = J_axis outermost and the remaining components row-major.  Those
+    rows are unitary (every m_s = c_s = 1), so of ``_Router.solve``'s split
+    candidates only the one with offset k = 0 lives, and ``decode`` routes
+    it directly: the split row p is the number of leading rows reading
+    b + 1 mod g, b the last row's reading, and every row from p on must
+    read b.  The axis tag is j*m_axis + p/w_band, so p must start a band.
     """
 
     def __init__(self, params: UnitaryBraidParamsND, axis: int):
         m = params.m
         self.axis = axis
+        self.g = params.g
         self.m_axis = m[axis]
         self.nu = math.prod(m)
         self.w_band = self.nu // m[axis]
@@ -392,11 +404,12 @@ class _Axis:
                 r = r * m[k] + J[k]
             self.row[J] = r
             qlist[r] = qs[axis]
-        self.router = _Router(params.g, (1,) * self.nu, (1,) * self.nu, qlist)
+        self.q = tuple(qlist)
+        self.plan = _crt_plan(self.q)
 
     def decode(self, facts) -> DecodeResult:
         """Decode the axis from the codeword's (J, factor tuple) pairs."""
-        axis = self.axis
+        axis, g = self.axis, self.g
         alphas = [None] * self.nu
         for J, f in facts:
             s = self.row[J]
@@ -405,11 +418,20 @@ class _Axis:
             alphas[s] = f[axis]
         if None in alphas:
             raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-        for tag, *rest in self.router.solve(alphas):
-            j, off = divmod(tag, self.nu)
-            r, rem = divmod(off, self.w_band)
-            if rem == 0:
-                return DecodeResult(j * self.m_axis + r, *rest, "routing")
+        es = [alpha % g for alpha in alphas]
+        b = es[-1]
+        ahead = (b + 1) % g
+        p = 0  # rows before p read b+1; the last row reads b, so p < nu
+        while es[p] == ahead:
+            p += 1
+        band, rem = divmod(p, self.w_band)
+        if not rem and es.count(b) == self.nu - p:  # no row before p reads b
+            a_vec = tuple([((alpha - (s < p) - b) // g) % q_s
+                           for s, (alpha, q_s) in enumerate(zip(alphas, self.q))])
+            a_star = _crt_solve(self.plan, a_vec)
+            if a_star is not None:
+                j = a_star * g + b
+                return DecodeResult(j * self.m_axis + band, j, p, 0, a_star, b, a_vec, "routing")
         raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 

@@ -112,7 +112,48 @@ def validate(params: BraidParams1D) -> list[str]:
         errs.append("a single part requires c_1 = m_1")
     if not errs and p.M != p.m * p.g * p.Q:
         errs.append(f"M={p.M} != m*g*lcm(q) = {p.m * p.g * p.Q}")
+    if not errs:
+        ks = _split_clash(p.parts, p.g, p.c, p.q)
+        if ks:
+            errs.append(
+                f"two parts: blocks split in sub-grid 0 at k_0={ks[0]} and in sub-grid 1 at "
+                f"k_1={ks[1]} carry one codeword, since k_0*n_1 + k_1*n_0 = n_0*n_1 "
+                f"(mod g*gcd(q_0,q_1) = {p.g * math.gcd(*p.q)}) with n_i = m_i/c_i = "
+                f"({p.parts[0] // p.c[0]}, {p.parts[1] // p.c[1]})")
     return errs
+
+
+def _split_clash(parts, g: int, c, q) -> tuple[int, int] | None:
+    """Offsets (k_0, k_1) of two blocks that carry one codeword, or None.
+
+    Of braid params (c_i = gcd(m_i, ell_i), g*c_i > m_i), only two-part
+    ones have such blocks.  As ``codec._Router.solve`` reads it, the block
+    at j*m + d_i + r + k*c_i (r < c_i, k < n_i = m_i/c_i < g), split in
+    sub-grid i, has the sub-grid positions j + 1 before i, j after i and
+    j + k*u_i at i, u_i the inverse of n_i mod g*q_i, plus r at i.  Two
+    blocks with one codeword have the same positions, so the same r, and
+    D, the difference of their j's, is fixed by every sub-grid:
+    - split in the same sub-grid, the other sub-grids give D = 0, then
+      the split one k = k' and D = 0 mod g*lcm(q): one block;
+    - split in i < i', with three or more parts a third sub-grid gives
+      D = 0 or 1 mod g, so k*u_i = 1 or k'*u_i' = 1 mod g, that is
+      k = n_i or k' = n_i' mod g, out of range;
+    - split in 0 and 1 of two parts, D = 1 - k_0*u_0 mod g*q_0 and
+      D = k_1*u_1 mod g*q_1, which agree mod G = g*gcd(q_0, q_1) iff
+      k_0*n_1 + k_1*n_0 = n_0*n_1 (mod G).
+    When n_0 and n_1 share a factor d > 1, k_0 = n_0/d, k_1 = (d-1)*n_1/d
+    always solves it.
+    """
+    if len(parts) != 2:
+        return None
+    n0, n1 = parts[0] // c[0], parts[1] // c[1]
+    G = g * math.gcd(*q)
+    inv = pow(n1, -1, G)  # n_1 is prime to g*q_1
+    for k1 in range(n1):
+        k0 = n0 * (n1 - k1) * inv % G
+        if k0 < n0:
+            return k0, k1
+    return None
 
 
 def _colors_1d(params: BraidParams1D, gen_colors, shift: int, n: int) -> list[int]:

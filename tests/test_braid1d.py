@@ -24,7 +24,7 @@ from braidcode.braid1d import (
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd
 from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
-from braidcode.params import _colors_1d
+from braidcode.params import _colors_1d, _split_clash
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
 
@@ -97,7 +97,7 @@ def test_enumerate_params_yields_exactly_the_valid_params(parts, klass):
 
 
 @pytest.mark.parametrize("M", [12, 24, 36, 60])
-@pytest.mark.parametrize("parts", [(1, 1), (2,), (1, 2), (2, 3)])
+@pytest.mark.parametrize("parts", [(1, 1), (2,), (1, 2), (2, 3), (2, 2), (3, 3), (2, 2, 2), (2, 4)])
 def test_every_enumerated_parameterization_constructs_distinguishable(M, parts):
     """The construction theorem: every valid (g, c, q) yields a distinguishable map.
 
@@ -111,6 +111,32 @@ def test_every_enumerated_parameterization_constructs_distinguishable(M, parts):
         gens = [identity_generator(ell, m_i) for ell, m_i in zip(params.ells, params.parts)]
         cmap = construct(params, gens=gens)
         assert is_distinguishable(cmap).ok, params
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (3, 6)])
+def test_validate_refuses_exactly_the_two_part_params_whose_blocks_clash(parts):
+    # Built without validate, every candidate of the per-part conditions with
+    # M up to 16m: the oracle finds two blocks with one codeword exactly when
+    # validate refuses the params, and two blocks split at the k_0, k_1 it
+    # names, at k_0*c_0 and m_0 + k_1*c_1 within a block, are two such.
+    m = sum(parts)
+    refused = 0
+    for M in range(m, 16 * m + 1, m):
+        for params in braid_candidates(M, parts):
+            gens = [identity_generator(ell, m_i) for ell, m_i in zip(params.ells, params.parts)]
+            cmap = reference_construct(params, gens)
+            errs = validate(params)
+            assert is_distinguishable(cmap).ok == (not errs), (params, errs)
+            if errs:
+                k0, k1 = _split_clash(params.parts, params.g, params.c, params.q)
+                assert len(errs) == 1 and errs[0].startswith(
+                    f"two parts: blocks split in sub-grid 0 at k_0={k0} and in sub-grid 1 at k_1={k1} ")
+                offsets = {}
+                for x in range(M):
+                    offsets.setdefault(encode(cmap, (x,)), set()).add(x % m)
+                assert {k0 * params.c[0], parts[0] + k1 * params.c[1]} in offsets.values(), params
+                refused += 1
+    assert refused or parts in {(1, 2), (2, 3)}
 
 
 def reference_construct(params, gens):
@@ -232,7 +258,14 @@ def test_optimizer_class_restriction_never_beats_unrestricted():
 
 def reference_enumerate(M, parts, klass="auto"):
     """``enumerate_params`` as it was before the optimizer scored tuples:
-    each divisor list scanned anew, one params record per candidate."""
+    each divisor list scanned anew, one params record per candidate, and
+    only the candidates ``validate`` accepts (it refuses two-part params
+    whose blocks split in both sub-grids share a codeword)."""
+    return (params for params in braid_candidates(M, parts, klass) if not validate(params))
+
+
+def braid_candidates(M, parts, klass="auto"):
+    """Every (g, c, q) meeting each braid condition on its own part and M."""
     if not parts or any(m_i < 1 for m_i in parts):
         raise ValueError(f"parts must be positive, got {parts}")
     m = sum(parts)
@@ -308,7 +341,7 @@ def test_optimizer_and_enumeration_match_the_record_scoring(parts, klass):
                                       (41612, (1, 1)), (41612, (2, 2)), (4088468, (1, 1))])
 def test_optimizer_matches_the_record_scoring_on_large_grids(M, parts):
     for klass in ("auto", "1", "2"):
-        assert _optimized(M, parts, klass) == reference_optimize(M, parts, klass)
+        assert _outcome(_optimized, M, parts, klass) == _outcome(reference_optimize, M, parts, klass)
         assert (_enumerated(enumerate_params, M, parts, klass)
                 == _enumerated(reference_enumerate, M, parts, klass))
 
@@ -352,6 +385,20 @@ def test_optimize_infeasible():
         optimize_generators(12, (2, 3))  # block size 5 does not divide 12
     with pytest.raises(InfeasibleError, match="no valid braid parameterization for M=2"):
         optimize_generators(2, (1, 1))  # M / m = 1 leaves no g >= 2
+
+
+def test_two_part_params_whose_split_blocks_clash_are_skipped_and_refused():
+    # M=12, parts (2, 2): with g=3 and c=(1, 1), tags 1 and 7 carry one codeword
+    clash = BraidParams1D(M=12, parts=(2, 2), g=3, c=(1, 1), q=(1, 1))
+    assert clash not in list(enumerate_params(12, (2, 2)))
+    with pytest.raises(InfeasibleError, match="blocks split in sub-grid 0 at k_0=1 and in sub-grid 1 at k_1=1"):
+        construct(clash)
+    picked = optimize_generators(12, (2, 2)).params
+    assert picked == BraidParams1D(M=12, parts=(2, 2), g=3, c=(1, 2), q=(1, 1))
+    assert is_distinguishable(construct(picked)).ok
+    # class 2 on two equal parts: n_0 = n_1 = 2 always clash
+    with pytest.raises(InfeasibleError, match=r"no valid braid parameterization for M=41612, parts=\(2, 2\)"):
+        optimize_generators(41612, (2, 2), "2")
 
 
 P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))

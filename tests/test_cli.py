@@ -239,6 +239,19 @@ def test_erasure_decode_finds_the_wrapped_block_of_a_restriction(tmp_path, capsy
     assert out == "candidates=18 resolution=0\n"
 
 
+def test_a_map_whose_two_parts_clash_exits_2(tmp_path, capsys, monkeypatch):
+    # the map optimize once picked for M=12, parts (2, 2): its tags 1 and 7 share a codeword
+    monkeypatch.setattr(braidcode.braid1d, "validate", lambda params: [])
+    cmap = braidcode.braid1d.construct(
+        braidcode.BraidParams1D(M=12, parts=(2, 2), g=3, c=(1, 1), q=(1, 1)))
+    monkeypatch.undo()
+    path = tmp_path / "clash12.json"
+    path.write_text(to_json(cmap))
+    code, out, err = run(capsys, "decode", "--map", str(path), "--codeword", "1,2,3,4")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: not braid params: two parts: blocks split in sub-grid 0 at k_0=1 ")
+
+
 @pytest.mark.parametrize("command,codeword", [("decode", "0,4"), ("erasure-decode", "0")])
 def test_a_map_whose_generator_is_not_distinguishable_exits_2(m24_path, capsys, command, codeword):
     doc = json.loads(m24_path.read_text())
