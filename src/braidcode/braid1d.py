@@ -17,7 +17,7 @@ import itertools
 import math
 
 # Nothing here uses sunmao, but perfbench's tracer needs it loaded with
-# braid1d until ROADMAP direction 1 step 1 lands.
+# braid1d until ROADMAP direction 1 step 1b lands.
 from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, record
 from .generators import GeneratorCode, find_generator, min_colors
@@ -244,6 +244,7 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
     if len(cmap.grid.dims) != 1 or is_nd_kind(cmap):
         raise ValueError("restrict cuts 1D braid maps; cut an n-dim braid map with "
                          "extend_arbitrary_size")
+    (M_r,) = int_tuple((M_r,), "restriction size M_r")
     try:
         stored = params_of(cmap)
     except ValueError:

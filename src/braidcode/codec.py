@@ -10,7 +10,8 @@ leading rows one ahead of the last mod g.  A cut map (restriction,
 modification, extension, a cut of a cut) changes only the blocks at or
 past a seam on each cut axis, read into a seam table; one rule decodes
 every cyclic map: the routed tag when it lies before every seam, plus
-every seam tag the table lists for the codeword.
+every seam tag the table lists for the codeword.  Routing gives one tag
+at most, so a decode is ambiguous only when a seam tag is among its hits.
 
 ``compile_decoder`` is the one step that reads a map to decode it, once, and
 keeps the result on the map: the decoder (sub-grid split, generator tables,
@@ -37,7 +38,8 @@ from .params import _subgrid_layout, _tail_starts
 
 class AmbiguousDecode(ValueError):
     """More than one tag carries the codeword: the map is not
-    distinguishable there.  ``tags`` lists the clashing tags."""
+    distinguishable there.  ``tags`` lists the clashing tags; routing
+    gives one tag at most, so at least one of them is a cut map's seam tag."""
 
     def __init__(self, tags):
         self.tags = tuple(tags)
@@ -194,7 +196,7 @@ def dump_matrices(cmap: ColorMap) -> str:
 
 class _Router:
     """Routing constants of one braid parameter set, its CRT plan among
-    them, and the routing step: generator positions to tags, in closed form."""
+    them, and the routing step: generator positions to their tag, in closed form."""
 
     def __init__(self, g: int, parts, c, q):
         self.g, self.parts, self.c, self.q = g, tuple(parts), tuple(c), tuple(q)
@@ -207,27 +209,29 @@ class _Router:
                          for m_i, c_i, gq_i in zip(self.parts, self.c, self.gq))
         self.plan = _crt_plan(self.q)
 
-    def solve(self, alphas) -> list[tuple]:
-        """All tags consistent with per-sub-grid generator positions ``alphas``,
-        as (tag, j*, i*, r*, a*, b*, a_vec) tuples.
+    def solve(self, alphas) -> tuple | None:
+        """The tag consistent with per-sub-grid generator positions ``alphas``,
+        as a (tag, j*, i*, r*, a*, b*, a_vec) tuple, or None.
 
         Each alpha is read as (j_i, r_i): alpha = j_i*m_i + r_i mod ell_i,
         r_i < c_i.  The block at tag j*m + d_i* + x_r, x_r = r_i* + k*c_i*,
         gives j_i = j+1 before the split sub-grid i*, j after it and
         j + k*u_i* at it.  So with b* = j mod g, the j_i mod g read b*+1
         before i* and b* after it.  b* is read off the last sub-grid, and
-        i* is where the readings change from b*+1 to b*: the last sub-grid
-        before the closing run of b*, or the first in it.  Only a last
-        sub-grid split with k > 0 reads otherwise; then b* is one less than
-        the first sub-grid's reading.  At most two (i*, b*) fit.  At i*,
+        i* = p, the number of leading sub-grids that read b*+1, when every
+        sub-grid after p reads b*.  (The split at p - 1 also reads so, but
+        there k = m_i/c_i, since g*c_i > m_i, so x_r >= m_i.)  Only a last
+        sub-grid split with k > 0 reads otherwise: sub-grids 0..I-2 all
+        read one value e other than b*+1, and b* = e - 1.  At i*,
         k = (j_i* - b*)*(m_i*/c_i*) mod g, unique because k < m_i*/c_i* < g
         (the braid condition g*c_i > m_i).  One CRT of the a-residues of
         j = a*g + b* then gives the tag, which carries every alpha by
-        construction.  Params ``validate`` accepts yield at most one tag:
-        two tags with the same positions need two parts, split one in
-        each at offsets k_0, k_1 that ``params._split_clash`` finds and
-        ``validate`` refuses.  Each n-D axis routes its unitary rows in
-        closed form (``_Axis.decode``); this serves 1D decoders.
+        construction; the first split that fits is returned.  Params
+        ``validate`` accepts have no second one: two tags with the same
+        positions need two parts, split one in each at offsets k_0, k_1
+        that ``params._split_clash`` finds and ``validate`` refuses.  Each
+        n-D axis routes its unitary rows in closed form (``_Axis.decode``);
+        this serves 1D decoders.
         """
         g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
         I = len(parts)
@@ -242,16 +246,12 @@ class _Router:
             raise NotACodeword("split-offset", "more than one non-aligned sub-block")
         es = [j % g for j in js]
         b, ahead = es[-1], (es[-1] + 1) % g
-        p = 0  # sub-grids before p read b+1
-        while p < I and es[p] == ahead:
+        p = 0  # sub-grids before p read b+1; the last reads b, so p < I
+        while es[p] == ahead:
             p += 1
-        s = I - 1  # sub-grids from s on read b
-        while s and es[s - 1] == b:
-            s -= 1
-        splits = [(i, b) for i in range(max(s - 1, 0), min(p, I - 1) + 1)]
+        splits = [(p, b)] if es[p + 1:].count(b) == I - 1 - p else []
         if es[0] != ahead and I > 1 and es[:-1].count(es[0]) == I - 1:
             splits.append((I - 1, (es[0] - 1) % g))  # the last sub-grid split, k > 0
-        results = []
         for i_star, b_star in splits:
             k = (es[i_star] - b_star) * (parts[i_star] // c[i_star]) % g
             x_r = rs[i_star] + k * c[i_star]
@@ -261,28 +261,27 @@ class _Router:
             res[i_star] -= k * self.inv[i_star]
             a_vec = tuple(((r - b_star) // g) % q_i for r, q_i in zip(res, q))
             a_star = _crt_solve(self.plan, a_vec)
-            if a_star is None:
-                continue
-            j_star = a_star * g + b_star
-            results.append((j_star * self.m + self.offsets[i_star] + x_r,
-                            j_star, i_star, x_r, a_star, b_star, a_vec))
-        return results
+            if a_star is not None:
+                j_star = a_star * g + b_star
+                return (j_star * self.m + self.offsets[i_star] + x_r,
+                        j_star, i_star, x_r, a_star, b_star, a_vec)
+        return None
 
 
 def _decide(dec, w: Codeword):
     """The decode rule of every map: ``dec``'s seam-table tags for ``w``,
-    plus each ``dec.route(w)`` result before every seam.  Returns the
-    single hit; raises ``AmbiguousDecode`` naming them all, or
+    plus the ``dec.route(w)`` result if it lies before every seam.  Returns
+    the single hit; raises ``AmbiguousDecode`` naming them all (routing
+    gives one tag at most, so a seam-table tag is among them), or
     ``NotACodeword`` (the routing's own, if it failed)."""
     seam_tags = dec.table.get(w, ())
+    hits = [dec.seam_result(x) for x in seam_tags] if seam_tags else []
     try:
-        routed = dec.route(w)
+        res = dec.route(w)
     except NotACodeword:
         if not seam_tags:
             raise
-        routed = ()
-    hits = [dec.seam_result(x) for x in seam_tags] if seam_tags else []
-    for res in routed:
+    else:
         x = res.tag if isinstance(res.tag, tuple) else (res.tag,)
         for t, s in zip(x, dec.seams):
             if s is not None and t >= s:
@@ -342,8 +341,8 @@ class _Braid:
                             for gen in gens)
         self.router = _Router(params.g, params.parts, params.c, params.q)
 
-    def route(self, w: Codeword) -> list[DecodeResult]:
-        """The standard map's tags with canonical codeword ``w``, moved back by ``shift``."""
+    def route(self, w: Codeword) -> DecodeResult:
+        """The standard map's tag with canonical codeword ``w``, moved back by ``shift``."""
         groups = [[] for _ in self.parts]
         for cid in w:
             i = self.sub_of.get(cid)
@@ -361,10 +360,11 @@ class _Braid:
             if pos is None:
                 raise NotACodeword("generator-decode", f"sub-grid {i} piece is not a sub-codeword")
             alphas.append(pos)
-        results = self.router.solve(alphas)
-        if not results:
+        found = self.router.solve(alphas)
+        if found is None:
             raise NotACodeword("crt", "no consistent routing")
-        return [DecodeResult((tag - self.shift) % self.M, *rest, "routing") for tag, *rest in results]
+        tag, *rest = found
+        return DecodeResult((tag - self.shift) % self.M, *rest, "routing")
 
     def seam_result(self, x: Point) -> DecodeResult:
         return DecodeResult(x[0], x[0] // self.m, 0, x[0] % self.m, 0, 0, (), "seam")
@@ -381,11 +381,11 @@ class _Axis:
     The band matrix of the axis is the associated matrix of a 1D unitary
     braid code with block nu(m); its rows (r; J^-) are labelled with band
     r = J_axis outermost and the remaining components row-major.  Those
-    rows are unitary (every m_s = c_s = 1), so of ``_Router.solve``'s split
-    candidates only the one with offset k = 0 lives, and ``decode`` routes
-    it directly: the split row p is the number of leading rows reading
-    b + 1 mod g, b the last row's reading, and every row from p on must
-    read b.  The axis tag is j*m_axis + p/w_band, so p must start a band.
+    rows are unitary (every m_s = c_s = 1), so only ``_Router.solve``'s
+    split at p lives, with offset k = 0, and ``decode`` reads it inline:
+    the split row p is the number of leading rows reading b + 1 mod g, b
+    the last row's reading, and every row from p on must read b.  The axis
+    tag is j*m_axis + p/w_band, so p must start a band.
     """
 
     def __init__(self, params: UnitaryBraidParamsND, axis: int):
@@ -456,13 +456,13 @@ class _UnitaryND:
     def seam_result(self, x: Point) -> DecodeResultND:
         return DecodeResultND(x, (None,) * len(x), "seam")
 
-    def route(self, w: Codeword) -> list[DecodeResultND]:
+    def route(self, w: Codeword) -> DecodeResultND:
         try:
             facts = [self.factors_of[cid] for cid in w]
         except KeyError as e:
             raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
         diags = tuple([ax.decode(facts) for ax in self.axes])
-        return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
+        return DecodeResultND(tuple(d.tag for d in diags), diags, "routing")
 
 
 def compile_decoder(cmap: ColorMap):

@@ -64,20 +64,6 @@ class BraidParams1D:
         return math.lcm(*self.q)
 
     @property
-    def decomposition(self) -> Decomposition1D:
-        from .sunmao import Decomposition1D  # a decode never asks for it
-
-        return Decomposition1D(self.M, self.parts)
-
-    @property
-    def klass(self) -> str:
-        if all(c == m for c, m in zip(self.c, self.parts)):
-            return "1"
-        if all(c == 1 for c in self.c):
-            return "2"
-        return "mixed"
-
-    @property
     def unitary(self) -> bool:
         return all(p == 1 for p in self.parts)
 

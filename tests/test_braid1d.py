@@ -34,14 +34,25 @@ def test_params_derived_quantities():
     assert p.m == 2 and p.I == 2
     assert p.ells == (4, 6)
     assert p.Q == 6
-    assert p.klass == "1" and p.unitary
+    assert p.c == p.parts and p.unitary  # class 1: every c_i = m_i
+
+
+def code_class(params):
+    """The code class of params: "1" when every c_i = m_i, "2" when every
+    c_i = 1, else "mixed"."""
+    if params.c == params.parts:
+        return "1"
+    return "2" if set(params.c) == {1} else "mixed"
 
 
 def test_params_classes():
+    # enumerate_params's klass keeps class 1 (every c_i = m_i) or class 2 (every c_i = 1)
     p1 = BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))
-    assert p1.klass == "1" and not p1.unitary
+    assert p1 in list(enumerate_params(75, (2, 3), klass="1")) and not p1.unitary
     p2 = BraidParams1D(M=75, parts=(2, 3), g=3, c=(1, 3), q=(1, 5))
-    assert p2.klass == "mixed"
+    assert p2 in list(enumerate_params(75, (2, 3)))
+    assert all(p2 not in list(enumerate_params(75, (2, 3), klass=k)) for k in ("1", "2"))
+    assert (code_class(p1), code_class(p2)) == ("1", "mixed")
 
 
 def test_validate_flags_bad_params():
@@ -165,7 +176,7 @@ def test_construct_matches_the_sunmao_reference(data):
     parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
     m = sum(parts)
     M = m * data.draw(st.integers(2, 300 // m), label="M / m")
-    options = [p for p in enumerate_params(M, parts) if p.klass == klass]
+    options = [p for p in enumerate_params(M, parts) if code_class(p) == klass]
     assume(options)
     params = data.draw(st.sampled_from(options), label="params")
     event(f"class {klass}")
@@ -252,7 +263,7 @@ def test_optimizer_class_restriction_never_beats_unrestricted():
         assert best.cost <= c1.cost
     # class 1 is not always optimal: the prime-squared grid prefers class 2
     best125 = optimize_generators(125, (2, 3))
-    assert best125.params.klass in ("2", "mixed")
+    assert code_class(best125.params) in ("2", "mixed")
     assert best125.cost < optimize_generators(125, (2, 3), klass="1").cost
 
 
@@ -507,6 +518,14 @@ def test_modify_refuses_a_size_that_is_not_an_int(m24, M_r):
         modify_general_size(m24, M_r)
 
 
+@pytest.mark.parametrize("M_r", [19.5, True, "20", None])
+def test_restrict_refuses_a_size_that_is_not_an_int(m24, M_r):
+    # "20" and None raised TypeError from the range check, 19.5 was blamed on
+    # the grid dims, and True was read as 1
+    with pytest.raises(ValueError, match="^restriction size M_r must be integers, got "):
+        restrict(m24, M_r)
+
+
 def test_modify_refuses_a_map_that_contradicts_its_generators(m24):
     colors = list(m24.colors)
     colors[5] = colors[7]
@@ -551,7 +570,7 @@ def test_lemma_distance_divisibility():
     (and by g*m_i*q_i for aligned blocks)."""
     params = BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))
     cmap = construct(params)
-    dec = params.decomposition
+    dec = Decomposition1D(params.M, params.parts)
     gens = cmap.params["gens"]
     for i, gen in enumerate(gens):
         M_i = dec.subgrid_sizes[i]
@@ -573,7 +592,7 @@ def test_lemma_subgrid_row_period():
     """Aligned sub-block codewords repeat with minimum period g*q_i."""
     params = BraidParams1D(M=75, parts=(2, 3), g=3, c=(2, 3), q=(1, 5))
     cmap = construct(params)
-    dec = params.decomposition
+    dec = Decomposition1D(params.M, params.parts)
     J = params.M // params.m
     for i, gen in enumerate(cmap.params["gens"]):
         M_i = dec.subgrid_sizes[i]

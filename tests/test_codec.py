@@ -233,8 +233,16 @@ def _windows(router, tag):
 
 
 def router_route(router, alphas):
-    """The routing step's tuples as results, as the 1D decoder builds them."""
-    return [DecodeResult(*res, "routing") for res in router.solve(alphas)]
+    """The routing step's tuple as a result, as the 1D decoder builds it, or None."""
+    found = router.solve(alphas)
+    return None if found is None else DecodeResult(*found, "routing")
+
+
+def reference_hit(router, alphas):
+    """The candidate search's one result, or None; it never finds two."""
+    found = reference_route(router, alphas)
+    assert len(found) <= 1, (router.parts, alphas, found)
+    return found[0] if found else None
 
 
 def _routed(route, router, alphas):
@@ -260,10 +268,12 @@ def crt_calls(monkeypatch):
 
 def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_it(crt_calls):
     # Every generator-position vector of every small braid parameter set,
-    # also the ones no codeword produces: the same results, in the same order,
-    # or the same NotACodeword step; at most two CRTs, one on unitary rows.
-    # The search's arithmetic check never drops a result the closed form keeps,
-    # and every routed tag's block holds the pieces it was routed from.
+    # also the ones no codeword produces: the candidate search finds at most
+    # one tag, and the closed form routes to that tag with the same result,
+    # or to none, or fails at the same NotACodeword step; at most two CRTs,
+    # one on unitary rows.  The search's arithmetic check never drops a result
+    # the closed form keeps, and every routed tag's block holds the pieces it
+    # was routed from.
     sets = list(braid_param_sets(I_max=3, part_max=3, g_max=4, q_max=3, volume=400))
     vectors = crts = routed = 0
     for p in sets:
@@ -274,13 +284,44 @@ def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_i
             # counted before the reference runs: its generalized_crt solves the same way
             assert len(crt_calls) <= (1 if p.unitary else 2), (p, alphas)
             crts += len(crt_calls)
-            assert got == _routed(reference_route, router, alphas), (p, alphas)
-            if isinstance(got, list):
-                assert all(_windows(router, res.tag) == alphas for res in got), (p, alphas)
-                routed += len(got)
+            assert got == _routed(reference_hit, router, alphas), (p, alphas)
+            if isinstance(got, DecodeResult):
+                assert _windows(router, got.tag) == alphas, (p, alphas)
+                routed += 1
             vectors += 1
     assert (len(sets), vectors) == (1404, 256_197)
     assert crts >= routed > 0  # every routed tag took a CRT, so the count saw them
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_route_finds_the_candidate_searchs_one_hit_beyond_the_exhaustive_bounds(data):
+    # Params validate accepts with I <= 4, m_i <= 5, g <= 9 and q_i <= 5, past the
+    # exhaustive test's bounds: for the windows of a random tag the closed form
+    # routes to that tag, and for those and for random position vectors it gives
+    # the candidate search's one hit, or none, or fails at the same step.
+    parts = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="parts"))
+    g = data.draw(st.integers(2, 9), label="g")
+    q = tuple(data.draw(st.lists(st.integers(1, 5), min_size=len(parts), max_size=len(parts)),
+                        label="q"))
+    # the c_i validate takes for each part: c_i = m_i always is one
+    c = tuple(data.draw(st.sampled_from([d for d in range(1, m_i + 1) if m_i % d == 0
+                                         and g * d > m_i and math.gcd(m_i, g * d * q_i) == d
+                                         and (len(parts) > 1 or d == m_i)]), label=f"c{i}")
+              for i, (m_i, q_i) in enumerate(zip(parts, q)))
+    p = BraidParams1D(M=sum(parts) * g * math.lcm(*q), parts=parts, g=g, c=c, q=q)
+    assume(not braid1d.validate(p))  # two parts whose split blocks clash
+    router = _Router(p.g, p.parts, p.c, p.q)
+    for _ in range(20):
+        if data.draw(st.booleans(), label="block"):
+            tag = data.draw(st.integers(0, p.M - 1), label="tag")
+            alphas = _windows(router, tag)
+            assert router_route(router, alphas).tag == tag, (p, tag)
+        else:
+            alphas = tuple(data.draw(st.integers(0, ell - 1), label="alpha") for ell in p.ells)
+        got = _routed(router_route, router, alphas)
+        event("routed" if isinstance(got, DecodeResult) else "refused")
+        assert got == _routed(reference_hit, router, alphas), (p, alphas)
 
 
 def _mixed(cmap, pieces):
@@ -462,10 +503,10 @@ def test_a_compiled_decoder_computes_no_gcd_or_inverse(m24, fig_map, monkeypatch
 
 def reference_axis_decode(self, proj) -> DecodeResult:
     """``_Axis.decode`` as it was before the routing step returned tuples,
-    kept verbatim as its reference (the router's ``route`` is now
-    ``router_route``, and the generic router on the axis's unitary rows is
-    built here, as the axis routes in closed form): a result per route,
-    then one for the axis."""
+    kept as its reference (the router's ``route`` is now ``router_route``,
+    which gives one result or None, and the generic router on the axis's
+    unitary rows is built here, as the axis routes in closed form): the
+    routed result, then the axis's own."""
     axis = self.axis
     alphas = [None] * self.nu
     for J, f in proj:
@@ -475,7 +516,8 @@ def reference_axis_decode(self, proj) -> DecodeResult:
         alphas[s] = f
     if any(a is None for a in alphas):
         raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-    for res in router_route(_Router(self.g, (1,) * self.nu, (1,) * self.nu, self.q), alphas):
+    res = router_route(_Router(self.g, (1,) * self.nu, (1,) * self.nu, self.q), alphas)
+    if res is not None:
         j, off = divmod(res.tag, self.nu)
         r, rem = divmod(off, self.w_band)
         if rem == 0:
@@ -485,14 +527,14 @@ def reference_axis_decode(self, proj) -> DecodeResult:
 
 
 def reference_nd_route(self, w):
-    """``_UnitaryND.route`` as it was then, verbatim: a (J, factor) list per axis."""
+    """``_UnitaryND.route`` as it was then, with a (J, factor) list per axis: one result."""
     try:
         facts = [self.factors_of[cid] for cid in w]
     except KeyError as e:
         raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
     diags = tuple(reference_axis_decode(ax, [(J, f[ax.axis]) for J, f in facts])
                   for ax in self.axes)
-    return [DecodeResultND(tuple(d.tag for d in diags), diags, "routing")]
+    return DecodeResultND(tuple(d.tag for d in diags), diags, "routing")
 
 
 def _outcome(decode_fn, w):
@@ -801,7 +843,7 @@ def test_a_decoder_compiled_from_params_alone_routes_every_tag_home(data):
     for x in coding_area(cmap.grid, cmap.block):  # an n-D tag is a tuple on one axis too
         carriers.setdefault(encode(cmap, x), []).append(x[0] if isinstance(dec, codec._Braid) else x)
     for w, tags in carriers.items():
-        assert [res.tag for res in dec.route(w)] == tags and len(tags) == 1
+        assert [dec.route(w).tag] == tags
 
 
 def test_decode_reports_its_path(m24, fig_map):
