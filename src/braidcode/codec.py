@@ -30,7 +30,7 @@ import itertools
 import math
 from collections import Counter
 
-from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record
+from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record, tuple_record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read, windows
 from .params import _subgrid_layout, _tail_starts
@@ -46,7 +46,7 @@ class AmbiguousDecode(ValueError):
         super().__init__(f"ambiguous decode: tags {list(self.tags)}")
 
 
-@record
+@tuple_record
 class DecodeResult:
     """Decoded tag plus routing diagnostics.
 
@@ -70,7 +70,7 @@ class DecodeResult:
     path: str
 
 
-@record
+@tuple_record
 class DecodeResultND:
     """Decoded tag, per-axis routing (None on every axis for a seam tag)
     and the path, ``"routing"`` or ``"seam"``."""
@@ -80,7 +80,7 @@ class DecodeResultND:
     path: str
 
 
-@record
+@tuple_record
 class ErasureResult:
     candidates: tuple[int, ...]
     resolution: int
@@ -233,15 +233,12 @@ class _Router:
         n-D axis routes its unitary rows in closed form (``_Axis.decode``);
         this serves 1D decoders.
         """
-        g, parts, c, q, gq = self.g, self.parts, self.c, self.q, self.gq
+        g, parts, c, q = self.g, self.parts, self.c, self.q
         I = len(parts)
-        js, rs = [], []
-        for alpha, c_i, u_i, gq_i in zip(alphas, c, self.inv, gq):
-            r_i = alpha % c_i
-            js.append(((alpha - r_i) // c_i * u_i) % gq_i)
-            rs.append(r_i)
-
-        nonzero = [i for i, r in enumerate(rs) if r != 0]
+        rs = [alpha % c_i for alpha, c_i in zip(alphas, c)]
+        js = [(alpha - r_i) // c_i * u_i % gq_i
+              for alpha, r_i, c_i, u_i, gq_i in zip(alphas, rs, c, self.inv, self.gq)]
+        nonzero = [i for i, r in enumerate(rs) if r] if any(rs) else []
         if len(nonzero) > 1:
             raise NotACodeword("split-offset", "more than one non-aligned sub-block")
         es = [j % g for j in js]
@@ -273,7 +270,11 @@ def _decide(dec, w: Codeword):
     plus the ``dec.route(w)`` result if it lies before every seam.  Returns
     the single hit; raises ``AmbiguousDecode`` naming them all (routing
     gives one tag at most, so a seam-table tag is among them), or
-    ``NotACodeword`` (the routing's own, if it failed)."""
+    ``NotACodeword`` (the routing's own, if it failed).  On a map with no
+    seam (``dec.cut`` false) the table is empty and every tag lies before
+    every seam, so the rule is the routing alone."""
+    if not dec.cut:
+        return dec.route(w)
     seam_tags = dec.table.get(w, ())
     hits = [dec.seam_result(x) for x in seam_tags] if seam_tags else []
     try:
@@ -364,7 +365,7 @@ class _Braid:
         if found is None:
             raise NotACodeword("crt", "no consistent routing")
         tag, *rest = found
-        return DecodeResult((tag - self.shift) % self.M, *rest, "routing")
+        return DecodeResult._make(((tag - self.shift) % self.M, *rest, "routing"))
 
     def seam_result(self, x: Point) -> DecodeResult:
         return DecodeResult(x[0], x[0] // self.m, 0, x[0] % self.m, 0, 0, (), "seam")
@@ -407,16 +408,20 @@ class _Axis:
         self.q = tuple(qlist)
         self.plan = _crt_plan(self.q)
 
-    def decode(self, facts) -> DecodeResult:
-        """Decode the axis from the codeword's (J, factor tuple) pairs."""
+    def decode(self, cells) -> DecodeResult:
+        """Decode the axis from the codeword's cells on it: per color, its
+        sub-grid's row and its factor on the axis."""
         axis, g = self.axis, self.g
         alphas = [None] * self.nu
-        for J, f in facts:
-            s = self.row[J]
-            if alphas[s] is not None:
-                raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
-            alphas[s] = f[axis]
-        if None in alphas:
+        for s, f in cells:
+            alphas[s] = f
+        if len(cells) != self.nu or None in alphas:  # then some row is missing or twice
+            seen = set()
+            for s, _ in cells:
+                if s in seen:
+                    J = next(J for J, r in self.row.items() if r == s)
+                    raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
+                seen.add(s)
             raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
         es = [alpha % g for alpha in alphas]
         b = es[-1]
@@ -431,7 +436,8 @@ class _Axis:
             a_star = _crt_solve(self.plan, a_vec)
             if a_star is not None:
                 j = a_star * g + b
-                return DecodeResult(j * self.m_axis + band, j, p, 0, a_star, b, a_vec, "routing")
+                return DecodeResult._make((j * self.m_axis + band, j, p, 0, a_star, b, a_vec,
+                                           "routing"))
         raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 
@@ -443,6 +449,8 @@ class _UnitaryND:
     save in the tail (last m_i points) of each shortened axis, so a tag
     routed before the seam L_i - 2m_i + 1 needs no ``encode``.  Factors come
     from the params: a fresh color has none, and only the seam table reads it.
+    ``factors_of`` gives each color id its sub-grid J and factor tuple, and
+    ``cells`` its (row, factor) cell on each axis, so no axis reads J.
     """
 
     def __init__(self, params: UnitaryBraidParamsND):
@@ -452,17 +460,20 @@ class _UnitaryND:
             for k, f in enumerate(itertools.product(*map(range, ells)))
         }
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
+        rows = {J: [ax.row[J] for ax in self.axes] for J in params.qtable}
+        self.cells = {cid: tuple(zip(rows[J], f)) for cid, (J, f) in self.factors_of.items()}
 
     def seam_result(self, x: Point) -> DecodeResultND:
         return DecodeResultND(x, (None,) * len(x), "seam")
 
     def route(self, w: Codeword) -> DecodeResultND:
         try:
-            facts = [self.factors_of[cid] for cid in w]
+            cells = [self.cells[cid] for cid in w]
         except KeyError as e:
             raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
-        diags = tuple([ax.decode(facts) for ax in self.axes])
-        return DecodeResultND(tuple(d.tag for d in diags), diags, "routing")
+        columns = zip(*cells) if cells else [()] * len(self.axes)  # each axis's cells
+        diags = tuple([ax.decode(column) for ax, column in zip(self.axes, columns)])
+        return DecodeResultND._make((tuple([d.tag for d in diags]), diags, "routing"))
 
 
 def compile_decoder(cmap: ColorMap):
@@ -473,7 +484,8 @@ def compile_decoder(cmap: ColorMap):
     and a flat grid, raise ``ValueError``.  On each axis, with e its proven
     prefix (L - tail in 1D, the tail start in n-D), the seam is e - m + 1
     (at least 0: params may come from a file), or None when e is the whole
-    period M; the seam table holds the blocks from the seams on.  Maps are
+    period M; the seam table holds the blocks from the seams on, and ``cut``
+    says whether any axis has a seam.  Maps are
     immutable, so the decoder stays valid; not a record field, it is not in
     ``==`` or JSON.
     """
@@ -488,6 +500,7 @@ def compile_decoder(cmap: ColorMap):
             dec = _Braid(value)
             axes = [(dims[0] - dec.tail, dec.M, dec.m)]
         dec.seams = tuple(None if e == M else max(e - m + 1, 0) for e, M, m in axes)
+        dec.cut = any(s is not None for s in dec.seams)
         dec.table = _seam_table(cmap, dec.seams)
         object.__setattr__(cmap, "_decoder", dec)
     return dec
@@ -501,7 +514,7 @@ def decode(cmap: ColorMap, w) -> DecodeResult | DecodeResultND:
 def decode_1d(cmap: ColorMap, w) -> DecodeResult:
     """Decode a codeword of a standard 1D braid map back to its tag."""
     dec = compile_decoder(cmap)
-    if not isinstance(dec, _Braid) or dec.seams != (None,):  # or a cut map
+    if not isinstance(dec, _Braid) or dec.cut:
         raise ValueError("not a 1D braid map")
     return _decide(dec, canonical(w))
 

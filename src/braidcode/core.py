@@ -112,6 +112,68 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+def tuple_record(cls=None, /, *, plural=None):
+    """Make ``cls`` a frozen record stored as a tuple of its annotated fields.
+
+    For a value made in bulk or on a hot path: the contract of ``record``
+    (the same ``repr``, positional and keyword construction with the
+    class's defaults, ``replace`` and ``asdict``, fields that cannot be set
+    or deleted), on a ``tuple`` subclass with ``__slots__ = ()``.  It has no
+    per-instance dict, reads each field with ``property(operator.itemgetter(i))``,
+    and ``Name._make(fields)``, a bound ``tuple.__new__``, builds one from
+    an iterable of exactly its fields, in order, in one C call that runs no
+    Python code and checks no count.  A record equals, and hashes as, only
+    a record of the same class and fields, not a plain tuple of them, and
+    never orders: that raises ``TypeError("<plural> do not order")``, the
+    plural "Name records" by default.  A foreign tuple subclass's ``==``
+    runs first, and may say equal.  Every field is compared, and there is
+    no ``__post_init__`` call.  Returns a new class made from ``cls``'s
+    namespace, as ``collections.namedtuple`` makes one.
+    """
+    if cls is None:
+        return lambda cls: tuple_record(cls, plural=plural)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {"_new": tuple.__new__}
+    params = []
+    for name in names:
+        if name in cls.__dict__:
+            ns[f"_dflt_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_dflt_{name}")
+        else:
+            params.append(name)
+    exec(f"def __new__(_cls, {', '.join(params)}):\n"
+         f"  return _new(_cls, ({''.join(name + ', ' for name in names)}))\n", ns)
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in names and key not in ("__dict__", "__weakref__")}
+    message = f"{plural or cls.__name__ + ' records'} do not order"
+
+    def _unordered(self, other):  # tuple's order, tried from either side, would rank records
+        raise TypeError(message)
+
+    body.update(
+        {name: property(operator.itemgetter(i)) for i, name in enumerate(names)},
+        __slots__=(), __new__=ns["__new__"], __record_fields__=names,
+        _make=classmethod(tuple.__new__), __eq__=_tuple_record_eq,
+        __ne__=object.__ne__,  # tuple's own would compare a record with a plain tuple
+        __lt__=_unordered, __le__=_unordered, __gt__=_unordered, __ge__=_unordered,
+        __hash__=tuple.__hash__, __repr__=_record_repr,
+        __setattr__=_frozen_setattr, __delattr__=_frozen_delattr,
+        __getnewargs__=_tuple_record_args, __qualname__=cls.__qualname__,
+    )
+    body["__new__"].__qualname__ = f"{cls.__qualname__}.__new__"
+    return type(cls.__name__, (tuple,), body)
+
+
+def _tuple_record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _tuple_record_args(self):  # copy, deepcopy and pickle rebuild a record from its fields
+    return tuple(self)
+
+
 def replace(obj, **changes):
     """A copy of record ``obj`` with the given fields changed; its class
     checks the result as it checks any new instance."""
@@ -285,7 +347,8 @@ class BlockSpec:
             raise ValueError(f"block {self.dims} exceeds grid {grid.dims}")
 
 
-class PaletteEntry(tuple):
+@tuple_record(plural="palette entries")
+class PaletteEntry:
     """Metadata for one color id.
 
     ``subgrid`` is the sub-grid index the color belongs to (a 1-tuple for
@@ -293,48 +356,15 @@ class PaletteEntry(tuple):
     None for hand-made maps.  ``factors`` is the per-axis factor tuple for
     product colors.  ``label`` is a free-form human name such as ``a_1``.
 
-    A frozen record like those ``record`` makes (the same ``repr``,
-    keyword construction, ``replace`` and ``asdict``, and fields that
-    cannot be set or deleted), but a tuple of its four fields with no
-    per-instance dict: a map holds one entry per color id, and the
-    palette builders make them with ``PaletteEntry._make``, one C call
-    and no Python frame an entry.  An entry equals, and hashes as, only
-    another entry of the same fields, not a plain tuple of them, and never
-    orders.  A foreign tuple subclass's ``==`` runs first, and may say equal.
+    A ``tuple_record``: a map holds one entry per color id, and the
+    palette builders make them with ``PaletteEntry._make``, one C call and
+    no Python frame an entry.
     """
 
-    __slots__ = ()
-    __record_fields__ = ("id", "subgrid", "factors", "label")
-
-    def __new__(cls, id, subgrid=None, factors=None, label=""):
-        return tuple.__new__(cls, (id, subgrid, factors, label))
-
-    # An entry from an iterable of exactly its four fields, in order: a
-    # bound tuple.__new__, so it runs no Python code and checks no count.
-    _make = classmethod(tuple.__new__)
-
-    id = property(operator.itemgetter(0))
-    subgrid = property(operator.itemgetter(1))
-    factors = property(operator.itemgetter(2))
-    label = property(operator.itemgetter(3))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    __ne__ = object.__ne__  # tuple's own would compare an entry with a plain tuple
-
-    def __lt__(self, other):  # tuple's order, tried from either side, would rank entries
-        raise TypeError("palette entries do not order")
-    __le__ = __gt__ = __ge__ = __lt__
-    __hash__ = tuple.__hash__
-    __repr__ = _record_repr
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __getnewargs__(self):  # copy, deepcopy and pickle rebuild an entry from its fields
-        return tuple(self)
+    id: int
+    subgrid: tuple | None = None
+    factors: tuple | None = None
+    label: str = ""
 
 
 _entry_id = PaletteEntry.id.fget  # the id of an entry, in one C call

@@ -551,7 +551,8 @@ def test_nd_decode_builds_the_results_of_the_per_axis_reference(fig_map, L):
     # same way or decodes the same.
     cmap = fig_map if L == fig_map.grid.dims else extend_arbitrary_size(fig_map, L)
     dec = compile_decoder(cmap)
-    ref = SimpleNamespace(table=dec.table, seams=dec.seams, seam_result=dec.seam_result,
+    ref = SimpleNamespace(table=dec.table, seams=dec.seams, cut=dec.cut,
+                          seam_result=dec.seam_result,
                           route=functools.partial(reference_nd_route, dec))
     colors = max(cmap.colors) + 1
     for x in coding_area(cmap.grid, cmap.block):
@@ -589,7 +590,7 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
                 alphas = tuple(data.draw(st.integers(0, ell - 1)) for ell in router.ells)
             facts = [(J_of[s], (alpha,) * n) for s, alpha in enumerate(alphas)]
             proj = [(J, f[axis]) for J, f in facts]
-            got = _outcome(ax.decode, facts)
+            got = _outcome(ax.decode, [(ax.row[J], f[axis]) for J, f in facts])
             event("routed" if isinstance(got, DecodeResult) else "refused")
             assert got == _outcome(functools.partial(reference_axis_decode, ax), proj), alphas
 

@@ -29,6 +29,7 @@ from braidcode import (
     restrict,
     to_json,
 )
+from braidcode.codec import DecodeResult, DecodeResultND, ErasureResult
 from braidcode.core import PaletteEntry, asdict, parse_codeword, parse_int, record, replace
 from braidcode.oracle import VerifyReport
 
@@ -452,3 +453,115 @@ def test_maps_copy_and_pickle_to_equal_maps(m24, fig_map, edge_maps):
     again = from_json(to_json(m24))
     object.__setattr__(again, "_color_ids", set())
     assert again == m24
+
+
+# ---------------------------------------------------------------------------
+# Tuple records: palette entries and decode results share one helper
+
+
+_ROUTED = DecodeResult(7, 3, 1, 0, 1, 1, (1, 1), "routing")
+_AXIS_0 = DecodeResult(37, 18, 2, 0, 9, 0, (4, 2, 0, 2), "routing")
+
+# record -> its repr, as each class gave it when it was a ``record``
+TUPLE_RECORDS = {
+    ENTRY: "PaletteEntry(id=3, subgrid=(0,), factors=None, label='a')",
+    _ROUTED: ("DecodeResult(tag=7, j_star=3, i_star=1, r_star=0, a_star=1, b_star=1, "
+              "a_vec=(1, 1), path='routing')"),
+    DecodeResult(9, 4, 0, 1, 0, 0, (), "seam"): (
+        "DecodeResult(tag=9, j_star=4, i_star=0, r_star=1, a_star=0, b_star=0, a_vec=(), "
+        "path='seam')"),
+    DecodeResultND((37, 7), (_AXIS_0, _ROUTED), "routing"): (
+        "DecodeResultND(tag=(37, 7), per_axis=(DecodeResult(tag=37, j_star=18, i_star=2, "
+        "r_star=0, a_star=9, b_star=0, a_vec=(4, 2, 0, 2), path='routing'), DecodeResult(tag=7, "
+        "j_star=3, i_star=1, r_star=0, a_star=1, b_star=1, a_vec=(1, 1), path='routing')), "
+        "path='routing')"),
+    DecodeResultND((0, 136), (None, None), "seam"): (
+        "DecodeResultND(tag=(0, 136), per_axis=(None, None), path='seam')"),
+    ErasureResult((17, 18), 1): "ErasureResult(candidates=(17, 18), resolution=1)",
+}
+_RECORDS = list(TUPLE_RECORDS)
+
+
+def _fields(rec) -> tuple:
+    return tuple(getattr(rec, name) for name in rec.__record_fields__)
+
+
+def _record_twin(rec):
+    """The ``record``-made class of the same name and fields, and its instance."""
+    cls = type(rec)
+    twin = record(type(cls.__name__, (), {"__annotations__": dict.fromkeys(cls.__record_fields__)}))
+    return twin(*_fields(rec))
+
+
+@pytest.mark.parametrize("rec", _RECORDS, ids=repr)
+def test_a_tuple_record_equals_only_a_record_of_its_class(rec):
+    fields = _fields(rec)
+    assert fields == tuple(rec)  # a tuple of its fields, in order
+    for other in (fields, _record_twin(rec)):
+        assert rec != other and other != rec, other
+        assert not (rec == other or other == rec), other
+    same = type(rec)._make(fields)
+    assert same == rec and same is not rec and type(same) is type(rec)
+    assert not (same != rec)
+    name = rec.__record_fields__[-1]
+    assert rec != replace(rec, **{name: "other"}) != rec
+    assert rec != 3 and rec is not None
+    assert _RECORDS.count(rec) == 1  # no record of another class or fields equals it
+
+
+@pytest.mark.parametrize("rec", _RECORDS, ids=repr)
+def test_a_tuple_record_hashes_and_prints_as_the_record_did(rec):
+    # as a ``record`` of the same fields: the hash of the tuple of its compared
+    # fields, and Name(field=value, ...)
+    twin = _record_twin(rec)
+    assert hash(rec) == hash(twin) == hash(_fields(rec))
+    assert repr(rec) == TUPLE_RECORDS[rec] == repr(twin)
+    assert {rec: 1}[type(rec)._make(_fields(rec))] == 1
+    assert len({rec, _fields(rec)}) == 2
+
+
+@pytest.mark.parametrize("rec", _RECORDS, ids=repr)
+def test_a_tuple_record_builds_by_keyword_replaces_and_converts_to_a_dict(rec):
+    cls, names = type(rec), rec.__record_fields__
+    by_name = dict(zip(names, _fields(rec)))
+    assert cls(**by_name) == rec == cls(*_fields(rec))
+    assert replace(rec) == rec and type(replace(rec)) is cls
+    changed = replace(rec, **{names[0]: "x"})
+    assert (type(changed), changed[0], changed[1:]) == (cls, "x", rec[1:])
+    want = dict(by_name)
+    if "per_axis" in want:  # the one field that holds records
+        want["per_axis"] = tuple(None if d is None else asdict(d) for d in want["per_axis"])
+    assert asdict(rec) == want and list(asdict(rec)) == list(names)
+    assert asdict(_ROUTED)["a_vec"] == (1, 1)
+    with pytest.raises(TypeError):
+        cls(**by_name, extra=1)
+    with pytest.raises(TypeError):
+        replace(rec, extra=1)
+
+
+@pytest.mark.parametrize("rec", _RECORDS, ids=repr)
+def test_a_tuple_record_field_cannot_be_set_or_deleted_and_records_do_not_order(rec):
+    name = rec.__record_fields__[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(rec, name, 1)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(rec, name)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'note'$"):
+        rec.note = 1  # no per-instance dict to hold it
+    with pytest.raises(TypeError):
+        vars(rec)
+    fields = _fields(rec)
+    for left, right in [(rec, rec), (rec, fields), (fields, rec)]:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError, match="do not order$"):
+                op(left, right)
+    assert _fields(rec) == fields
+
+
+@pytest.mark.parametrize("rec", _RECORDS, ids=repr)
+def test_tuple_records_copy_and_pickle_to_equal_records(rec):
+    for how, back in _copies(rec):
+        assert type(back) is type(rec), how
+        assert back == rec and repr(back) == repr(rec) and hash(back) == hash(rec), how
+        for name in rec.__record_fields__:
+            assert type(getattr(back, name)) is type(getattr(rec, name)), (how, name)
