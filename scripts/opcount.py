@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bytecodes executed per operation, with the standard library alone.
 
-    PYTHONPATH=src python3 scripts/opcount.py [--size full|tiny] [--tags 200] [--seed 1]
+    PYTHONPATH=src python3 scripts/opcount.py
 
 Counts the bytecodes an operation executes, its callees included, with a
 ``sys.settrace`` tracer that sets ``frame.f_trace_opcodes`` on every frame.
@@ -13,10 +13,10 @@ moved into C shows a larger drop in the count than in time.  Quote a count
 beside a time, never alone.
 
 The maps are those of the benchmark's ``locate`` and ``locate-edge``
-workloads (``perfbench/workloads.py``, at the given size).  Prints one JSON
+workloads (``perfbench/workloads.py``, at full size).  Prints one JSON
 object: the Python version, and per map the median and maximum count of
 the map's decode (``erasure_decode`` of one surviving color on an erasure
-map) and of ``encode`` over seeded tags, a quarter of them in the last two
+map) and of ``encode`` over 200 seeded tags, a quarter of them in the last two
 block lengths of one axis, where cut maps change; and the count of
 ``compile_decoder`` on a freshly built copy of the map.
 
@@ -26,7 +26,6 @@ restores it afterwards.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import platform
@@ -91,24 +90,21 @@ def spread(counts: list[int]) -> dict:
     return {"median": statistics.median(counts), "max": max(counts)}
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--size", choices=("full", "tiny"), default="full")
-    ap.add_argument("--tags", type=int, default=200)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
+SIZE, TAGS, SEED = "full", 200, 1
 
+
+def main() -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     from braidcode import codec, core
 
-    out = {"python": platform.python_version(), "size": args.size, "tags": args.tags,
-           "seed": args.seed, "decode": {}, "encode": {}, "compile_decoder": {}}
+    out = {"python": platform.python_version(), "size": SIZE, "tags": TAGS, "seed": SEED,
+           "decode": {}, "encode": {}, "compile_decoder": {}}
     for table in (workloads.LOCATE_MAPS, workloads.EDGE_MAPS):
-        for label, (build, op) in table[args.size].items():
+        for label, (build, op) in table[SIZE].items():
             cmap, decoder = build(), getattr(codec, op)
             out["compile_decoder"][label] = count(codec.compile_decoder, cmap)
-            seeded = tags(cmap, args.tags, args.seed)
+            seeded = tags(cmap, TAGS, SEED)
             words = [core.encode(cmap, t) for t in seeded]
             if op == "erasure_decode":  # one color of each codeword survives
                 words = [w[i % len(w):][:1] for i, w in enumerate(words)]
@@ -119,4 +115,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -449,19 +449,16 @@ class _UnitaryND:
     save in the tail (last m_i points) of each shortened axis, so a tag
     routed before the seam L_i - 2m_i + 1 needs no ``encode``.  Factors come
     from the params: a fresh color has none, and only the seam table reads it.
-    ``factors_of`` gives each color id its sub-grid J and factor tuple, and
-    ``cells`` its (row, factor) cell on each axis, so no axis reads J.
+    ``cells`` gives each color id, of sub-grid J and factor tuple f, its
+    (row of J, f_axis) cell on each axis, so no axis reads J.
     """
 
     def __init__(self, params: UnitaryBraidParamsND):
-        self.factors_of = {
-            offset + k: (J, f)
-            for J, (offset, ells, _) in _subgrid_layout(params).items()
-            for k, f in enumerate(itertools.product(*map(range, ells)))
-        }
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
-        rows = {J: [ax.row[J] for ax in self.axes] for J in params.qtable}
-        self.cells = {cid: tuple(zip(rows[J], f)) for cid, (J, f) in self.factors_of.items()}
+        self.cells = {}
+        for J, (offset, ells, _) in _subgrid_layout(params).items():
+            per_axis = [[(ax.row[J], f) for f in range(ell)] for ax, ell in zip(self.axes, ells)]
+            self.cells.update(enumerate(itertools.product(*per_axis), offset))
 
     def seam_result(self, x: Point) -> DecodeResultND:
         return DecodeResultND(x, (None,) * len(x), "seam")

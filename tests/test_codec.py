@@ -19,7 +19,7 @@ from braidcode.braid1d import (
     restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
-from braidcode.params import _colors_1d
+from braidcode.params import _colors_1d, _subgrid_layout, read
 from braidcode.braidnd import (
     UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size, params_of_nd,
 )
@@ -526,10 +526,17 @@ def reference_axis_decode(self, proj) -> DecodeResult:
     raise NotACodeword("crt", f"axis {axis}: no consistent routing")
 
 
-def reference_nd_route(self, w):
+def reference_factors_of(params):
+    """Each color id's sub-grid J and factor tuple, from the palette layout."""
+    return {offset + k: (J, f)
+            for J, (offset, ells, _) in _subgrid_layout(params).items()
+            for k, f in enumerate(itertools.product(*map(range, ells)))}
+
+
+def reference_nd_route(self, factors_of, w):
     """``_UnitaryND.route`` as it was then, with a (J, factor) list per axis: one result."""
     try:
-        facts = [self.factors_of[cid] for cid in w]
+        facts = [factors_of[cid] for cid in w]
     except KeyError as e:
         raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
     diags = tuple(reference_axis_decode(ax, [(J, f[ax.axis]) for J, f in facts])
@@ -553,7 +560,8 @@ def test_nd_decode_builds_the_results_of_the_per_axis_reference(fig_map, L):
     dec = compile_decoder(cmap)
     ref = SimpleNamespace(table=dec.table, seams=dec.seams, cut=dec.cut,
                           seam_result=dec.seam_result,
-                          route=functools.partial(reference_nd_route, dec))
+                          route=functools.partial(reference_nd_route, dec,
+                                                  reference_factors_of(read(cmap))))
     colors = max(cmap.colors) + 1
     for x in coding_area(cmap.grid, cmap.block):
         w = encode(cmap, x)
@@ -571,7 +579,9 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
     # Each axis routes its unitary rows without the generic router, and gives
     # what that router gives there: the same result tuple or the same refusal,
     # for the positions of a block of the band (valid, or split off a band
-    # start) and for random positions.
+    # start) and for random positions; and the same refusal text when one
+    # cell is duplicated over another, dropped or added (nu - 1 or nu + 1
+    # cells, where no row but the count shows the fault).
     n = data.draw(st.integers(2, 3), label="n")
     m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
     q = st.lists(st.integers(1, 4), min_size=n, max_size=n).map(tuple)
@@ -589,9 +599,20 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
             else:
                 alphas = tuple(data.draw(st.integers(0, ell - 1)) for ell in router.ells)
             facts = [(J_of[s], (alpha,) * n) for s, alpha in enumerate(alphas)]
+            faults = ["none", "duplicate", "drop", "add"] if ax.nu > 1 else ["none", "drop", "add"]
+            fault = data.draw(st.sampled_from(faults))
+            i, k = data.draw(st.lists(st.integers(0, ax.nu - 1), min_size=2, max_size=2,
+                                      unique=ax.nu > 1))
+            if fault == "duplicate":
+                facts[i] = facts[k]
+            elif fault == "drop":
+                del facts[i]
+            elif fault == "add":
+                extra = data.draw(st.integers(0, router.ells[ax.row[facts[k][0]]] - 1))
+                facts.insert(i, (facts[k][0], (extra,) * n))
             proj = [(J, f[axis]) for J, f in facts]
             got = _outcome(ax.decode, [(ax.row[J], f[axis]) for J, f in facts])
-            event("routed" if isinstance(got, DecodeResult) else "refused")
+            event("routed" if isinstance(got, DecodeResult) else f"refused, fault {fault}")
             assert got == _outcome(functools.partial(reference_axis_decode, ax), proj), alphas
 
 
