@@ -41,6 +41,8 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     automatically.  The colors are ``_colors_1d``'s, the rule
     ``params_of`` proves a map against; ``sunmao.synthesize`` is its
     reference.  The params it stores are read back by ``params_of`` alone.
+    Every input ``params_of`` would refuse in the map is refused here, so
+    the map keeps ``params_of``'s value, and its reads skip the proof.
     """
     errs = validate(params)
     if errs:
@@ -51,6 +53,7 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     if len(gens) != params.I:
         raise ValueError(f"expected {params.I} generators")
     for i, (gen, ell, m_i) in enumerate(zip(gens, ells, params.parts)):
+        int_tuple((gen.ell, gen.m, *gen.colors), "generator fields")  # as params_of reads them
         if gen.ell != ell or gen.m != m_i:
             raise ValueError(f"generator {i} is ({gen.ell},{gen.m}), need ({ell},{m_i})")
         if not gen.is_distinguishable():
@@ -63,7 +66,7 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         ids, entries = gen.shifted(len(palette), (i,))  # ids 0..k-1 follow the palette so far
         gen_colors.append(ids)
         palette += entries
-    return ColorMap(
+    cmap = ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),
         colors=tuple(_colors_1d(params, gen_colors, 0, params.M)),
@@ -78,6 +81,9 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
                      for gen, ids in zip(gens, gen_colors)],
         },
     )
+    # the value params_of gives this map: every check it makes has passed above
+    object.__setattr__(cmap, "_checked_params", (params, cmap.params["gens"], 0, 0))
+    return cmap
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,22 @@ def _base_palette(layout) -> list[PaletteEntry]:
 
 
 def construct_unitary_nd(params: UnitaryBraidParamsND) -> ColorMap:
-    """Standard unitary braid code on the grid implied by the q-table."""
+    """Standard unitary braid code on the grid implied by the q-table.
+
+    The colors are ``_base_colors``'s, the rule ``params_of_nd`` proves a
+    map against, so the map keeps ``params`` as the value it reads, and
+    its reads skip the proof."""
     dims = params.dims
     layout = _subgrid_layout(params)
-    return ColorMap(
+    cmap = ColorMap(
         grid=GridSpec(dims),
         block=BlockSpec(params.m),
         colors=tuple(_base_colors(params, layout, dims)),
         palette=tuple(_base_palette(layout)),
         params=_params_dict(params, None),
     )
+    object.__setattr__(cmap, "_checked_params", params)
+    return cmap
 
 
 def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dict:

@@ -377,9 +377,12 @@ class ColorMap:
     ``colors`` is the dense row-major array of color ids; ``palette``
     carries one entry per color id; ``params`` is the construction
     descriptor (None for hand-made maps).  Treat a map as immutable,
-    ``params`` included: the codec keeps a compiled decoder on it, and
-    the map keeps the set of its color ids, made once by the palette
-    check, for ``to_json``; neither is a field, in ``==`` or in JSON.
+    ``params`` included, as the map keeps derived state that is no field,
+    in ``==`` or in JSON: the set of its color ids (``_color_ids``), made
+    once by the palette check, for ``to_json`` and the oracle; the checked
+    value of its params (``_checked_params``), kept by ``params.read``
+    and by the constructions that build a map from params; and the
+    codec's compiled decoder (``_decoder``).
     """
 
     grid: GridSpec

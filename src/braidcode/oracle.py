@@ -60,26 +60,40 @@ def _first_true(flags) -> int | None:
     return next(itertools.compress(itertools.count(), flags), None)
 
 
+def _products(seq, m: int, s: int):
+    """The products seq[x] * seq[x + s] * ... * seq[x + (m - 1)*s] at every x
+    whose last factor ``seq`` holds, as an iterator (``seq`` itself when
+    m = 1): the shifted windows are read with ``islice``, not copied."""
+    n = len(seq) - (m - 1) * s
+    out = seq
+    for a in range(s, m * s, s):  # map stops at the window's end: n products
+        out = map(operator.mul, out, itertools.islice(seq, a, a + n))
+    return out
+
+
 def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyReport:
     """Exhaustively check that all block codewords are pairwise distinct.
 
     Each color id gets its own prime, and each tag the product of the
     primes of its block: by unique factorization two tags share a key
-    exactly when their blocks hold the same color multiset.  The prime
-    array is looked up in one C call (``take``) and, on a cyclic grid,
-    padded by its first m_i - 1 slices along each axis (on one axis, one
-    concatenation).  The products are built one block axis at a time: the
-    row of products so far is multiplied by m_i - 1 shifted windows of
-    itself, read with ``islice`` rather than copied, and only the result
-    is stored.  The first collision in coding-area order (lexicographically
-    smallest tag pair) is reported.  Refuses coding areas beyond the limit.
+    exactly when their blocks hold the same color multiset.  The ids are
+    the set the map keeps from its palette check.  The prime array is
+    looked up in one C call (``take``) and, on a cyclic grid, padded by its
+    first m_i - 1 slices along each axis (on one axis, one concatenation).
+    The products are built one block axis at a time: the row of products
+    so far is multiplied by m_i - 1 shifted windows of itself, read with
+    ``islice`` rather than copied.  The keys go straight into a set: on one
+    axis the products themselves, on more the slice of each row of tags.
+    Only a collision lists them, to report the first one in coding-area
+    order (lexicographically smallest tag pair).  Refuses coding areas
+    beyond the limit.
     """
     size = coding_area_size(cmap.grid, cmap.block)
     if size > limit:
         raise ValueError(f"coding area {size} exceeds verification limit {limit}")
     t0 = time.perf_counter()
     grid, block = cmap.grid, cmap.block
-    ids = sorted(set(cmap.colors))
+    ids = sorted(cmap._color_ids)
     prime_of = dict(zip(ids, prime_window(1, len(ids))))
     arr, dims = take(prime_of, cmap.colors), grid.dims
     if grid.cyclic and len(dims) == 1:
@@ -87,25 +101,29 @@ def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyRepo
     elif grid.cyclic:
         arr, dims = _wrap_pad(arr, dims, block.dims)
     strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-    prods = arr
-    for m, s in zip(block.dims, strides):
-        n = len(prods) - (m - 1) * s
-        head = prods
-        for a in range(s, m * s, s):  # map stops at the window's end: n products
-            prods = map(operator.mul, prods, itertools.islice(head, a, a + n))
-        if m > 1:
-            prods = list(prods)
     area = coding_area_shape(grid, block)
     *outer, width = area.dims
-    keys = prods  # on a 1D grid every product belongs to a tag
-    if outer:  # keep the first ``width`` products of each row of tags
-        bases = map(sum, itertools.product(*(range(0, a * s, s) for a, s in zip(outer, strides))))
-        keys = list(itertools.chain.from_iterable(prods[t:t + width] for t in bases))
+    if outer:
+        prods = arr
+        for m, s in zip(block.dims, strides):
+            if m > 1:
+                prods = list(_products(prods, m, s))
+        # the first tag of each row of tags; the row's keys are the next width products
+        starts = list(map(sum, itertools.product(*(range(0, a * s, s) for a, s in zip(outer, strides)))))
+
+        def keys():
+            rows = map(slice, starts, map(width.__add__, starts))
+            return itertools.chain.from_iterable(map(prods.__getitem__, rows))
+    else:
+        def keys():  # on one axis every product is a key
+            return _products(arr, block.dims[0], 1)
+
     counterexample = None
-    checked = len(keys)
-    if len(set(keys)) != checked:
+    checked = size
+    if len(set(keys())) != size:
+        found = list(keys())
         seen: dict[int, int] = {}
-        k = next(k for k, key in enumerate(keys) if seen.setdefault(key, k) != k)
+        k = next(k for k, key in enumerate(found) if seen.setdefault(key, k) != k)
         checked = k + 1
         tag = area.point(k)
         base = sum(t * s for t, s in zip(tag, strides))
@@ -114,7 +132,7 @@ def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyRepo
             id_of[arr[base + sum(o * s for o, s in zip(off, strides))]]
             for off in itertools.product(*map(range, block.dims))
         ))
-        counterexample = (area.point(seen[keys[k]]), tag, w)
+        counterexample = (area.point(seen[found[k]]), tag, w)
     elapsed = time.perf_counter() - t0
     return VerifyReport(
         counterexample is None, checked, counterexample,

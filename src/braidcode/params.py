@@ -402,13 +402,26 @@ def read(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int] | Unitary
 
 
 def _read(cmap: ColorMap, family, refusal: str | None):
-    """``read``, refused with ``refusal`` unless the map's reader is ``family``."""
+    """``read``, refused with ``refusal`` unless the map's reader is ``family``.
+
+    The family check runs on every call; the reader's value is then kept
+    on the map (``_checked_params``, derived state beside the codec's
+    ``_decoder``), so a map is proved once.  ``braid1d.construct`` and
+    ``braidnd.construct_unitary_nd`` keep the value their params give
+    when they build a map: they write the colors ``_colors_1d`` and
+    ``_base_colors`` give, so its proof cannot fail.  A map made any other
+    way (loaded, by hand, by ``core.replace``, by a cut) proves on its
+    first read; a refusal is not kept."""
     try:
         p = cmap.params or {}
         reader = _READERS.get(p.get("kind"))
         if reader is None or family not in (None, reader):
             raise ValueError(refusal or f"unsupported map kind {p.get('kind')!r}")
-        return reader(cmap, p)
+        value = getattr(cmap, "_checked_params", None)
+        if value is None:
+            value = reader(cmap, p)
+            object.__setattr__(cmap, "_checked_params", value)
+        return value
     except (KeyError, TypeError, AttributeError, IndexError) as e:
         # the stored params come from outside, e.g. a map file
         raise ValueError(f"malformed map params: {e!r}") from e

@@ -425,8 +425,17 @@ P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
      ValueError, "generator 0 is not 1-distinguishable"),
     (P24, [identity_generator(4, 1), GeneratorCode(6, 1, (0, 1, 2, 3, 4, -1), tuple("abcde"))],
      ValueError, "generator 1 has a negative color id"),
+    # fields a map file may not hold, refused as params_of refuses them there
+    (P24, [GeneratorCode(4.0, 1, (0, 1, 2, 3), tuple("abcd")), identity_generator(6, 1)],
+     ValueError, "^generator fields must be integers, got 4.0$"),
+    (P24, [GeneratorCode(4, True, (0, 1, 2, 3), tuple("abcd")), identity_generator(6, 1)],
+     ValueError, "^generator fields must be integers, got true$"),
+    (P24, [GeneratorCode(4, 1, (0, 1, 2, 3.0), tuple("abcd")), identity_generator(6, 1)],
+     ValueError, "^generator fields must be integers, got 3.0$"),
+    (P24, [GeneratorCode(4, 1, (False, True, 2, 3), tuple("abcd")), identity_generator(6, 1)],
+     ValueError, "^generator fields must be integers, got false$"),
 ], ids=["invalid-params", "generator-count", "generator-size", "not-distinguishable",
-        "negative-id"])
+        "negative-id", "float-ell", "bool-m", "float-color", "bool-color"])
 def test_construct_refuses_params_and_generators_that_do_not_fit(params, gens, error, message):
     with pytest.raises(error, match=message):
         construct(params, gens)

@@ -12,7 +12,7 @@ import pytest
 from braidcode import codec
 from braidcode.braid1d import BraidParams1D, construct
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd
-from braidcode.core import encode
+from braidcode.core import encode, from_json, to_json
 
 _spec = importlib.util.spec_from_file_location(
     "opcount", Path(__file__).resolve().parent.parent / "scripts" / "opcount.py")
@@ -55,6 +55,15 @@ def test_decode_and_encode_cost_the_same_bytecodes_on_every_map_of_one_shape(sha
         encodes = [opcount.count(encode, cmap, t) for t in tags]
         ranges[name] = (min(decodes), max(decodes), min(encodes), max(encodes))
     assert len(set(ranges.values())) == 1, ranges
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_compiling_a_constructed_map_skips_the_proof_its_loaded_copy_makes(shape):
+    # the largest map of the shape; the proof is the one step of the compile that
+    # walks the map's colors, so only the loaded copy pays it
+    build = list(SHAPES[shape].values())[-1]
+    built, loaded = build(), from_json(to_json(build()))
+    assert opcount.count(codec.compile_decoder, built) < opcount.count(codec.compile_decoder, loaded)
 
 
 def test_the_counter_chains_to_the_tracer_set_before_and_restores_it(m24):

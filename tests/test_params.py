@@ -1,0 +1,178 @@
+"""The params value a map keeps: the constructions keep what the reader
+would give their maps, and every other map is still proved on its first
+read."""
+
+import functools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from braidcode import codec, params
+from braidcode.braid1d import (
+    BraidParams1D, construct, enumerate_params, modify_general_size, restrict,
+)
+from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
+from braidcode.core import encode, from_json, replace, to_json
+from braidcode.generators import GeneratorCode, find_generator, identity_generator
+
+from conftest import FIG1_QTABLE
+
+QTABLE_140 = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
+QTABLE_LINE = {(0,): (2,), (1,): (3,)}
+
+
+def _loaded(cmap):
+    return from_json(to_json(cmap))
+
+
+@functools.cache
+def _generator(ell, m_i):
+    # searched generators repeat colors; past ell = 24 a search can take seconds
+    return find_generator(ell, m_i) if ell <= 24 else identity_generator(ell, m_i)
+
+
+@functools.cache
+def _params_of_parts(parts, M):
+    return list(enumerate_params(M, parts))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_a_constructed_map_keeps_what_its_json_copy_reads(data):
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
+    M = sum(parts) * data.draw(st.integers(2, 300 // sum(parts)), label="M / m")
+    options = _params_of_parts(parts, M)
+    assume(options)
+    p = data.draw(st.sampled_from(options), label="params")
+    cmap = construct(p, [_generator(ell, m_i) for ell, m_i in zip(p.ells, p.parts)])
+    kept = cmap._checked_params
+    assert kept == params.read(_loaded(cmap)) and kept[0] == p
+    assert params.read(cmap) is kept
+
+
+def test_the_fixture_maps_keep_what_their_json_copies_read(m24, example_sets):
+    for cmap in (m24, *map(construct, example_sets)):
+        assert cmap._checked_params == params.read(_loaded(cmap))
+    for qtable in (FIG1_QTABLE, QTABLE_140, QTABLE_LINE):
+        p = UnitaryBraidParamsND(m=(2,) * len(next(iter(qtable))), g=2, qtable=qtable)
+        cmap = construct_unitary_nd(p)
+        assert cmap._checked_params is p
+        assert p == params.read(_loaded(cmap))
+
+
+def _spoiled(gen, how):
+    """``gen`` with one field or color as a map file may hold it, or not at all."""
+    colors = list(gen.colors)
+    if how == "float ell":
+        return GeneratorCode(float(gen.ell), gen.m, gen.colors, gen.labels)
+    if how == "float m":
+        return GeneratorCode(gen.ell, float(gen.m), gen.colors, gen.labels)
+    if how == "bool m":
+        return GeneratorCode(gen.ell, gen.m == 1 or gen.m, gen.colors, gen.labels)
+    if how == "float color":
+        colors[-1] = float(colors[-1])
+    elif how == "bool color":
+        colors = [bool(c) if c < 2 else c for c in colors]
+    elif how == "repeated color":
+        colors[-1] = colors[0]
+    elif how == "negative color":
+        colors[-1] = -1
+    return GeneratorCode(gen.ell, gen.m, tuple(colors), gen.labels)
+
+
+SPOILS = ["none", "float ell", "float m", "bool m", "float color", "bool color",
+          "repeated color", "negative color"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_construct_refuses_every_map_the_reader_would_refuse(data):
+    # Either construct refuses the input, or the value its map keeps is what a
+    # read of the map's JSON copy gives: no map keeps a value read would refuse.
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2), label="parts"))
+    M = sum(parts) * data.draw(st.integers(2, 60 // sum(parts)), label="M / m")
+    options = _params_of_parts(parts, M)
+    assume(options)
+    p = data.draw(st.sampled_from(options), label="params")
+    gens = [_spoiled(_generator(ell, m_i), data.draw(st.sampled_from(SPOILS), label=f"gen {i}"))
+            for i, (ell, m_i) in enumerate(zip(p.ells, p.parts))]
+    try:
+        cmap = construct(p, gens)
+    except ValueError:
+        return
+    assert cmap._checked_params == params.read(_loaded(cmap))
+
+
+def _recolored(cmap, k, like):
+    colors = list(cmap.colors)
+    colors[k] = colors[like]
+    return replace(cmap, colors=tuple(colors))
+
+
+def test_a_replace_with_a_contradicting_color_is_proved_and_refused(m24):
+    bad = _recolored(m24, 5, 7)
+    message = "^map contradicts its generators: point 5 has color 7, they give 6$"
+    for refuse in (params.read, params.params_of, lambda cmap: modify_general_size(cmap, 20),
+                   lambda cmap: codec.decode(cmap, encode(m24, (3,)))):
+        with pytest.raises(ValueError, match=message):
+            refuse(bad)
+    # restrict cuts any 1D map, but guarantees only a proven one
+    assert restrict(m24, 19).params["guaranteed"] is True
+    assert restrict(bad, 19).params["guaranteed"] is False
+
+
+def test_an_nd_replace_with_a_contradicting_color_is_proved_and_refused(fig_map):
+    bad = _recolored(fig_map, 5, 7)
+    message = r"^map contradicts its params: point \(0, 5\) has color 13, they give 12$"
+    for refuse in (params.read, params.params_of_nd,
+                   lambda cmap: extend_arbitrary_size(cmap, (12, 20)),
+                   lambda cmap: codec.decode(cmap, encode(fig_map, (3, 3)))):
+        with pytest.raises(ValueError, match=message):
+            refuse(bad)
+
+
+def test_the_family_check_runs_before_the_kept_value_is_read(m24, fig_map):
+    params.read(m24), params.read(fig_map)  # both keep their values
+    with pytest.raises(ValueError, match="^not a 1D braid map, nor a restriction or "
+                                         "modification of one$"):
+        params.params_of(fig_map)
+    with pytest.raises(ValueError, match="^not an n-dim unitary braid map$"):
+        params.params_of_nd(m24)
+
+
+P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The list of maps ``params._prove`` is called on."""
+    calls = []
+    prove = params._prove
+
+    def counted(cmap, *args):
+        calls.append(cmap)
+        return prove(cmap, *args)
+
+    monkeypatch.setattr(params, "_prove", counted)
+    return calls
+
+
+def test_a_loaded_map_is_proved_once_and_a_constructed_one_never(proofs):
+    built = construct(P24)
+    codec.compile_decoder(built)
+    restrict(built, 19), modify_general_size(built, 20)
+    assert proofs == []
+    loaded = _loaded(built)
+    codec.compile_decoder(loaded)
+    restrict(loaded, 19)
+    assert proofs == [loaded]
+
+
+def test_cut_and_extended_maps_are_proved_on_their_first_read(proofs):
+    cut = restrict(construct(P24), 19)
+    std = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=FIG1_QTABLE))
+    ext = extend_arbitrary_size(std, (12, 20))
+    assert proofs == []
+    for cmap in (cut, ext):
+        codec.compile_decoder(cmap), params.read(cmap)
+    assert proofs == [cut, ext]
