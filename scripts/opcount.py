@@ -22,7 +22,8 @@ where cut maps change, and the count of ``compile_decoder`` on a freshly
 built copy of the map (``compile_decoder``) and on its
 ``from_json(to_json(...))`` copy (``compile_decoder_loaded``), which must
 prove its colors where a constructed map need not; per ``certify`` map,
-the count of each step of a certify pass: ``is_distinguishable``,
+the count of each step of a certify pass: ``build`` (the map's build
+function, so the cost of a construction shows), ``is_distinguishable``,
 ``check_structure`` (standard 1D maps only), ``to_json`` and
 ``from_json``.  ``slope_per_point`` gives, per operation, the rise of its
 count per grid point from the 4620-point to the 41612-point two-part
@@ -108,7 +109,7 @@ def slope(counts: dict, small: str, large: str, points: dict) -> dict:
     return {"maps": [small, large], "per_point": per_point}
 
 
-CERTIFY_STEPS = ("is_distinguishable", "check_structure", "to_json", "from_json")
+CERTIFY_STEPS = ("build", "is_distinguishable", "check_structure", "to_json", "from_json")
 
 
 def main() -> int:
@@ -140,8 +141,9 @@ def main() -> int:
         out["slope_per_point"][op] = slope(out[op], "1d-4620", "1d-41612", points)
     certify_points = {}
     for label, (build, _) in workloads._certify_specs(SIZE).items():
-        cmap = build()
+        cmap = build()  # warm: the count is of a build the workload's passes repeat
         certify_points[label] = cmap.grid.volume
+        out["build"][label] = count(build)
         out["is_distinguishable"][label] = count(oracle.is_distinguishable, cmap)
         if cmap.params["kind"] == "braid1d":  # as the certify workload checks
             out["check_structure"][label] = count(oracle.check_structure, cmap)

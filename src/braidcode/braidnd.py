@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, take
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
 from .params import (  # noqa: F401  re-exported
-    UnitaryBraidParamsND, _base_colors, _subgrid_layout, parse_qtable, params_of_nd,
+    UnitaryBraidParamsND, _base_colors, parse_qtable, params_of_nd,
 )
 
 FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
@@ -82,12 +82,11 @@ def construct_unitary_nd(params: UnitaryBraidParamsND) -> ColorMap:
     map against, so the map keeps ``params`` as the value it reads, and
     its reads skip the proof."""
     dims = params.dims
-    layout = _subgrid_layout(params)
     cmap = ColorMap(
         grid=GridSpec(dims),
         block=BlockSpec(params.m),
-        colors=tuple(_base_colors(params, layout, dims)),
-        palette=tuple(_base_palette(layout)),
+        colors=tuple(_base_colors(params, dims)),
+        palette=tuple(_base_palette(params.layout)),
         params=_params_dict(params, None),
     )
     object.__setattr__(cmap, "_checked_params", params)
@@ -130,9 +129,10 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
     blocks may then collide, as on the 137x137 re-cut of the 140x140 map),
     otherwise the last aligned band of each boundary sub-grid (l; 0, ..., 0)
     gets a fresh axis factor.  Requires 2*m_i <= L_i <= M_i.  The colors
-    are cut from the map, which ``params_of_nd`` proves carries the params',
-    and the fresh band is written a row at a time, one extended slice of
-    the colors per row, its ids looked up in one C call (``core.take``).
+    are cut from the map, which ``params_of_nd`` proves carries the params'.
+    In each slice x_i of a fresh band J is fixed, so the slice's flat
+    indices and (J, factor tuple) keys are products of per-axis lists; one
+    index -> key dict then gives each band point its fresh color.
     """
     params = params_of_nd(cmap)
     dims, m = params.dims, params.m
@@ -145,63 +145,48 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
         if not 2 * m_i <= L_i <= M_i:
             raise ValueError(f"need 2*m_i <= L_i <= M_i, got L={L}")
 
-    grid = GridSpec(L)
-    layout = _subgrid_layout(params)
     colors = []  # the box x < L of the map, one last-axis run at a time
     for prefix in itertools.product(*map(range, L[:-1])):
         start = cmap.grid.index(prefix + (0,))
         colors += cmap.colors[start:start + L[-1]]
     # The fresh band of axis i: its last aligned band x_i div m_i = L_i/m_i - 1
     # in the boundary sub-grids J with J_k = 0 for every other axis k.  A
-    # point in the bands of several axes takes a fresh factor on each.  The
-    # band is built one slice x_i at a time, where J is fixed: each other
-    # axis k runs over its aligned points x_k = j*m_k, of factor j mod ell_k,
-    # fresh at the last j of a fresh axis when J_i = 0.  A row runs along the
-    # last such axis r: one extended slice of the colors, taking len(run) keys.
+    # point in the bands of several axes takes a fresh factor on each.  In a
+    # slice x_i, each other axis k runs over its aligned points x_k = j*m_k,
+    # of factor j mod ell_k, fresh at the last j of a fresh axis when J_i = 0.
     n = params.n
     fresh_axes = [i for i in range(n) if L[i] != dims[i] and L[i] % m[i] == 0]
     strides = [math.prod(L[k + 1:]) for k in range(n)]
-    keys, rows = [], []
+    band = {}  # flat index -> (J, factor tuple)
     for i in fresh_axes:
-        r = max((k for k in range(n) if k != i), default=i)
         for x_i in range(L[i] - m[i], L[i]):
             J = tuple(x_i % m_k if k == i else 0 for k, m_k in enumerate(m))
-            ells = layout[J][1]
-            factors, starts = [], []
+            ells = params.ells(J)
+            points, factors = [], []
             for k in range(n):
                 if k == i:
+                    points.append((x_i * strides[k],))
                     factors.append((FRESH,))
-                    starts.append(range(x_i * strides[k], x_i * strides[k] + 1))
                     continue
+                points.append(range(0, L[k] * strides[k], m[k] * strides[k]))
                 f = [x // m[k] % ells[k] for x in range(0, L[k], m[k])]
                 if k in fresh_axes and J[i] == 0:
                     f[-1] = FRESH
                 factors.append(f)
-                starts.append(range(0, L[k] * strides[k], m[k] * strides[k]))
-            keys += zip(itertools.repeat(J), itertools.product(*factors))
-            run = starts.pop(r)
-            rows += (range(s + run.start, s + run.stop, run.step)
-                     for s in map(sum, itertools.product(*starts)))
+            band.update(zip(map(sum, itertools.product(*points)),
+                            zip(itertools.repeat(J), itertools.product(*factors))))
     base_total = params.color_count()
-    fresh_ids = {key: base_total + c for c, key in enumerate(sorted(set(keys)))}
-    ids, at = take(fresh_ids, keys), 0
-    for row in rows:
-        colors[row.start:row.stop:row.step] = ids[at:at + len(row)]
-        at += len(row)
+    fresh_ids = {key: base_total + c for c, key in enumerate(sorted(set(band.values())))}
+    for index, key in band.items():
+        colors[index] = fresh_ids[key]
 
-    palette = _base_palette(layout)
+    palette = _base_palette(params.layout)
     for (J, f), cid in fresh_ids.items():
-        shown = tuple(e if fi == FRESH else fi for fi, e in zip(f, layout[J][1]))
-        palette.append(
-            PaletteEntry(
-                id=cid,
-                subgrid=J,
-                factors=shown,
-                label="s" + "".join(map(str, J)) + "_d" + ",".join(map(str, shown)),
-            )
-        )
+        shown = tuple(e if fi == FRESH else fi for fi, e in zip(f, params.ells(J)))
+        label = "s" + "".join(map(str, J)) + "_d" + ",".join(map(str, shown))
+        palette.append(PaletteEntry(id=cid, subgrid=J, factors=shown, label=label))
     return ColorMap(
-        grid=grid,
+        grid=GridSpec(L),
         block=cmap.block,
         colors=tuple(colors),
         palette=tuple(palette),

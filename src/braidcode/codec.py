@@ -33,7 +33,7 @@ from collections import Counter
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record, tuple_record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
 from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read, windows
-from .params import _subgrid_layout, _tail_starts
+from .params import _tail_starts
 
 
 class AmbiguousDecode(ValueError):
@@ -456,7 +456,7 @@ class _UnitaryND:
     def __init__(self, params: UnitaryBraidParamsND):
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
         self.cells = {}
-        for J, (offset, ells, _) in _subgrid_layout(params).items():
+        for J, (offset, ells, _) in params.layout.items():
             per_axis = [[(ax.row[J], f) for f in range(ell)] for ax, ell in zip(self.axes, ells)]
             self.cells.update(enumerate(itertools.product(*per_axis), offset))
 

@@ -99,8 +99,11 @@ class GeneratorCode:
     def shifted(self, id_offset: int, subgrid: tuple[int, ...] | None = None):
         """The colors with ids moved up by ``id_offset``, and the palette
         entries of ids 0..k-1 so moved, k = max id + 1, labelled
-        ``labels[c]``, each made in one C call."""
+        ``labels[c]``, each made in one C call.  Fewer than k labels raise
+        ValueError."""
         k = max(self.colors) + 1
+        if len(self.labels) < k:
+            raise ValueError(f"generator has {len(self.labels)} labels for color ids 0..{k - 1}")
         palette = tuple(map(PaletteEntry._make, zip(
             range(id_offset, id_offset + k), itertools.repeat(subgrid), itertools.repeat(None),
             take(self.labels, range(k)))))

@@ -256,7 +256,10 @@ class UnitaryBraidParamsND:
     """Unitary n-dim braid parameters: block m, shared g, q-table.
 
     ``qtable[J]`` is the per-axis vector (q^(1)_J, ..., q^(n)_J) for
-    sub-grid J; J runs over all residue vectors 0 <= J < m.
+    sub-grid J; J runs over all residue vectors 0 <= J < m.  ``layout``,
+    derived state built once per params object and no field, gives each J,
+    in row-major (palette) order, its (palette offset, per-axis factor
+    periods ell_J, row-major strides of the factor grid of shape ell_J).
     """
 
     m: tuple[int, ...]
@@ -279,6 +282,12 @@ class UnitaryBraidParamsND:
         for J, qs in self.qtable.items():
             if len(qs) != len(self.m) or any(q < 1 for q in qs):
                 raise ValueError(f"bad q vector {qs} for J={J}")
+        layout, offset = {}, 0
+        for J in itertools.product(*map(range, self.m)):
+            ells = tuple(self.g * q for q in self.qtable[J])
+            layout[J] = (offset, ells, tuple(math.prod(ells[i + 1:]) for i in range(len(ells))))
+            offset += math.prod(ells)
+        object.__setattr__(self, "layout", layout)
 
     @property
     def n(self) -> int:
@@ -297,27 +306,13 @@ class UnitaryBraidParamsND:
 
     def ells(self, J: tuple[int, ...]) -> tuple[int, ...]:
         """Per-axis factor periods ell^(i)_J = g * q^(i)_J."""
-        return tuple(self.g * q for q in self.qtable[J])
+        return self.layout[J][1]
 
     def color_count(self) -> int:
-        return sum(math.prod(self.ells(J)) for J in sorted(self.qtable))
+        return sum(math.prod(ells) for _, ells, _ in self.layout.values())
 
 
-def _subgrid_layout(params: UnitaryBraidParamsND) -> dict[tuple[int, ...], tuple]:
-    """Per sub-grid J, in palette order: (palette offset, per-axis factor
-    periods ell_J, row-major strides of the factor grid of shape ell_J)."""
-    layout, offset = {}, 0
-    for J in itertools.product(*(range(m_i) for m_i in params.m)):
-        ells = params.ells(J)
-        strides = [1] * len(ells)
-        for i in reversed(range(len(ells) - 1)):
-            strides[i] = strides[i + 1] * ells[i + 1]
-        layout[J] = (offset, ells, tuple(strides))
-        offset += math.prod(ells)
-    return layout
-
-
-def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) -> list[int]:
+def _base_colors(params: UnitaryBraidParamsND, dims: tuple[int, ...]) -> list[int]:
     """Colors of the standard map at the points 0 <= x < dims, row-major.
 
     Point x lies in sub-grid J = x mod m at sub-grid position l = x div m
@@ -328,7 +323,7 @@ def _base_colors(params: UnitaryBraidParamsND, layout, dims: tuple[int, ...]) ->
     segment's first id names its J, so its tiled list is built once per
     first id and reused by every row that starts J there.
     """
-    m = params.m
+    m, layout = params.m, params.layout
     *outer, width = dims
     step = m[-1]
     counts = [len(range(j, width, step)) for j in range(step)]
@@ -376,7 +371,7 @@ def _params_nd(cmap: ColorMap, p: dict) -> UnitaryBraidParamsND:
     if (len(dims) != params.n or any(L > M for L, M in zip(dims, params.dims))
             or (p["kind"] == "unitary-braid-nd" and dims != params.dims)):
         raise ValueError(f"grid {dims} does not fit the params' period M={params.dims}")
-    want = _base_colors(params, _subgrid_layout(params), dims)
+    want = _base_colors(params, dims)
     _prove(cmap, params.m, want, _tail_starts(params, dims), "params", str)
     return params
 
@@ -456,6 +451,8 @@ def params_of_nd(cmap: ColorMap) -> UnitaryBraidParamsND:
 
 
 def is_nd_kind(cmap: ColorMap) -> bool:
-    """Whether the map's kind is an n-dim braid map's; nothing else is read."""
+    """Whether the map's kind is one ``_READERS`` sends to the n-dim reader;
+    nothing else is read."""
     p = cmap.params
-    return isinstance(p, dict) and p.get("kind") in ("unitary-braid-nd", "extended-nd")
+    nd = [kind for kind, reader in _READERS.items() if reader is _params_nd]
+    return isinstance(p, dict) and p.get("kind") in nd  # a list: a file's kind may be unhashable

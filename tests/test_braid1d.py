@@ -21,7 +21,7 @@ from braidcode.braid1d import (
     restrict,
     validate,
 )
-from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd
+from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
 from braidcode.params import _colors_1d, _split_clash
@@ -434,8 +434,11 @@ P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
      ValueError, "^generator fields must be integers, got 3.0$"),
     (P24, [GeneratorCode(4, 1, (False, True, 2, 3), tuple("abcd")), identity_generator(6, 1)],
      ValueError, "^generator fields must be integers, got false$"),
+    # raised IndexError from the palette's label lookup
+    (P24, [GeneratorCode(4, 1, (0, 1, 2, 3), ("a",)), identity_generator(6, 1)],
+     ValueError, r"^generator has 1 labels for color ids 0\.\.3$"),
 ], ids=["invalid-params", "generator-count", "generator-size", "not-distinguishable",
-        "negative-id", "float-ell", "bool-m", "float-color", "bool-color"])
+        "negative-id", "float-ell", "bool-m", "float-color", "bool-color", "too-few-labels"])
 def test_construct_refuses_params_and_generators_that_do_not_fit(params, gens, error, message):
     with pytest.raises(error, match=message):
         construct(params, gens)
@@ -551,7 +554,9 @@ def test_restrict_refuses_an_n_dim_braid_map(fig_map):
     # "too many values to unpack"
     bad = [replace(cmap, colors=cmap.colors[:5] + cmap.colors[7:8] + cmap.colors[6:])
            for cmap in (line, fig_map)]
-    for cmap in (line, fig_map, *bad, replace(fig_map, params=None)):
+    cut = extend_arbitrary_size(line, (22,))  # a one-axis extension, of kind "extended-nd"
+    assert cut.params["kind"] == "extended-nd" and cut.grid.dims == (22,)
+    for cmap in (line, fig_map, *bad, cut, replace(fig_map, params=None)):
         with pytest.raises(ValueError, match="^restrict cuts 1D braid maps; cut an n-dim braid "
                                              "map with extend_arbitrary_size$"):
             restrict(cmap, 19)
@@ -561,8 +566,9 @@ def test_restrict_refuses_an_n_dim_braid_map(fig_map):
 
 def test_restrict_of_a_map_with_malformed_params_is_not_guaranteed(m24):
     # a base that is not a dict raised AttributeError; the last two KeyError and TypeError
+    # a kind that is not hashable (a list) is no n-dim kind either
     for params in ({"kind": "restricted", "base": [1], "M_r": 24, "guaranteed": True}, [1],
-                   {"kind": "braid1d"}, {**m24.params, "parts": 5}):
+                   {"kind": "braid1d"}, {**m24.params, "parts": 5}, {"kind": ["extended-nd"]}):
         r = restrict(replace(m24, params=params), 19)
         assert r.params["guaranteed"] is False and r.params["base"] == params
 

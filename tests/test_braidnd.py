@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import re
 
 import pytest
@@ -15,7 +16,6 @@ from braidcode.braidnd import (
     _base_colors,
     _base_palette,
     _params_dict,
-    _subgrid_layout,
     construct_unitary_nd,
     extend_arbitrary_size,
     is_fresh_factor,
@@ -24,6 +24,7 @@ from braidcode.braidnd import (
     product,
     project,
 )
+from braidcode.codec import compile_decoder
 from braidcode.core import BlockSpec, ColorMap, PaletteEntry
 from braidcode.generators import identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
@@ -327,13 +328,13 @@ def test_base_colors_follow_the_factor_formula_point_by_point(case):
     """Point x carries offset_J + sum_i (l_i mod ell_J,i) * stride_J,i,
     with J = x mod m and l = x div m."""
     params, dims = case
-    layout = _subgrid_layout(params)
+    layout = params.layout
     want = []
     for x in itertools.product(*map(range, dims)):
         offset, ells, strides = layout[tuple(c % m_i for c, m_i in zip(x, params.m))]
         want.append(offset + sum(c // m_i % e * s
                                  for c, m_i, e, s in zip(x, params.m, ells, strides)))
-    assert _base_colors(params, layout, dims) == want
+    assert _base_colors(params, dims) == want
 
 
 def row_by_row_base_colors(params, layout, dims):
@@ -362,6 +363,46 @@ QTABLE_2X3 = {(0, 0): (1, 2), (0, 1): (2, 1), (0, 2): (1, 1),
               (1, 0): (2, 2), (1, 1): (1, 1), (1, 2): (1, 2)}
 
 
+@pytest.mark.parametrize("m, g, qtable", [
+    ((2,), 2, {(0,): (2,), (1,): (3,)}),
+    ((2, 2), 2, QTABLE_24),
+    ((2, 2), 2, QTABLE_140),
+    ((2, 3), 3, QTABLE_2X3),
+    ((2, 2, 2), 2, QTABLE_3D),
+], ids=["1-axis", "24", "140", "2x3-g3", "3d"])
+def test_the_layout_is_the_one_its_definition_gives(m, g, qtable):
+    # J in row-major order; each offset the running sum of prod(ell_J) before it;
+    # stride i the flat step of a unit step on axis i of the factor grid of shape ell_J
+    params = UnitaryBraidParamsND(m=m, g=g, qtable=qtable)
+    Js = list(GridSpec(m).points())
+    ells = [tuple(g * q for q in qtable[J]) for J in Js]
+    offsets = itertools.accumulate(map(math.prod, ells), initial=0)
+    strides = [tuple(GridSpec(e).index(tuple(int(k == i) for k in range(len(e))))
+                     for i in range(len(e))) for e in ells]
+    assert list(params.layout.items()) == list(zip(Js, zip(offsets, ells, strides)))
+    assert params.color_count() == sum(map(math.prod, ells))
+
+
+def test_a_constructed_map_carries_one_layout_through_its_extension_and_decoders(monkeypatch):
+    # the layout is built in __post_init__, once per params object: here the
+    # source params' and the extension's read params' (the extension's colours
+    # are not the standard map's, so its decoder reads and proves its params)
+    builds = []
+    post_init = UnitaryBraidParamsND.__post_init__
+
+    def counted(self):
+        post_init(self)
+        builds.append(self.layout)
+
+    monkeypatch.setattr(UnitaryBraidParamsND, "__post_init__", counted)
+    cmap = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=QTABLE_140))
+    ext = extend_arbitrary_size(cmap, (138, 138))
+    compile_decoder(cmap)
+    compile_decoder(ext)
+    assert len(builds) == 2
+    assert params_of_nd(cmap).layout is builds[0] and params_of_nd(ext).layout is builds[1]
+
+
 @pytest.mark.parametrize("m, g, qtable, dims", [
     ((2, 2), 2, QTABLE_24, (24, 24)),
     ((2, 2), 2, QTABLE_24, (22, 22)),
@@ -377,8 +418,7 @@ QTABLE_2X3 = {(0, 0): (1, 2), (0, 1): (2, 1), (0, 2): (1, 1),
         "3d", "3d-cut", "2x3-g3", "2x3-g3-cut"])
 def test_base_colors_match_the_row_by_row_tiling(m, g, qtable, dims):
     params = UnitaryBraidParamsND(m=m, g=g, qtable=qtable)
-    layout = _subgrid_layout(params)
-    assert _base_colors(params, layout, dims) == row_by_row_base_colors(params, layout, dims)
+    assert _base_colors(params, dims) == row_by_row_base_colors(params, params.layout, dims)
 
 
 def per_point_extension(cmap, L):
@@ -386,7 +426,7 @@ def per_point_extension(cmap, L):
     rows: each band point's sub-grid, factors and index worked out alone."""
     params = params_of_nd(cmap)
     dims, m, n = params.dims, params.m, params.n
-    layout = _subgrid_layout(params)
+    layout = params.layout
     grid = GridSpec(L)
     colors = [cmap.colors[cmap.grid.index(x)] for x in itertools.product(*map(range, L))]
     fresh_axes = [i for i in range(n) if L[i] != dims[i] and L[i] % m[i] == 0]

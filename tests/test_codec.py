@@ -19,7 +19,7 @@ from braidcode.braid1d import (
     restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
-from braidcode.params import _colors_1d, _subgrid_layout, read
+from braidcode.params import _colors_1d, read
 from braidcode.braidnd import (
     UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size, params_of_nd,
 )
@@ -529,7 +529,7 @@ def reference_axis_decode(self, proj) -> DecodeResult:
 def reference_factors_of(params):
     """Each color id's sub-grid J and factor tuple, from the palette layout."""
     return {offset + k: (J, f)
-            for J, (offset, ells, _) in _subgrid_layout(params).items()
+            for J, (offset, ells, _) in params.layout.items()
             for k, f in enumerate(itertools.product(*map(range, ells)))}
 
 

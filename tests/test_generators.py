@@ -246,3 +246,11 @@ def test_search_results_verify(ell, m):
 def test_generator_codeword_wraps():
     gen = GeneratorCode(4, 2, (0, 1, 0, 2), ("u", "v", "w"))
     assert gen.codeword(3) == (0, 2)
+
+
+def test_to_colormap_refuses_a_generator_with_too_few_labels():
+    # raised IndexError from the palette's label lookup
+    gen = GeneratorCode(4, 2, (0, 1, 0, 2), ("u", "v"))
+    with pytest.raises(ValueError, match=r"^generator has 2 labels for color ids 0\.\.2$"):
+        gen.to_colormap()
+    assert GeneratorCode(4, 2, (0, 1, 0, 2), ("u", "v", "w")).to_colormap(5).palette[-1].label == "w"
