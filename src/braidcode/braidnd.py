@@ -109,13 +109,19 @@ def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dic
 def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], int]]:
     """Axis projection of a unitary n-D codeword: (J, factor index) pairs.
 
-    Product entries carry factors but no sub-grid J, and are refused.  A
-    fresh factor projects to index ell^(i)_J (one past the base range).
+    Product entries carry factors but no sub-grid J, and are refused, as
+    are an id the palette lacks and an axis outside 0..n-1.  A fresh factor
+    projects to index ell^(i)_J (one past the base range).
     """
+    n = cmap.grid.n
+    if axis not in range(n):  # -1 would index the last axis, 0.5 no factor
+        raise ValueError(f"axis {axis} is not in 0..{n - 1}")
     by_id = {e.id: e for e in cmap.palette}
     out = []
     for cid in codeword:
-        e = by_id[cid]
+        e = by_id.get(cid)
+        if e is None:
+            raise ValueError(f"color {cid} is not in the palette")
         if e.factors is None or e.subgrid is None:
             raise ValueError(f"color {cid} has no factor structure")
         out.append((e.subgrid, e.factors[axis]))
@@ -145,10 +151,13 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
         if not 2 * m_i <= L_i <= M_i:
             raise ValueError(f"need 2*m_i <= L_i <= M_i, got L={L}")
 
-    colors = []  # the box x < L of the map, one last-axis run at a time
-    for prefix in itertools.product(*map(range, L[:-1])):
-        start = cmap.grid.index(prefix + (0,))
-        colors += cmap.colors[start:start + L[-1]]
+    # The box x < L of the map, one last-axis run at a time: the runs start
+    # at the products of per-axis ranges scaled by the map's row-major strides.
+    steps = [math.prod(dims[k + 1:]) for k in range(len(dims) - 1)]
+    runs = itertools.product(*(range(0, L_k * step, step) for L_k, step in zip(L, steps)))
+    colors, width = [], L[-1]
+    for start in map(sum, runs):
+        colors += cmap.colors[start:start + width]
     # The fresh band of axis i: its last aligned band x_i div m_i = L_i/m_i - 1
     # in the boundary sub-grids J with J_k = 0 for every other axis k.  A
     # point in the bands of several axes takes a fresh factor on each.  In a

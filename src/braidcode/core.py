@@ -51,8 +51,9 @@ def record(cls):
     ``__hash__`` over the compared fields of two records of the same
     class, and a ``__setattr__``/``__delattr__`` that raise
     AttributeError; ``__post_init__`` sets a field with
-    ``object.__setattr__``.  No ``__slots__``: an instance may carry
-    derived state, set the same way, that is not a field.
+    ``object.__setattr__``, or several at once with ``vars(self).update``.
+    No ``__slots__``: an instance may carry derived state, set the same
+    way, that is not a field.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     ns = {"_setattr": object.__setattr__}

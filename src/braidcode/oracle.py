@@ -141,8 +141,9 @@ def is_distinguishable(cmap: ColorMap, limit: int = DEFAULT_LIMIT) -> VerifyRepo
 
 
 def count_colors(cmap: ColorMap) -> int:
-    """Number of distinct colors actually used on the grid."""
-    return len(set(cmap.colors))
+    """Number of distinct colors actually used on the grid: the size of the
+    id set the map's palette check keeps."""
+    return len(cmap._color_ids)
 
 
 @record

@@ -31,7 +31,13 @@ from .core import Codeword, ColorMap, GridSpec, int_tuple, record
 
 @record
 class BraidParams1D:
-    """Parameter set of a 1D braid code."""
+    """Parameter set of a 1D braid code.
+
+    Derived state, built once per params object and no field: the block
+    ``m`` = sum(parts), the part count ``I``, the generator periods
+    ``ells`` (ell_i = g * c_i * q_i), ``Q`` = lcm(q) and ``unitary`` (every
+    part 1).
+    """
 
     M: int
     parts: tuple[int, ...]
@@ -43,29 +49,10 @@ class BraidParams1D:
         parts, c, q = tuple(self.parts), tuple(self.c), tuple(self.q)
         # Stored params come from map files, where a c_i of 1.9 must not pass for 1.
         int_tuple((self.g, self.M, *parts, *c, *q), "braid params")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def m(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def I(self) -> int:
-        return len(self.parts)
-
-    @property
-    def ells(self) -> tuple[int, ...]:
-        return tuple(self.g * c * q for c, q in zip(self.c, self.q))
-
-    @property
-    def Q(self) -> int:
-        return math.lcm(*self.q)
-
-    @property
-    def unitary(self) -> bool:
-        return all(p == 1 for p in self.parts)
+        # the fields as tuples, then the derived state, in one write past the frozen __setattr__
+        vars(self).update(parts=parts, c=c, q=q, m=sum(parts), I=len(parts),
+                          ells=tuple(map(self.g.__mul__, map(operator.mul, c, q))),
+                          Q=math.lcm(*q), unitary=parts == (1,) * len(parts))
 
 
 def validate(params: BraidParams1D) -> list[str]:
@@ -256,10 +243,12 @@ class UnitaryBraidParamsND:
     """Unitary n-dim braid parameters: block m, shared g, q-table.
 
     ``qtable[J]`` is the per-axis vector (q^(1)_J, ..., q^(n)_J) for
-    sub-grid J; J runs over all residue vectors 0 <= J < m.  ``layout``,
-    derived state built once per params object and no field, gives each J,
-    in row-major (palette) order, its (palette offset, per-axis factor
-    periods ell_J, row-major strides of the factor grid of shape ell_J).
+    sub-grid J; J runs over all residue vectors 0 <= J < m.  Derived state,
+    built once per params object and no field: ``layout`` gives each J, in
+    row-major (palette) order, its (palette offset, per-axis factor periods
+    ell_J, row-major strides of the factor grid of shape ell_J); ``n`` is
+    the axis count, ``Q`` the per-axis lcm of the q-table column and
+    ``dims`` the period g * m_i * Q_i of each axis.
     """
 
     m: tuple[int, ...]
@@ -287,29 +276,16 @@ class UnitaryBraidParamsND:
             ells = tuple(self.g * q for q in self.qtable[J])
             layout[J] = (offset, ells, tuple(math.prod(ells[i + 1:]) for i in range(len(ells))))
             offset += math.prod(ells)
-        object.__setattr__(self, "layout", layout)
-
-    @property
-    def n(self) -> int:
-        return len(self.m)
-
-    @property
-    def Q(self) -> tuple[int, ...]:
-        """Per-axis lcm of the q-table column."""
-        return tuple(
-            math.lcm(*(qs[i] for qs in self.qtable.values())) for i in range(self.n)
-        )
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(self.g * m_i * Q_i for m_i, Q_i in zip(self.m, self.Q))
+        Q = tuple(itertools.starmap(math.lcm, zip(*self.qtable.values())))
+        dims = tuple(self.g * m_i * Q_i for m_i, Q_i in zip(self.m, Q))
+        vars(self).update(layout=layout, _color_count=offset, n=len(self.m), Q=Q, dims=dims)
 
     def ells(self, J: tuple[int, ...]) -> tuple[int, ...]:
         """Per-axis factor periods ell^(i)_J = g * q^(i)_J."""
         return self.layout[J][1]
 
     def color_count(self) -> int:
-        return sum(math.prod(ells) for _, ells, _ in self.layout.values())
+        return self._color_count
 
 
 def _base_colors(params: UnitaryBraidParamsND, dims: tuple[int, ...]) -> list[int]:

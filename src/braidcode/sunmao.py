@@ -12,6 +12,7 @@ are classed by their componentwise residue J mod m.
 from __future__ import annotations
 
 import bisect
+import itertools
 import operator
 
 from .core import (
@@ -28,40 +29,27 @@ from .core import (
 
 @record
 class Decomposition1D:
-    """1D decomposition of G^c_M into I interlocked sub-grids."""
+    """1D decomposition of G^c_M into I interlocked sub-grids.
+
+    Derived state, built once per decomposition and no field: the block
+    ``m`` = sum(parts), the sub-grid count ``I``, the ``offsets``
+    d_i = m_0 + ... + m_{i-1} and the ``subgrid_sizes`` M_i = m_i * M / m.
+    """
 
     M: int
     parts: tuple[int, ...]
 
     def __post_init__(self):
         _, *parts = int_tuple((self.M, *self.parts), "decomposition sizes")
-        object.__setattr__(self, "parts", tuple(parts))
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if self.M % self.m != 0:
-            raise ValueError(f"block size {self.m} must divide M={self.M}")
-
-    @property
-    def m(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def I(self) -> int:
-        return len(self.parts)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """d_i = m_0 + ... + m_{i-1}."""
-        out, acc = [], 0
-        for p in self.parts:
-            out.append(acc)
-            acc += p
-        return tuple(out)
-
-    @property
-    def subgrid_sizes(self) -> tuple[int, ...]:
-        """M_i = m_i * M / m."""
-        return tuple(p * self.M // self.m for p in self.parts)
+        parts, m = tuple(parts), sum(parts)
+        object.__setattr__(self, "parts", parts)
+        if any(p < 1 for p in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        if self.M % m != 0:
+            raise ValueError(f"block size {m} must divide M={self.M}")
+        vars(self).update(m=m, I=len(parts),
+                          offsets=tuple(itertools.accumulate(parts, initial=0))[:-1],
+                          subgrid_sizes=tuple(p * self.M // m for p in parts))
 
     def subgrid_of(self, x: int) -> int:
         """Index i with x in S_i: the last offset d_i <= x mod m.

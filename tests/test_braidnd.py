@@ -175,6 +175,19 @@ def test_project_refuses_a_color_without_factors(m24):
             project(cmap, w, 0)
 
 
+def test_project_refuses_a_color_the_palette_lacks(fig_map):
+    w = encode(fig_map, (1, 1))
+    with pytest.raises(ValueError, match="^color 9999 is not in the palette$"):
+        project(fig_map, (*w[:-1], 9999), 0)
+
+
+@pytest.mark.parametrize("axis", [-1, 2, 3, 0.5])
+def test_project_refuses_an_axis_outside_the_grid(fig_map, axis):
+    w = encode(fig_map, (1, 1))
+    with pytest.raises(ValueError, match=f"^axis {axis} is not in 0..1$"):
+        project(fig_map, w, axis)
+
+
 def test_projection_determines_each_axis(fig_map):
     """Axis projections of codewords are in bijection with the axis coordinate."""
     for axis in range(2):

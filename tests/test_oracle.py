@@ -163,6 +163,14 @@ def test_count_colors(m24):
     assert count_colors(m24) == 10  # 4 + 6 color identity generators
 
 
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=30), st.integers(1, 6))
+def test_count_colors_counts_the_ids_the_points_use_not_the_palette(colors, unused):
+    # a hand-made map whose palette also lists ids 10.. that no point uses
+    palette = tuple(PaletteEntry(id=cid) for cid in range(10 + unused))
+    cmap = ColorMap(GridSpec((len(colors),)), BlockSpec((1,)), tuple(colors), palette)
+    assert count_colors(cmap) == len(set(colors))
+
+
 def reference_check_structure(cmap):
     """The per-point structure check the slice-based one must match."""
     problems = []

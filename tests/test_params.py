@@ -3,6 +3,8 @@ would give their maps, and every other map is still proved on its first
 read."""
 
 import functools
+import itertools
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +14,9 @@ from braidcode.braid1d import (
     BraidParams1D, construct, enumerate_params, modify_general_size, restrict,
 )
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
-from braidcode.core import encode, from_json, replace, to_json
+from braidcode.core import asdict, encode, from_json, replace, to_json
 from braidcode.generators import GeneratorCode, find_generator, identity_generator
+from braidcode.sunmao import Decomposition1D
 
 from conftest import FIG1_QTABLE
 
@@ -176,3 +179,87 @@ def test_cut_and_extended_maps_are_proved_on_their_first_read(proofs):
     for cmap in (cut, ext):
         codec.compile_decoder(cmap), params.read(cmap)
     assert proofs == [cut, ext]
+
+
+# ---------------------------------------------------------------------------
+# Derived state the params records and the 1D decomposition hold
+
+
+def _defined_1d(p):
+    return {"m": sum(p.parts), "I": len(p.parts),
+            "ells": tuple(p.g * c_i * q_i for c_i, q_i in zip(p.c, p.q)),
+            "Q": math.lcm(*p.q), "unitary": all(m_i == 1 for m_i in p.parts)}
+
+
+def _defined_nd(p):
+    n = len(p.m)
+    Q = tuple(math.lcm(*(qs[i] for qs in p.qtable.values())) for i in range(n))
+    return {"n": n, "Q": Q, "dims": tuple(p.g * m_i * Q_i for m_i, Q_i in zip(p.m, Q)),
+            "_color_count": sum(math.prod(p.g * q for q in qs) for qs in p.qtable.values())}
+
+
+def _defined_decomposition(dec):
+    m = sum(dec.parts)
+    return {"m": m, "I": len(dec.parts),
+            "offsets": tuple(sum(dec.parts[:i]) for i in range(len(dec.parts))),
+            "subgrid_sizes": tuple(m_i * dec.M // m for m_i in dec.parts)}
+
+
+def _holds_its_definitions(obj, define, **changes):
+    """Each held value equals its definition, on ``obj`` and on a
+    ``replace`` copy with ``changes``; none shows in ``==``, ``repr`` or
+    ``asdict``; and none can be assigned."""
+    want = define(obj)
+    assert {name: getattr(obj, name) for name in want} == want
+    changed = replace(obj, **changes)
+    assert {name: getattr(changed, name) for name in want} == define(changed)
+    twin = replace(obj)
+    for name in want:  # every held value spoiled, the fields kept
+        object.__setattr__(twin, name, object())
+    assert twin == obj and repr(twin) == repr(obj) and asdict(twin) == asdict(obj)
+    assert tuple(asdict(obj)) == obj.__record_fields__
+    for name, value in want.items():
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_1d_params_hold_their_derived_values(data):
+    def valid_params(label):
+        parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
+        M = sum(parts) * data.draw(st.integers(2, 300 // sum(parts)), label="M / m")
+        options = _params_of_parts(parts, M)
+        assume(options)
+        return data.draw(st.sampled_from(options), label=label)
+
+    p, other = valid_params("params"), valid_params("other params")
+    _holds_its_definitions(p, _defined_1d, parts=other.parts, g=other.g, c=other.c, q=other.q)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_nd_params_hold_their_derived_values(data):
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3), label="m"))
+
+    def qtable(label):
+        return {J: tuple(data.draw(st.lists(st.integers(1, 5), min_size=len(m), max_size=len(m)),
+                                   label=f"{label} {J}"))
+                for J in itertools.product(*map(range, m))}
+
+    p = UnitaryBraidParamsND(m=m, g=data.draw(st.integers(2, 4), label="g"), qtable=qtable("q"))
+    assert p.color_count() == _defined_nd(p)["_color_count"]
+    _holds_its_definitions(p, _defined_nd, g=data.draw(st.integers(2, 4), label="other g"),
+                           qtable=qtable("other q"))
+
+
+@given(st.data())
+def test_decompositions_hold_their_derived_values(data):
+    def decomposition_fields(label):
+        parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+                                label=f"{label} parts"))
+        return {"M": sum(parts) * data.draw(st.integers(1, 6), label=f"{label} M / m"),
+                "parts": parts}
+
+    dec = Decomposition1D(**decomposition_fields("decomposition"))
+    _holds_its_definitions(dec, _defined_decomposition, **decomposition_fields("other"))
