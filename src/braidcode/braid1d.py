@@ -22,7 +22,7 @@ from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
-from .params import _split_clash, is_nd_kind
+from .params import Window1D, _split_clash, is_nd_kind
 
 
 class InfeasibleError(ValueError):
@@ -66,10 +66,11 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         ids, entries = gen.shifted(len(palette), (i,))  # ids 0..k-1 follow the palette so far
         gen_colors.append(ids)
         palette += entries
+    window = Window1D(params, tuple(gen_colors))
     cmap = ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),
-        colors=tuple(_colors_1d(params, gen_colors, 0, params.M)),
+        colors=tuple(_colors_1d(window, params.M)),
         palette=tuple(palette),
         params={
             "kind": "braid1d",
@@ -82,7 +83,7 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         },
     )
     # the value params_of gives this map: every check it makes has passed above
-    object.__setattr__(cmap, "_checked_params", (params, cmap.params["gens"], 0, 0))
+    object.__setattr__(cmap, "_checked_params", window)
     return cmap
 
 
@@ -244,7 +245,7 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
 
     Distinguishability is guaranteed when ``params_of`` reads (and so proves,
     its generators and their disjoint ids included) a unitary braid map or a
-    restriction of one (window (0, 0)) and the block size does not divide M_r;
+    restriction of one (shift and tail 0) and the block size does not divide M_r;
     otherwise check the result with the oracle.  A map on more axes and an n-dim braid map, even on one
     axis and whatever its colors, are refused: ``extend_arbitrary_size`` cuts those."""
     if len(cmap.grid.dims) != 1 or is_nd_kind(cmap):
@@ -252,18 +253,15 @@ def restrict(cmap: ColorMap, M_r: int) -> ColorMap:
                          "extend_arbitrary_size")
     (M_r,) = int_tuple((M_r,), "restriction size M_r")
     try:
-        stored = params_of(cmap)
+        window = params_of(cmap)
     except ValueError:
-        stored = None  # a hand-made map, malformed params, or colors that contradict them
+        window = None  # a hand-made map, malformed params, or colors that contradict them
     (M,) = cmap.grid.dims
     m = cmap.block.dims[0]
     if not m < M_r < M:
         raise ValueError(f"need m < M_r < M, got M_r={M_r}")
-    if stored is None:
-        guaranteed = False
-    else:
-        params, _, *window = stored
-        guaranteed = window == [0, 0] and params.unitary and M_r % m != 0
+    guaranteed = (window is not None and window.shift == window.tail == 0
+                  and window.params.unitary and M_r % m != 0)
     return ColorMap(
         grid=GridSpec((M_r,)),
         block=cmap.block,
@@ -285,9 +283,10 @@ def modify_general_size(cmap: ColorMap, M_r: int, fresh: bool = False) -> ColorM
     distinguishable, or with generators that share a color id, raises
     ValueError in ``params_of``, as its decode would.
     """
-    params, _, *window = params_of(cmap)  # window: (shift, tail), (0, 0) on a standard map
+    window = params_of(cmap)
+    params = window.params
     (M_r,) = int_tuple((M_r,), "modification size M_r")
-    if cmap.grid.dims != (params.M,) or window != [0, 0] or not params.unitary:
+    if cmap.grid.dims != (params.M,) or window.shift or window.tail or not params.unitary:
         raise ValueError("modification requires a standard unitary braid map")
     M, m = params.M, params.m
     if M_r % m != 0 or not 2 * m <= M_r < M:

@@ -32,7 +32,7 @@ from collections import Counter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record, tuple_record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .params import BraidParams1D, UnitaryBraidParamsND, params_of, read, windows
+from .params import BraidParams1D, UnitaryBraidParamsND, Window1D, params_of, read, windows
 from .params import _tail_starts
 
 
@@ -115,7 +115,11 @@ def _crt_solve(plan, residues) -> int | None:
 
 def generalized_crt(residues, moduli) -> int | None:
     """The x in [0, lcm(moduli)) with x = r_i (mod n_i), moduli possibly not
-    coprime, or None when the congruences are inconsistent (not a fault)."""
+    coprime, or None when the congruences are inconsistent (not a fault).
+    Lists of different lengths raise ValueError: no congruence is dropped."""
+    residues, moduli = tuple(residues), tuple(moduli)
+    if len(residues) != len(moduli):
+        raise ValueError(f"{len(residues)} residues for {len(moduli)} moduli")
     return _crt_solve(_crt_plan(moduli), residues)
 
 
@@ -156,11 +160,12 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     appearance along j.  Derived from generator params only (proven by
     ``params_of``); a cut map gives the matrix of the standard map at its root.
     """
-    params, gens, _, _ = params_of(cmap)
+    window = params_of(cmap)
+    params = window.params
     cols = params.M // params.m
     rows = []
-    for gen in gens:
-        ell, m_i, ws = gen["ell"], gen["m"], windows(gen["colors"], gen["m"])
+    for gen, m_i, ell in zip(window.gens, params.parts, params.ells):
+        ws = windows(gen, m_i)
         labels: dict[tuple, int] = {}
         rows.append(tuple(labels.setdefault(ws[j * m_i % ell], len(labels)) for j in range(cols)))
     return AssociatedMatrix(rows=tuple(rows), g=params.g, q=params.q)
@@ -198,12 +203,10 @@ class _Router:
     """Routing constants of one braid parameter set, its CRT plan among
     them, and the routing step: generator positions to their tag, in closed form."""
 
-    def __init__(self, g: int, parts, c, q):
-        self.g, self.parts, self.c, self.q = g, tuple(parts), tuple(c), tuple(q)
-        self.m = sum(self.parts)
-        self.offsets = tuple(itertools.accumulate(self.parts, initial=0))[:-1]
-        self.ells = tuple(g * c_i * q_i for c_i, q_i in zip(self.c, self.q))
-        self.gq = tuple(g * q_i for q_i in self.q)
+    def __init__(self, params: BraidParams1D):
+        self.g, self.parts, self.c, self.q = params.g, params.parts, params.c, params.q
+        self.m, self.offsets = params.m, params.offsets
+        self.gq = tuple(self.g * q_i for q_i in self.q)
         # u_i * (m_i / c_i) = 1 (mod g*q_i), i.e. u_i * m_i = c_i (mod ell_i)
         self.inv = tuple(pow(m_i // c_i, -1, gq_i)
                          for m_i, c_i, gq_i in zip(self.parts, self.c, self.gq))
@@ -334,13 +337,14 @@ class _Braid:
     ``params.read`` refuses a generator with two equal windows or a shared id.
     """
 
-    def __init__(self, window: tuple[BraidParams1D, list[dict], int, int]):
-        params, gens, self.shift, self.tail = window
+    def __init__(self, window: Window1D):
+        params = window.params
+        self.window, self.shift = window, window.shift
         self.M, self.m, self.parts = params.M, params.m, params.parts
-        self.sub_of = {cid: i for i, gen in enumerate(gens) for cid in gen["colors"]}
-        self.tables = tuple({w: x for x, w in enumerate(windows(gen["colors"], gen["m"]))}
-                            for gen in gens)
-        self.router = _Router(params.g, params.parts, params.c, params.q)
+        self.sub_of = {cid: i for i, gen in enumerate(window.gens) for cid in gen}
+        self.tables = tuple({w: x for x, w in enumerate(windows(gen, m_i))}
+                            for gen, m_i in zip(window.gens, params.parts))
+        self.router = _Router(params)
 
     def route(self, w: Codeword) -> DecodeResult:
         """The standard map's tag with canonical codeword ``w``, moved back by ``shift``."""
@@ -494,8 +498,8 @@ def compile_decoder(cmap: ColorMap):
         if isinstance(value, UnitaryBraidParamsND):
             dec, axes = _UnitaryND(value), zip(_tail_starts(value, dims), value.dims, value.m)
         else:
-            dec = _Braid(value)
-            axes = [(dims[0] - dec.tail, dec.M, dec.m)]
+            dec, p = _Braid(value), value.params
+            axes = [(dims[0] - value.tail, p.M, p.m)]
         dec.seams = tuple(None if e == M else max(e - m + 1, 0) for e, M, m in axes)
         dec.cut = any(s is not None for s in dec.seams)
         dec.table = _seam_table(cmap, dec.seams)
@@ -547,12 +551,13 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
     are returned along with their spread (max pairwise cyclic distance).
     """
     braid = compile_decoder(cmap)
-    if not isinstance(braid, _Braid) or braid.shift or braid.tail:  # or a modification, or its cut
+    if not isinstance(braid, _Braid) or braid.window.shift or braid.window.tail:  # a modification
         raise ValueError("erasure decoding requires a unitary braid map or restriction")
-    if any(p != 1 for p in braid.parts):
+    params = braid.window.params
+    if not params.unitary:
         raise ValueError("erasure decoding requires a unitary map")
     (M_r,) = cmap.grid.dims
-    m = len(braid.parts)
+    m = params.m
     need = Counter(partial)
     if not 0 < sum(need.values()) <= m:
         raise NotACodeword("palette-split", "partial codeword size out of range")
@@ -563,7 +568,7 @@ def erasure_decode(cmap: ColorMap, partial) -> ErasureResult:
         if i is None:
             raise NotACodeword("palette-split", f"unknown color id {cid}")
         alpha = braid.tables[i][(cid,)]
-        points = range(i + m * alpha, M_r, m * braid.router.ells[i])
+        points = range(i + m * alpha, M_r, m * params.ells[i])
         hits = Counter((x - o) % M_r for x in points for o in range(m))
         held = {t for t, k in hits.items() if k >= n}
         cands = held if cands is None else cands & held

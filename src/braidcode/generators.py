@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 
-from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, record, take
+from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, canonical, int_tuple, record, take
 from .params import distinguishable
 
 
@@ -207,7 +207,10 @@ def search_distinguishable(ell: int, m: int, k: int, budget: int = 10_000_000) -
 
 
 def repetitive_extend(gen: GeneratorCode, M: int) -> GeneratorCode:
-    """Tile a generator around G^c_M (requires ell | M)."""
+    """Tile a generator around G^c_M (requires an int M >= 1 with ell | M)."""
+    (M,) = int_tuple((M,), "extension length M")
+    if M < 1:
+        raise ValueError(f"extension length M must be positive, got {M}")
     if M % gen.ell != 0:
         raise ValueError(f"generator length {gen.ell} must divide {M}")
     return GeneratorCode(M, gen.m, gen.colors * (M // gen.ell), gen.labels)

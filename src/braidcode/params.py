@@ -4,9 +4,10 @@ color rules that the constructions and the decoder share.
 A map file keeps the params its construction was built from.  ``read``
 is the one place a map's kind is read: one table sends it to the reader
 of its family, which checks every field once and refuses what it cannot
-read with ValueError.  ``params_of`` and ``params_of_nd`` read one
-family.  ``_colors_1d`` and ``_base_colors`` give the colors those params
-imply: ``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
+read with ValueError.  ``params_of`` reads a 1D map to a ``Window1D``,
+``params_of_nd`` an n-dim one to its ``UnitaryBraidParamsND``.
+``_colors_1d`` and ``_base_colors`` give the colors those values imply:
+``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
 them, and each reader proves the map against them with ``_prove`` (and
 the 1D reader its generators distinguishable, with ``distinguishable``, and
 their color ids disjoint), so every caller (the decoder, the cuts,
@@ -34,9 +35,9 @@ class BraidParams1D:
     """Parameter set of a 1D braid code.
 
     Derived state, built once per params object and no field: the block
-    ``m`` = sum(parts), the part count ``I``, the generator periods
-    ``ells`` (ell_i = g * c_i * q_i), ``Q`` = lcm(q) and ``unitary`` (every
-    part 1).
+    ``m`` = sum(parts), the part count ``I``, the sub-grid ``offsets``
+    (d_i = m_0 + ... + m_{i-1}), the generator periods ``ells``
+    (ell_i = g * c_i * q_i), ``Q`` = lcm(q) and ``unitary`` (every part 1).
     """
 
     M: int
@@ -51,6 +52,7 @@ class BraidParams1D:
         int_tuple((self.g, self.M, *parts, *c, *q), "braid params")
         # the fields as tuples, then the derived state, in one write past the frozen __setattr__
         vars(self).update(parts=parts, c=c, q=q, m=sum(parts), I=len(parts),
+                          offsets=tuple(itertools.accumulate(parts, initial=0))[:-1],
                           ells=tuple(map(self.g.__mul__, map(operator.mul, c, q))),
                           Q=math.lcm(*q), unitary=parts == (1,) * len(parts))
 
@@ -129,20 +131,34 @@ def _split_clash(parts, g: int, c, q) -> tuple[int, int] | None:
     return None
 
 
-def _colors_1d(params: BraidParams1D, gen_colors, shift: int, n: int) -> list[int]:
+@record
+class Window1D:
+    """A 1D map as a window on the standard map of its params: every point x
+    but the last ``tail`` carries the color the generators give to x + ``shift``.
+
+    ``gens`` holds each sub-grid's generator as its color ids, an int tuple
+    of length ell_i; a standard map is the window with shift and tail 0.
+    """
+
+    params: BraidParams1D
+    gens: tuple[tuple[int, ...], ...]
+    shift: int = 0
+    tail: int = 0
+
+
+def _colors_1d(window: Window1D, n: int) -> list[int]:
     """The colors of points 0 <= x < n: point x carries the color the
-    generators give to y = x + shift of the standard map.
+    window's generators give to y = x + shift of the standard map.
 
     Sub-grid i holds the classes y = d_i + r (mod m), r < m_i, and
-    y = j*m + d_i + r has color gen_colors[i][(j*m_i + r) mod ell_i].
+    y = j*m + d_i + r has color gens[i][(j*m_i + r) mod ell_i].
     Along a class this repeats every ell_i / gcd(m_i, ell_i) points: one
     period is built and tiled, sharing one int object per color id.
     """
+    params, shift = window.params, window.shift
     m = params.m
     colors = [0] * n
-    for gen, d, m_i, ell in zip(
-        gen_colors, itertools.accumulate(params.parts, initial=0), params.parts, params.ells
-    ):
+    for gen, d, m_i, ell in zip(window.gens, params.offsets, params.parts, params.ells):
         period = ell // math.gcd(m_i, ell)
         for r in range(m_i):
             x0 = (d + r - shift) % m
@@ -188,7 +204,7 @@ def _prove(cmap: ColorMap, m: tuple, want: list[int], ends: tuple, what: str, na
                              f"has color {colors[k]}, they give {want[k]}")
 
 
-def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int, int]:
+def _window_1d(cmap: ColorMap, p: dict) -> Window1D:
     cuts = []
     while p.get("kind") in ("restricted", "modified"):
         cuts.append(p)
@@ -200,13 +216,14 @@ def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int,
     dims = cmap.grid.dims
     if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
         raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
-    gens = p["gens"]
-    if len(gens) != params.I:
-        raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
-    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
+    stored = p["gens"]
+    if len(stored) != params.I:
+        raise ValueError(f"map lists {len(stored)} generators for {params.I} sub-grids")
+    for i, (gen, m_i, ell) in enumerate(zip(stored, params.parts, params.ells)):
         int_tuple((gen["ell"], gen["m"], *gen["colors"]), "generator fields")
         if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
             raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
+    gens = tuple(tuple(gen["colors"]) for gen in stored)
     # n: how many leading points carry standard colors, cut by cut from the root
     shift, n = 0, params.M
     for cut in reversed(cuts):
@@ -220,18 +237,18 @@ def _window_1d(cmap: ColorMap, p: dict) -> tuple[BraidParams1D, list[dict], int,
     if errs:
         raise ValueError("not braid params: " + "; ".join(errs))
     n = max(0, min(n, dims[0]))
-    want = _colors_1d(params, [gen["colors"] for gen in gens], shift, n)
-    _prove(cmap, (params.m,), want, (n,), "generators", operator.itemgetter(0))
+    window = Window1D(params, gens, shift, dims[0] - n)
+    _prove(cmap, (params.m,), _colors_1d(window, n), (n,), "generators", operator.itemgetter(0))
     for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
-        if not distinguishable(gen["colors"], m_i):
+        if not distinguishable(gen, m_i):
             raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
                              f"{ell} windows share a sub-codeword")
     owner: dict[int, int] = {}  # color id -> its generator: the sub-grid palettes are disjoint
     for i, gen in enumerate(gens):
-        for cid in gen["colors"]:
+        for cid in gen:
             if owner.setdefault(cid, i) != i:
                 raise ValueError(f"generators {owner[cid]} and {i} share color id {cid}")
-    return params, gens, shift, dims[0] - n
+    return window
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +381,7 @@ _READERS = {"braid1d": _window_1d, "restricted": _window_1d, "modified": _window
 _NOT_1D = "not a 1D braid map, nor a restriction or modification of one"
 
 
-def read(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int] | UnitaryBraidParamsND:
+def read(cmap: ColorMap) -> Window1D | UnitaryBraidParamsND:
     """The checked params a map was built from: ``params_of`` of a 1D map or
     a cut of one, ``params_of_nd`` of an n-dim map or an extension.  Any
     other kind, params of the wrong shape and a map whose colors contradict
@@ -398,10 +415,10 @@ def _read(cmap: ColorMap, family, refusal: str | None):
         raise ValueError(f"malformed map params: {e!r}") from e
 
 
-def params_of(cmap: ColorMap) -> tuple[BraidParams1D, list[dict], int, int]:
-    """Standard braid parameters and generators a 1D map was built from,
-    and its window on that map: every point x but the last ``tail``
-    carries the standard color at x + ``shift``.
+def params_of(cmap: ColorMap) -> Window1D:
+    """The 1D map as a ``Window1D``: the standard braid parameters and
+    generators it was built from, and its window on that map: every point
+    x but the last ``tail`` carries the standard color at x + ``shift``.
 
     A restricted or modified map, or a cut of one, gives those of the
     standard map it was cut from, on M = m * g * lcm(q) points (a cut map

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from braidcode import encode, to_json
+from braidcode import encode, from_json, to_json
 from braidcode.braid1d import (
     BraidParams1D,
     InfeasibleError,
@@ -24,7 +24,7 @@ from braidcode.braid1d import (
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
-from braidcode.params import _colors_1d, _split_clash
+from braidcode.params import Window1D, _colors_1d, _split_clash
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
 
@@ -187,12 +187,13 @@ def test_construct_matches_the_sunmao_reference(data):
 
 
 def test_construct_round_trips_params(m24):
-    assert params_of(m24)[0] == BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
+    assert params_of(m24).params == BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
 
 
 def test_params_of_cut_maps_give_the_base_params(m24, fig_map):
     base = params_of(m24)
-    assert base[1:] == (m24.params["gens"], 0, 0)
+    assert (base.gens, base.shift, base.tail) == (
+        tuple(tuple(gen["colors"]) for gen in m24.params["gens"]), 0, 0)
     m36 = construct(BraidParams1D(M=36, parts=(1, 1, 1), g=2, c=(1, 1, 1), q=(2, 3, 1)))
     mod24, mod36 = modify_general_size(m24, 20), modify_general_size(m36, 30)
     s24, s36 = mod24.params["shift"], mod36.params["shift"]
@@ -208,8 +209,15 @@ def test_params_of_cut_maps_give_the_base_params(m24, fig_map):
         (m36, restrict(mod36, 29), (s36, 1)),
         (m36, restrict(restrict(mod36, 29), 28), (s36, 0)),
     ]:
-        params, gens, shift, tail = params_of(cut)
-        assert (params, gens) == params_of(std)[:2] and (shift, tail) == window
+        read, std_read = params_of(cut), params_of(std)
+        shift, tail = read.shift, read.tail
+        assert type(read) is Window1D and type(read.gens) is tuple
+        assert all(type(gen) is tuple and {type(c) for c in gen} == {int} for gen in read.gens)
+        assert read == Window1D(std_read.params, std_read.gens, *window)
+        # each copy read from its JSON gives the same value: a standard map's kept
+        # one, a cut's proved on its first read
+        assert (read, std_read) == (params_of(from_json(to_json(cut))),
+                                    params_of(from_json(to_json(std))))
         # the window: every point but the last tail carries the standard color at x + shift
         (L,), (M,) = cut.grid.dims, std.grid.dims
         assert all(cut.colors[x] == std.colors[(x + shift) % M] for x in range(L - tail))
@@ -514,9 +522,10 @@ def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
     # colors that agree with generators that are not 1-distinguishable, under which
     # aligned blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all
     # equal: the reader refuses the generators, so no shift is sought
-    params, gens, _, _ = params_of(m24)
-    gens = [dict(gens[0], colors=[0, 0, 1, 2]), dict(gens[1], colors=[4, 5, 6, 4, 7, 8])]
-    colors = _colors_1d(params, [gen["colors"] for gen in gens], 0, 24)
+    params = params_of(m24).params
+    gens = [dict(m24.params["gens"][0], colors=[0, 0, 1, 2]),
+            dict(m24.params["gens"][1], colors=[4, 5, 6, 4, 7, 8])]
+    colors = _colors_1d(Window1D(params, tuple(tuple(gen["colors"]) for gen in gens)), 24)
     cmap = replace(m24, colors=tuple(colors), params=dict(m24.params, gens=gens))
     with pytest.raises(ValueError, match="^generator 0 is not 1-distinguishable: two of its 4 "
                                          "windows share a sub-codeword$"):

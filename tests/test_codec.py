@@ -82,6 +82,11 @@ def test_crt_detects_inconsistency():
     assert generalized_crt([2, 2], [4, 6]) == 2
     with pytest.raises(ValueError, match="moduli must be positive"):
         generalized_crt([0, 0], [3, 0])
+    # a congruence with no partner is refused, not dropped (17 and 1 before)
+    with pytest.raises(ValueError, match="^3 residues for 2 moduli$"):
+        generalized_crt([1, 2, 3], [4, 5])
+    with pytest.raises(ValueError, match="^1 residues for 2 moduli$"):
+        generalized_crt([1], [4, 5])
 
 
 def test_qhat_minimum_subset_product():
@@ -196,7 +201,7 @@ def reference_route(self, alphas):
                 pos = (j_star + 1) * parts[i]
             else:
                 pos = j_star * parts[i]
-            if pos % self.ells[i] != alphas[i]:
+            if pos % (gq[i] * c[i]) != alphas[i]:  # mod ell_i
                 ok = False
                 break
         if ok:
@@ -219,17 +224,23 @@ def braid_param_sets(I_max, part_max, g_max, q_max, volume):
                     yield p
 
 
-def _windows(router, tag):
+def _windows(p, tag):
     """Generator position of each sub-grid's piece in the block at ``tag``,
     read from the grid: the piece starts at the sub-grid's first point y at
     or after ``tag``, whose position is (y div m)*m_i + (y mod m) - d_i."""
-    owner = [i for i, m_i in enumerate(router.parts) for _ in range(m_i)]
+    owner = [i for i, m_i in enumerate(p.parts) for _ in range(m_i)]
     starts = {}
-    for y in range(tag, tag + router.m):
-        j, d = divmod(y, router.m)
+    for y in range(tag, tag + p.m):
+        j, d = divmod(y, p.m)
         i = owner[d]
-        starts.setdefault(i, (j * router.parts[i] + d - router.offsets[i]) % router.ells[i])
-    return tuple(starts[i] for i in range(len(router.parts)))
+        starts.setdefault(i, (j * p.parts[i] + d - p.offsets[i]) % p.ells[i])
+    return tuple(starts[i] for i in range(len(p.parts)))
+
+
+def _unitary_rows(g, q):
+    """The 1D params of one unitary row per q_s, as an n-D axis routes them."""
+    return BraidParams1D(M=len(q) * g * math.lcm(*q), parts=(1,) * len(q), g=g,
+                         c=(1,) * len(q), q=q)
 
 
 def router_route(router, alphas):
@@ -277,7 +288,7 @@ def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_i
     sets = list(braid_param_sets(I_max=3, part_max=3, g_max=4, q_max=3, volume=400))
     vectors = crts = routed = 0
     for p in sets:
-        router = _Router(p.g, p.parts, p.c, p.q)
+        router = _Router(p)
         for alphas in itertools.product(*map(range, p.ells)):
             crt_calls.clear()
             got = _routed(router_route, router, alphas)
@@ -286,7 +297,7 @@ def test_route_reads_the_split_from_the_residues_as_the_candidate_search_finds_i
             crts += len(crt_calls)
             assert got == _routed(reference_hit, router, alphas), (p, alphas)
             if isinstance(got, DecodeResult):
-                assert _windows(router, got.tag) == alphas, (p, alphas)
+                assert _windows(p, got.tag) == alphas, (p, alphas)
                 routed += 1
             vectors += 1
     assert (len(sets), vectors) == (1404, 256_197)
@@ -311,11 +322,11 @@ def test_route_finds_the_candidate_searchs_one_hit_beyond_the_exhaustive_bounds(
               for i, (m_i, q_i) in enumerate(zip(parts, q)))
     p = BraidParams1D(M=sum(parts) * g * math.lcm(*q), parts=parts, g=g, c=c, q=q)
     assume(not braid1d.validate(p))  # two parts whose split blocks clash
-    router = _Router(p.g, p.parts, p.c, p.q)
+    router = _Router(p)
     for _ in range(20):
         if data.draw(st.booleans(), label="block"):
             tag = data.draw(st.integers(0, p.M - 1), label="tag")
-            alphas = _windows(router, tag)
+            alphas = _windows(p, tag)
             assert router_route(router, alphas).tag == tag, (p, tag)
         else:
             alphas = tuple(data.draw(st.integers(0, ell - 1), label="alpha") for ell in p.ells)
@@ -516,7 +527,7 @@ def reference_axis_decode(self, proj) -> DecodeResult:
         alphas[s] = f
     if any(a is None for a in alphas):
         raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-    res = router_route(_Router(self.g, (1,) * self.nu, (1,) * self.nu, self.q), alphas)
+    res = router_route(_Router(_unitary_rows(self.g, self.q)), alphas)
     if res is not None:
         j, off = divmod(res.tag, self.nu)
         r, rem = divmod(off, self.w_band)
@@ -589,15 +600,16 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
     params = UnitaryBraidParamsND(m=m, g=data.draw(st.integers(2, 4), label="g"), qtable=qtable)
     for axis in range(n):
         ax = codec._Axis(params, axis)
-        router = _Router(ax.g, (1,) * ax.nu, (1,) * ax.nu, ax.q)
+        rows = _unitary_rows(ax.g, ax.q)
+        router = _Router(rows)
         assert not hasattr(ax, "router")
         J_of = {s: J for J, s in ax.row.items()}
         for _ in range(20):
             if data.draw(st.booleans(), label="block"):
-                tag = data.draw(st.integers(0, router.m * router.g * math.lcm(*ax.q) - 1))
-                alphas = _windows(router, tag)
+                tag = data.draw(st.integers(0, rows.M - 1))
+                alphas = _windows(rows, tag)
             else:
-                alphas = tuple(data.draw(st.integers(0, ell - 1)) for ell in router.ells)
+                alphas = tuple(data.draw(st.integers(0, ell - 1)) for ell in rows.ells)
             facts = [(J_of[s], (alpha,) * n) for s, alpha in enumerate(alphas)]
             faults = ["none", "duplicate", "drop", "add"] if ax.nu > 1 else ["none", "drop", "add"]
             fault = data.draw(st.sampled_from(faults))
@@ -608,7 +620,7 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
             elif fault == "drop":
                 del facts[i]
             elif fault == "add":
-                extra = data.draw(st.integers(0, router.ells[ax.row[facts[k][0]]] - 1))
+                extra = data.draw(st.integers(0, rows.ells[ax.row[facts[k][0]]] - 1))
                 facts.insert(i, (facts[k][0], (extra,) * n))
             proj = [(J, f[axis]) for J, f in facts]
             got = _outcome(ax.decode, [(ax.row[J], f[axis]) for J, f in facts])
@@ -1048,11 +1060,12 @@ def test_maps_whose_generators_contradict_their_colors_are_rejected(m24, fig_map
 
 
 
-def reference_check_colors(cmap, params, gens, shift, tail):
+def reference_check_colors(cmap, window):
     """The 1D proof ``params_of`` makes, as it was before it tiled one
     generator period per residue class: every point compared in a Python
     loop, against the params and window read from the map before it was
     recolored."""
+    params, gens, shift, tail = window.params, window.gens, window.shift, window.tail
     m = params.m
     if len(gens) != params.I:
         raise ValueError(f"map lists {len(gens)} generators for {params.I} sub-grids")
@@ -1060,11 +1073,10 @@ def reference_check_colors(cmap, params, gens, shift, tail):
         raise ValueError(f"block {cmap.block.dims} does not match the generators' {(m,)}")
     n = len(cmap.colors) - tail
     bad = []
-    for i, (gen, d, m_i, ell) in enumerate(
+    for i, (colors, d, m_i, ell) in enumerate(
         zip(gens, itertools.accumulate(params.parts, initial=0), params.parts, params.ells)
     ):
-        colors = gen["colors"]
-        if (gen["ell"], gen["m"], len(colors)) != (ell, m_i, ell):
+        if len(colors) != ell:
             raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
         for r in range(m_i):
             x0 = (d + r - shift) % m
@@ -1096,7 +1108,7 @@ def _both_outcomes(cmap, base):
     raises on it with the params of ``base``, the map before it was
     recolored: ``params_of`` of ``cmap`` would raise before any check ran."""
     return (_check_outcome(params_of, cmap),
-            _check_outcome(reference_check_colors, cmap, *params_of(base)))
+            _check_outcome(reference_check_colors, cmap, params_of(base)))
 
 
 _MIXED_36 = BraidParams1D(M=36, parts=(2, 2), g=3, c=(2, 1), q=(1, 3))  # c_0 = m_0, c_1 = 1
@@ -1144,8 +1156,9 @@ def test_check_maps_pass_both_checks_unchanged():
         cmap = _check_map(name)
         assert _both_outcomes(cmap, cmap) == (None, None), name
     assert _check_map("mixed-36").params["c"] == [2, 1]
-    assert params_of(_check_map("mod-u36-27-shift"))[2:] == (1, 2)  # shift 1, tail m - 1
-    assert params_of(_check_map("r-mod-u84-62-shift-51"))[2] == 1
+    window = params_of(_check_map("mod-u36-27-shift"))
+    assert (window.shift, window.tail) == (1, 2)  # shift 1, tail m - 1
+    assert params_of(_check_map("r-mod-u84-62-shift-51")).shift == 1
 
 
 @settings(deadline=None, max_examples=300)
@@ -1235,10 +1248,11 @@ def test_associated_matrix_refuses_a_map_that_contradicts_its_generators(m24):
 
 def _m24_with_generator(m24, i, colors):
     """m24 with generator i's colors replaced, and the map's colors rebuilt to match."""
-    params, gens, _, _ = params_of(m24)
-    gens = [dict(gen, colors=list(colors)) if k == i else gen for k, gen in enumerate(gens)]
-    return replace(m24, colors=tuple(_colors_1d(params, [gen["colors"] for gen in gens], 0, 24)),
-                   params=dict(m24.params, gens=gens))
+    window = params_of(m24)
+    gens = [dict(gen, colors=list(colors)) if k == i else gen
+            for k, gen in enumerate(m24.params["gens"])]
+    spoiled = replace(window, gens=tuple(tuple(gen["colors"]) for gen in gens))
+    return replace(m24, colors=tuple(_colors_1d(spoiled, 24)), params=dict(m24.params, gens=gens))
 
 
 NOT_DISTINGUISHABLE = ("^generator 0 is not 1-distinguishable: two of its 4 windows share a "

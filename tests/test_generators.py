@@ -208,8 +208,17 @@ def test_repetitive_extend_tiles_colors():
 
 
 def test_repetitive_extend_rejects_non_multiple():
-    with pytest.raises(ValueError):
-        repetitive_extend(builtin("pair-6"), 27)
+    # M = 0 gave an empty generator, M = -6 "generator length mismatch"
+    for M, message in [
+        (27, "^generator length 6 must divide 27$"),
+        (0, "^extension length M must be positive, got 0$"),
+        (-6, "^extension length M must be positive, got -6$"),
+        (-4, "^extension length M must be positive, got -4$"),
+        (12.0, "^extension length M must be integers, got 12.0$"),
+        (True, "^extension length M must be integers, got true$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            repetitive_extend(builtin("pair-6"), M)
 
 
 def test_builtin_parses_and_verifies_each_name_once():

@@ -49,7 +49,9 @@ def test_a_constructed_map_keeps_what_its_json_copy_reads(data):
     p = data.draw(st.sampled_from(options), label="params")
     cmap = construct(p, [_generator(ell, m_i) for ell, m_i in zip(p.ells, p.parts)])
     kept = cmap._checked_params
-    assert kept == params.read(_loaded(cmap)) and kept[0] == p
+    assert type(kept) is params.Window1D and kept.params == p and (kept.shift, kept.tail) == (0, 0)
+    assert all(type(gen) is tuple and {type(c) for c in gen} == {int} for gen in kept.gens)
+    assert kept == params.read(_loaded(cmap))
     assert params.read(cmap) is kept
 
 
@@ -187,6 +189,7 @@ def test_cut_and_extended_maps_are_proved_on_their_first_read(proofs):
 
 def _defined_1d(p):
     return {"m": sum(p.parts), "I": len(p.parts),
+            "offsets": tuple(sum(p.parts[:i]) for i in range(len(p.parts))),
             "ells": tuple(p.g * c_i * q_i for c_i, q_i in zip(p.c, p.q)),
             "Q": math.lcm(*p.q), "unitary": all(m_i == 1 for m_i in p.parts)}
 
