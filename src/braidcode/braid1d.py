@@ -41,8 +41,8 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     automatically.  The colors are ``_colors_1d``'s, the rule
     ``params_of`` proves a map against; ``sunmao.synthesize`` is its
     reference.  The params it stores are read back by ``params_of`` alone.
-    Every input ``params_of`` would refuse in the map is refused here, so
-    the map keeps ``params_of``'s value, and its reads skip the proof.
+    Every input ``params_of`` would refuse in the map is refused here, in its
+    words, so the map keeps ``params_of``'s value, and its reads skip the proof.
     """
     errs = validate(params)
     if errs:
@@ -52,21 +52,17 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         gens = [find_generator(ell, m_i) for ell, m_i in zip(ells, params.parts)]
     if len(gens) != params.I:
         raise ValueError(f"expected {params.I} generators")
+    gen_colors, palette = [], []
     for i, (gen, ell, m_i) in enumerate(zip(gens, ells, params.parts)):
         int_tuple((gen.ell, gen.m, *gen.colors), "generator fields")  # as params_of reads them
         if gen.ell != ell or gen.m != m_i:
             raise ValueError(f"generator {i} is ({gen.ell},{gen.m}), need ({ell},{m_i})")
-        if not gen.is_distinguishable():
-            raise ValueError(f"generator {i} is not {m_i}-distinguishable")
-
-    gen_colors, palette = [], []
-    for i, gen in enumerate(gens):
         if min(gen.colors) < 0:
             raise ValueError(f"generator {i} has a negative color id")
         ids, entries = gen.shifted(len(palette), (i,))  # ids 0..k-1 follow the palette so far
         gen_colors.append(ids)
         palette += entries
-    window = Window1D(params, tuple(gen_colors))
+    window = Window1D(params, tuple(gen_colors))  # refuses the generators as params_of does
     cmap = ColorMap(
         grid=GridSpec((params.M,)),
         block=BlockSpec((params.m,)),

@@ -194,13 +194,15 @@ def extend_arbitrary_size(cmap: ColorMap, L: tuple[int, ...]) -> ColorMap:
         shown = tuple(e if fi == FRESH else fi for fi, e in zip(f, params.ells(J)))
         label = "s" + "".join(map(str, J)) + "_d" + ",".join(map(str, shown))
         palette.append(PaletteEntry(id=cid, subgrid=J, factors=shown, label=label))
-    return ColorMap(
+    ext = ColorMap(
         grid=GridSpec(L),
         block=cmap.block,
         colors=tuple(colors),
         palette=tuple(palette),
         params=_params_dict(params, L),
     )
+    object.__setattr__(ext, "_checked_params", params)  # only its tails, which the proof skips, differ
+    return ext
 
 
 def is_fresh_factor(params: UnitaryBraidParamsND, J: tuple[int, ...], axis: int, index: int) -> bool:

@@ -32,7 +32,7 @@ from collections import Counter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record, tuple_record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
-from .params import BraidParams1D, UnitaryBraidParamsND, Window1D, params_of, read, windows
+from .params import BraidParams1D, UnitaryBraidParamsND, Window1D, params_of, read
 from .params import _tail_starts
 
 
@@ -164,8 +164,8 @@ def associated_matrix(cmap: ColorMap) -> AssociatedMatrix:
     params = window.params
     cols = params.M // params.m
     rows = []
-    for gen, m_i, ell in zip(window.gens, params.parts, params.ells):
-        ws = windows(gen, m_i)
+    for table, m_i, ell in zip(window.tables, params.parts, params.ells):
+        ws = list(table)  # the windows, in position order
         labels: dict[tuple, int] = {}
         rows.append(tuple(labels.setdefault(ws[j * m_i % ell], len(labels)) for j in range(cols)))
     return AssociatedMatrix(rows=tuple(rows), g=params.g, q=params.q)
@@ -334,16 +334,14 @@ class _Braid:
     A tag before the seam carries the block of the standard map at
     tag + shift (the window ``params.read`` proves), so its codeword
     routes; blocks that wrap or cover the tail start at or past the seam.
-    ``params.read`` refuses a generator with two equal windows or a shared id.
+    The sub-grid split and the generator tables are the window's own.
     """
 
     def __init__(self, window: Window1D):
         params = window.params
         self.window, self.shift = window, window.shift
         self.M, self.m, self.parts = params.M, params.m, params.parts
-        self.sub_of = {cid: i for i, gen in enumerate(window.gens) for cid in gen}
-        self.tables = tuple({w: x for x, w in enumerate(windows(gen, m_i))}
-                            for gen, m_i in zip(window.gens, params.parts))
+        self.sub_of, self.tables = window.sub_of, window.tables
         self.router = _Router(params)
 
     def route(self, w: Codeword) -> DecodeResult:

@@ -190,6 +190,8 @@ def check_structure(cmap: ColorMap) -> StructureReport:
         # residue r < m_i holds the points d_i + r + k*m, of rank r + k*m_i
         for i, (gen, d, p) in enumerate(zip(gens, itertools.accumulate(parts, initial=0), parts)):
             ell, gen_colors = gen["ell"], gen["colors"]
+            if ell < 1:  # no period to tile: reported as malformed, as a bad field is
+                raise ValueError(f"generator {i} has period ell={ell}, not a positive int")
             count = len(range(d, M, m)) * p
             # indexing, not gen_colors[:ell]: a generator shorter than ell is malformed
             tiled = tuple(gen_colors[k] for k in range(ell)) * -(-count // ell)

@@ -8,10 +8,10 @@ read with ValueError.  ``params_of`` reads a 1D map to a ``Window1D``,
 ``params_of_nd`` an n-dim one to its ``UnitaryBraidParamsND``.
 ``_colors_1d`` and ``_base_colors`` give the colors those values imply:
 ``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
-them, and each reader proves the map against them with ``_prove`` (and
-the 1D reader its generators distinguishable, with ``distinguishable``, and
-their color ids disjoint), so every caller (the decoder, the cuts,
-``associated_matrix``) gets params the map's colors obey.
+them, and each reader proves the map against them with ``_prove`` (a
+``Window1D`` its generators distinguishable and their ids disjoint), so
+every caller (the decoder, the cuts, ``associated_matrix``) gets params
+the map's colors obey.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -138,12 +138,26 @@ class Window1D:
 
     ``gens`` holds each sub-grid's generator as its color ids, an int tuple
     of length ell_i; a standard map is the window with shift and tail 0.
+    Derived state, no field: ``tables``, each generator's window -> position,
+    and ``sub_of``, id -> generator; two equal windows or a shared id raise ValueError.
     """
 
     params: BraidParams1D
     gens: tuple[tuple[int, ...], ...]
     shift: int = 0
     tail: int = 0
+
+    def __post_init__(self):
+        tables, sub_of = [], {}
+        for i, (gen, m_i) in enumerate(zip(self.gens, self.params.parts)):
+            tables.append(dict(zip(windows(gen, m_i), itertools.count())))
+            if len(tables[i]) < len(gen):
+                raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
+                                 f"{len(gen)} windows share a sub-codeword")
+            for cid in filter(sub_of.__contains__, gen):
+                raise ValueError(f"generators {sub_of[cid]} and {i} share color id {cid}")
+            sub_of.update(zip(gen, itertools.repeat(i)))
+        vars(self).update(tables=tuple(tables), sub_of=sub_of)
 
 
 def _colors_1d(window: Window1D, n: int) -> list[int]:
@@ -237,17 +251,8 @@ def _window_1d(cmap: ColorMap, p: dict) -> Window1D:
     if errs:
         raise ValueError("not braid params: " + "; ".join(errs))
     n = max(0, min(n, dims[0]))
-    window = Window1D(params, gens, shift, dims[0] - n)
+    window = Window1D(params, gens, shift, dims[0] - n)  # refuses bad generators before the proof
     _prove(cmap, (params.m,), _colors_1d(window, n), (n,), "generators", operator.itemgetter(0))
-    for i, (gen, m_i, ell) in enumerate(zip(gens, params.parts, params.ells)):
-        if not distinguishable(gen, m_i):
-            raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
-                             f"{ell} windows share a sub-codeword")
-    owner: dict[int, int] = {}  # color id -> its generator: the sub-grid palettes are disjoint
-    for i, gen in enumerate(gens):
-        for cid in gen:
-            if owner.setdefault(cid, i) != i:
-                raise ValueError(f"generators {owner[cid]} and {i} share color id {cid}")
     return window
 
 
@@ -397,9 +402,9 @@ def _read(cmap: ColorMap, family, refusal: str | None):
     ``_decoder``), so a map is proved once.  ``braid1d.construct`` and
     ``braidnd.construct_unitary_nd`` keep the value their params give
     when they build a map: they write the colors ``_colors_1d`` and
-    ``_base_colors`` give, so its proof cannot fail.  A map made any other
-    way (loaded, by hand, by ``core.replace``, by a cut) proves on its
-    first read; a refusal is not kept."""
+    ``_base_colors`` give, so its proof cannot fail, and an extension its
+    source's (it recolors only tails the proof skips).  Any other map proves
+    on its first read (loaded, by ``core.replace``, a 1D cut); a refusal is not kept."""
     try:
         p = cmap.params or {}
         reader = _READERS.get(p.get("kind"))
@@ -424,10 +429,10 @@ def params_of(cmap: ColorMap) -> Window1D:
     standard map it was cut from, on M = m * g * lcm(q) points (a cut map
     has fewer); only stored params are read, no map is rebuilt.  A field,
     the generators' and the cuts' included, that is not an int (19.5,
-    true), params ``validate`` refuses, a map with a point before the tail
-    that is not so colored, then a generator ``distinguishable`` refuses,
-    then two generators that share a color id, and any other map raise
-    ValueError.
+    true), params ``validate`` refuses, a generator that is not
+    m_i-distinguishable, then two generators that share a color id (as
+    ``Window1D`` refuses them), a map with a point before the tail that is
+    not so colored, and any other map raise ValueError.
     """
     return _read(cmap, _window_1d, _NOT_1D)
 

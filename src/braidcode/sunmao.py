@@ -40,11 +40,11 @@ class Decomposition1D:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        _, *parts = int_tuple((self.M, *self.parts), "decomposition sizes")
+        M, *parts = int_tuple((self.M, *self.parts), "decomposition sizes")
         parts, m = tuple(parts), sum(parts)
         object.__setattr__(self, "parts", parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"parts must be positive: {parts}")
+        if M < 1 or not parts or any(p < 1 for p in parts):
+            raise ValueError(f"size M={M} and parts must be positive: {parts}")
         if self.M % m != 0:
             raise ValueError(f"block size {m} must divide M={self.M}")
         vars(self).update(m=m, I=len(parts),
@@ -163,8 +163,9 @@ class UnitaryDecompositionND:
         object.__setattr__(self, "block", int_tuple(self.block, "decomposition block"))
         if len(self.dims) != len(self.block):
             raise ValueError("dims and block dimension mismatch")
-        if any(M % m != 0 for M, m in zip(self.dims, self.block)):
-            raise ValueError(f"block {self.block} must divide dims {self.dims} componentwise")
+        if any(M < 1 or m < 1 or M % m != 0 for M, m in zip(self.dims, self.block)):
+            raise ValueError(f"block {self.block} must divide dims {self.dims} componentwise, "
+                             "all positive")
 
     def subgrid_of(self, x: Point) -> tuple[int, ...]:
         return tuple(c % m for c, m in zip(x, self.block))

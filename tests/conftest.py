@@ -3,7 +3,8 @@
 import pytest
 
 from braidcode import braid1d, braidnd
-from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry
+from braidcode.core import BlockSpec, ColorMap, GridSpec, PaletteEntry, replace
+from braidcode.sunmao import Decomposition1D
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,21 @@ def example_sets():
         braid1d.BraidParams1D(M=75, parts=(2, 3), g=3, c=(1, 3), q=(1, 5)),
         braid1d.BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1)),
     ]
+
+
+def with_generators(cmap, gens):
+    """Standard 1D map ``cmap`` with its stored generators' colors replaced by
+    the id lists ``gens`` and its colors rebuilt to obey them by the per-point
+    rule: point j*m + d_i + r carries gens[i][(j*m_i + r) mod ell_i].  It builds
+    no ``Window1D``, which refuses generators that are not distinguishable or
+    share an id, so such generators can be stored in a map the reader refuses."""
+    dec = Decomposition1D(cmap.grid.dims[0], tuple(cmap.params["parts"]))
+    colors = []
+    for x in range(dec.M):
+        i, j, r = dec.split(x)
+        colors.append(gens[i][(j * dec.parts[i] + r) % len(gens[i])])
+    stored = [dict(gen, colors=list(ids)) for gen, ids in zip(cmap.params["gens"], gens)]
+    return replace(cmap, colors=tuple(colors), params=dict(cmap.params, gens=stored))
 
 
 FIG1_QTABLE = {(0, 0): (1, 3), (0, 1): (2, 1), (1, 0): (1, 2), (1, 1): (3, 1)}

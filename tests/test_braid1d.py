@@ -24,9 +24,11 @@ from braidcode.braid1d import (
 from braidcode.braidnd import UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size
 from braidcode.core import ColorMap, GridSpec, replace
 from braidcode.generators import GeneratorCode, find_generator, identity_generator, min_colors
-from braidcode.params import Window1D, _colors_1d, _split_clash
+from braidcode.params import Window1D, _split_clash
 from braidcode.oracle import count_colors, is_distinguishable
 from braidcode.sunmao import Decomposition1D, synthesize
+
+from conftest import with_generators
 
 
 def test_params_derived_quantities():
@@ -522,11 +524,7 @@ def test_modify_refuses_a_map_whose_colors_leave_no_shift(m24):
     # colors that agree with generators that are not 1-distinguishable, under which
     # aligned blocks 0 and 9 carry gen 0 at 0 and 9 % 4 and gen 1 at 0 and 9 % 6, all
     # equal: the reader refuses the generators, so no shift is sought
-    params = params_of(m24).params
-    gens = [dict(m24.params["gens"][0], colors=[0, 0, 1, 2]),
-            dict(m24.params["gens"][1], colors=[4, 5, 6, 4, 7, 8])]
-    colors = _colors_1d(Window1D(params, tuple(tuple(gen["colors"]) for gen in gens)), 24)
-    cmap = replace(m24, colors=tuple(colors), params=dict(m24.params, gens=gens))
+    cmap = with_generators(m24, [[0, 0, 1, 2], [4, 5, 6, 4, 7, 8]])
     with pytest.raises(ValueError, match="^generator 0 is not 1-distinguishable: two of its 4 "
                                          "windows share a sub-codeword$"):
         modify_general_size(cmap, 20)

@@ -19,7 +19,7 @@ from braidcode.braid1d import (
     restrict,
 )
 from braidcode.core import ColorMap, GridSpec, PaletteEntry, replace
-from braidcode.params import _colors_1d, read
+from braidcode.params import read
 from braidcode.braidnd import (
     UnitaryBraidParamsND, construct_unitary_nd, extend_arbitrary_size, params_of_nd,
 )
@@ -44,6 +44,8 @@ from braidcode.codec import (
     parse_codeword,
     qhat,
 )
+
+from conftest import with_generators
 
 
 # ---------------------------------------------------------------------------
@@ -1248,11 +1250,8 @@ def test_associated_matrix_refuses_a_map_that_contradicts_its_generators(m24):
 
 def _m24_with_generator(m24, i, colors):
     """m24 with generator i's colors replaced, and the map's colors rebuilt to match."""
-    window = params_of(m24)
-    gens = [dict(gen, colors=list(colors)) if k == i else gen
-            for k, gen in enumerate(m24.params["gens"])]
-    spoiled = replace(window, gens=tuple(tuple(gen["colors"]) for gen in gens))
-    return replace(m24, colors=tuple(_colors_1d(spoiled, 24)), params=dict(m24.params, gens=gens))
+    return with_generators(m24, [list(colors) if k == i else gen["colors"]
+                                 for k, gen in enumerate(m24.params["gens"])])
 
 
 NOT_DISTINGUISHABLE = ("^generator 0 is not 1-distinguishable: two of its 4 windows share a "
@@ -1268,8 +1267,9 @@ NOT_DISTINGUISHABLE = ("^generator 0 is not 1-distinguishable: two of its 4 wind
 def test_every_reader_refuses_a_generator_that_is_not_distinguishable(m24, call):
     # the map obeys its generators, so only the generator check refuses it; without
     # it, the map was cut into a 20-point map that no decode reads, and given a matrix
+    bad = _m24_with_generator(m24, 0, [0, 1, 0, 1])
     with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
-        call(_m24_with_generator(m24, 0, [0, 1, 0, 1]))
+        call(bad)
 
 
 def test_restrict_guarantees_nothing_of_a_map_whose_generator_is_not_distinguishable(m24):
@@ -1297,8 +1297,9 @@ def _m24_sharing_ids(m24):
 def test_every_reader_refuses_generators_that_share_a_color_id(m24, call):
     # without the check every decode failed on the palette split, the erasure decode
     # named 4 of the 9 tags holding color 0, and the map was cut into a colliding one
+    bad = _m24_sharing_ids(m24)
     with pytest.raises(ValueError, match="^generators 0 and 1 share color id 0$"):
-        call(_m24_sharing_ids(m24))
+        call(bad)
 
 
 def test_restrict_guarantees_nothing_of_generators_that_share_a_color_id(m24):

@@ -327,9 +327,11 @@ def test_check_structure_reports_a_block_size_off_the_parts(m24):
      "malformed map params: KeyError('gens')"),
     (lambda params: {**params, "parts": "ab"},
      "malformed map params: ValueError('parts must be integers, got \"a\"')"),
-], ids=["not-a-dict", "no-gens", "parts-ab"])
+    (lambda params: {**params, "gens": [{**params["gens"][0], "ell": 0}, params["gens"][1]]},
+     "malformed map params: ValueError('generator 0 has period ell=0, not a positive int')"),
+], ids=["not-a-dict", "no-gens", "parts-ab", "ell-0"])
 def test_check_structure_reports_malformed_params(m24, edit, problem):
-    # each raised AttributeError, KeyError or TypeError
+    # each raised AttributeError, KeyError, TypeError or, ell-0, ZeroDivisionError
     assert check_structure(replace(m24, params=edit(m24.params))) == StructureReport(
         False, (problem,))
 

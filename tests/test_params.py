@@ -5,6 +5,7 @@ read."""
 import functools
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from braidcode.core import asdict, encode, from_json, replace, to_json
 from braidcode.generators import GeneratorCode, find_generator, identity_generator
 from braidcode.sunmao import Decomposition1D
 
-from conftest import FIG1_QTABLE
+from conftest import FIG1_QTABLE, with_generators
 
 QTABLE_140 = {(0, 0): (5, 7), (0, 1): (7, 5), (1, 0): (1, 5), (1, 1): (7, 1)}
 QTABLE_LINE = {(0,): (2,), (1,): (3,)}
@@ -63,6 +64,17 @@ def test_the_fixture_maps_keep_what_their_json_copies_read(m24, example_sets):
         cmap = construct_unitary_nd(p)
         assert cmap._checked_params is p
         assert p == params.read(_loaded(cmap))
+
+
+@pytest.mark.parametrize("qtable, L", [
+    (QTABLE_140, (138, 138)), (QTABLE_140, (137, 138)), (QTABLE_140, (140, 138)),
+    (FIG1_QTABLE, (12, 20)), (QTABLE_LINE, (10,)),
+], ids=["138x138", "137x138", "140x138", "12x20", "line-10"])
+def test_an_extension_keeps_what_its_json_copy_reads(qtable, L):
+    p = UnitaryBraidParamsND(m=(2,) * len(L), g=2, qtable=qtable)
+    ext = extend_arbitrary_size(construct_unitary_nd(p), L)
+    assert ext._checked_params is p
+    assert p == params.read(_loaded(ext))  # the loaded copy is proved
 
 
 def _spoiled(gen, how):
@@ -173,14 +185,18 @@ def test_a_loaded_map_is_proved_once_and_a_constructed_one_never(proofs):
     assert proofs == [loaded]
 
 
-def test_cut_and_extended_maps_are_proved_on_their_first_read(proofs):
+def test_a_cut_map_is_proved_on_its_first_read_and_an_extension_never(proofs):
+    # an extension keeps its source's params: it recolors only the tails the proof skips
     cut = restrict(construct(P24), 19)
     std = construct_unitary_nd(UnitaryBraidParamsND(m=(2, 2), g=2, qtable=FIG1_QTABLE))
     ext = extend_arbitrary_size(std, (12, 20))
     assert proofs == []
     for cmap in (cut, ext):
         codec.compile_decoder(cmap), params.read(cmap)
-    assert proofs == [cut, ext]
+    assert proofs == [cut]
+    loaded = _loaded(ext)
+    codec.compile_decoder(loaded)
+    assert proofs == [cut, loaded]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +270,84 @@ def test_nd_params_hold_their_derived_values(data):
     assert p.color_count() == _defined_nd(p)["_color_count"]
     _holds_its_definitions(p, _defined_nd, g=data.draw(st.integers(2, 4), label="other g"),
                            qtable=qtable("other q"))
+
+
+def _defined_window(w):
+    """Per generator, its window at each x (the m_i colors from x on, cyclically,
+    sorted) -> x; per color id, its generator."""
+    tables = tuple({tuple(sorted(gen[(x + t) % len(gen)] for t in range(m_i))): x
+                    for x in range(len(gen))} for gen, m_i in zip(w.gens, w.params.parts))
+    return {"tables": tables, "sub_of": {cid: i for i, gen in enumerate(w.gens) for cid in gen}}
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_a_1d_window_holds_its_decode_tables(data):
+    def window(label):
+        parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                                label=f"{label} parts"))
+        M = sum(parts) * data.draw(st.integers(2, 300 // sum(parts)), label=f"{label} M / m")
+        options = _params_of_parts(parts, M)
+        assume(options)
+        p = data.draw(st.sampled_from(options), label=f"{label} params")
+        return construct(p, [_generator(ell, m_i) for ell, m_i in zip(p.ells, p.parts)])
+
+    cmap, other = window("window"), window("other")
+    w = params.read(cmap)
+    _holds_its_definitions(w, _defined_window, params=other._checked_params.params,
+                           gens=other._checked_params.gens, shift=1)
+    # in position order, as associated_matrix lists them
+    assert [list(table.values()) for table in w.tables] == [list(range(len(g))) for g in w.gens]
+    assert w.tables == params.read(_loaded(cmap)).tables
+
+
+NOT_DISTINGUISHABLE = ("^generator 0 is not 1-distinguishable: two of its 4 windows share a "
+                       "sub-codeword$")
+SHARED_ID = "^generators 0 and 1 share color id 0$"
+
+
+def test_a_window_construct_and_the_reader_refuse_bad_generators_in_one_text(m24):
+    # construct said only "generator 0 is not 1-distinguishable"; a Window1D checked nothing
+    with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
+        params.Window1D(P24, ((0, 1, 0, 1), (4, 5, 6, 7, 8, 9)))
+    with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
+        construct(P24, [GeneratorCode(4, 1, (0, 1, 0, 1), ("a", "b")), identity_generator(6, 1)])
+    bad = with_generators(m24, [[0, 1, 0, 1], [4, 5, 6, 7, 8, 9]])
+    with pytest.raises(ValueError, match=NOT_DISTINGUISHABLE):
+        params.params_of(bad)
+    with pytest.raises(ValueError, match=SHARED_ID):
+        params.Window1D(P24, ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5)))
+    bad = with_generators(m24, [[0, 1, 2, 3], [0, 1, 2, 3, 4, 5]])
+    with pytest.raises(ValueError, match=SHARED_ID):
+        params.params_of(bad)
+
+
+@pytest.fixture
+def window_calls(monkeypatch):
+    """The block sizes of the ``params.windows`` calls, wherever a braidcode module binds it."""
+    calls = []
+    windows = params.windows
+
+    def counted(colors, m):
+        calls.append(m)
+        return windows(colors, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("braidcode") and getattr(module, "windows", None) is windows:
+            monkeypatch.setattr(module, "windows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [P24, BraidParams1D(M=75, parts=(2, 3), g=5, c=(1, 1), q=(3, 1))],
+                         ids=["m24", "c75"])
+def test_the_generator_windows_are_built_once_per_read(window_calls, p):
+    built = construct(p)
+    window_calls.clear()  # construct's window tabled each generator once
+    codec.compile_decoder(built)
+    assert window_calls == []
+    loaded = _loaded(built)
+    params.read(loaded), codec.compile_decoder(loaded), codec.associated_matrix(loaded)
+    assert window_calls == list(p.parts)  # the parent made 2 a generator on m24
 
 
 @given(st.data())

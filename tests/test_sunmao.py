@@ -112,8 +112,19 @@ DEC_12 = Decomposition1D(M=12, parts=(1, 2))  # sub-grids of 4 and 8 points
     (lambda: UnitaryDecompositionND((4, 4), (2,)), "dims and block dimension mismatch"),
     (lambda: UnitaryDecompositionND((4, 5), (2, 2)),
      r"block \(2, 2\) must divide dims \(4, 5\) componentwise"),
+    # split raised ZeroDivisionError on M = 0, and split(3) gave (0, -1, 1) on M = -4
+    (lambda: Decomposition1D(0, (2,)), r"^size M=0 and parts must be positive: \(2,\)$"),
+    (lambda: Decomposition1D(-4, (2,)), r"^size M=-4 and parts must be positive: \(2,\)$"),
+    # block 0 raised ZeroDivisionError, dims 0 and -2 were accepted
+    (lambda: UnitaryDecompositionND((2, 4), (0, 2)),
+     r"^block \(0, 2\) must divide dims \(2, 4\) componentwise, all positive$"),
+    (lambda: UnitaryDecompositionND((0, 4), (2, 2)),
+     r"^block \(2, 2\) must divide dims \(0, 4\) componentwise, all positive$"),
+    (lambda: UnitaryDecompositionND((-2, 4), (2, 2)),
+     r"^block \(2, 2\) must divide dims \(-2, 4\) componentwise, all positive$"),
 ], ids=["part-0", "block-off-M", "theta-other-subgrid", "theta-inv-outside", "submap-count",
-        "submap-grid", "submap-block", "nd-arity", "nd-block-off-dims"])
+        "submap-grid", "submap-block", "nd-arity", "nd-block-off-dims", "M-0", "M-negative",
+        "nd-block-0", "nd-dims-0", "nd-dims-negative"])
 def test_decompositions_refuse_arguments_outside_their_domain(call, message):
     with pytest.raises(ValueError, match=message):
         call()
