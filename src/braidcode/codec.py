@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from operator import itemgetter
 
 from .core import ColorMap, Codeword, NotACodeword, Point, canonical, record, tuple_record
 from .core import format_codeword, parse_codeword  # noqa: F401  re-exported
@@ -389,6 +390,11 @@ class _Axis:
     the split row p is the number of leading rows reading b + 1 mod g, b
     the last row's reading, and every row from p on must read b.  The axis
     tag is j*m_axis + p/w_band, so p must start a band.
+
+    The CRT residue of row s is (alpha_s - b) // g mod q_s, with no [s < p]
+    term: once the split holds, a row before p reads b + 1 mod g, so
+    alpha_s - b = 1 (mod g) and, as g > 1, (alpha_s - 1 - b) // g equals
+    (alpha_s - b) // g; a row from p on reads b and has no term to drop.
     """
 
     def __init__(self, params: UnitaryBraidParamsND, axis: int):
@@ -409,32 +415,32 @@ class _Axis:
             qlist[r] = qs[axis]
         self.q = tuple(qlist)
         self.plan = _crt_plan(self.q)
+        self.ahead = (*range(1, self.g), 0)  # b -> b + 1 mod g
 
     def decode(self, cells) -> DecodeResult:
         """Decode the axis from the codeword's cells on it: per color, its
-        sub-grid's row and its factor on the axis."""
+        sub-grid's row, its factor on the axis and that factor mod g."""
         axis, g = self.axis, self.g
-        alphas = [None] * self.nu
-        for s, f in cells:
+        alphas, es = [None] * self.nu, [None] * self.nu
+        for s, f, e in cells:
             alphas[s] = f
+            es[s] = e
         if len(cells) != self.nu or None in alphas:  # then some row is missing or twice
             seen = set()
-            for s, _ in cells:
+            for s, _, _ in cells:
                 if s in seen:
                     J = next(J for J, r in self.row.items() if r == s)
                     raise NotACodeword("projection", f"axis {axis}: sub-grid {J} appears twice")
                 seen.add(s)
             raise NotACodeword("projection", f"axis {axis}: missing sub-grid contribution")
-        es = [alpha % g for alpha in alphas]
         b = es[-1]
-        ahead = (b + 1) % g
+        ahead = self.ahead[b]
         p = 0  # rows before p read b+1; the last row reads b, so p < nu
         while es[p] == ahead:
             p += 1
         band, rem = divmod(p, self.w_band)
         if not rem and es.count(b) == self.nu - p:  # no row before p reads b
-            a_vec = tuple([((alpha - (s < p) - b) // g) % q_s
-                           for s, (alpha, q_s) in enumerate(zip(alphas, self.q))])
+            a_vec = tuple([(alpha - b) // g % q_s for alpha, q_s in zip(alphas, self.q)])
             a_star = _crt_solve(self.plan, a_vec)
             if a_star is not None:
                 j = a_star * g + b
@@ -452,14 +458,16 @@ class _UnitaryND:
     routed before the seam L_i - 2m_i + 1 needs no ``encode``.  Factors come
     from the params: a fresh color has none, and only the seam table reads it.
     ``cells`` gives each color id, of sub-grid J and factor tuple f, its
-    (row of J, f_axis) cell on each axis, so no axis reads J.
+    (row of J, f_axis, f_axis mod g) cell on each axis, so no axis reads J
+    or takes a residue while it decodes.
     """
 
     def __init__(self, params: UnitaryBraidParamsND):
         self.axes = tuple(_Axis(params, axis) for axis in range(params.n))
-        self.cells = {}
+        self.cells, g = {}, params.g
         for J, (offset, ells, _) in params.layout.items():
-            per_axis = [[(ax.row[J], f) for f in range(ell)] for ax, ell in zip(self.axes, ells)]
+            rows = [ax.row[J] for ax in self.axes]
+            per_axis = [[(s, f, f % g) for f in range(ell)] for s, ell in zip(rows, ells)]
             self.cells.update(enumerate(itertools.product(*per_axis), offset))
 
     def seam_result(self, x: Point) -> DecodeResultND:
@@ -467,12 +475,12 @@ class _UnitaryND:
 
     def route(self, w: Codeword) -> DecodeResultND:
         try:
-            cells = [self.cells[cid] for cid in w]
+            cells = list(map(self.cells.__getitem__, w))
         except KeyError as e:
             raise NotACodeword("projection", f"color {e.args[0]} has no factor structure") from None
         columns = zip(*cells) if cells else [()] * len(self.axes)  # each axis's cells
-        diags = tuple([ax.decode(column) for ax, column in zip(self.axes, columns)])
-        return DecodeResultND._make((tuple([d.tag for d in diags]), diags, "routing"))
+        diags = tuple(map(_Axis.decode, self.axes, columns))
+        return DecodeResultND._make((tuple(map(itemgetter(0), diags)), diags, "routing"))
 
 
 def compile_decoder(cmap: ColorMap):

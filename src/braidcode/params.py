@@ -139,7 +139,9 @@ class Window1D:
     ``gens`` holds each sub-grid's generator as its color ids, an int tuple
     of length ell_i; a standard map is the window with shift and tail 0.
     Derived state, no field: ``tables``, each generator's window -> position,
-    and ``sub_of``, id -> generator; two equal windows or a shared id raise ValueError.
+    and ``sub_of``, id -> generator.  A generator count other than I, a
+    generator of a length other than ell_i, two equal windows or a shared
+    id raise ValueError, in the reader's words.
     """
 
     params: BraidParams1D
@@ -148,8 +150,12 @@ class Window1D:
     tail: int = 0
 
     def __post_init__(self):
-        tables, sub_of = [], {}
-        for i, (gen, m_i) in enumerate(zip(self.gens, self.params.parts)):
+        p, tables, sub_of = self.params, [], {}
+        if len(self.gens) != p.I:
+            raise ValueError(f"map lists {len(self.gens)} generators for {p.I} sub-grids")
+        for i, (gen, m_i, ell) in enumerate(zip(self.gens, p.parts, p.ells)):
+            if len(gen) != ell:
+                raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
             tables.append(dict(zip(windows(gen, m_i), itertools.count())))
             if len(tables[i]) < len(gen):
                 raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "

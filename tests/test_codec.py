@@ -564,17 +564,22 @@ def _outcome(decode_fn, w):
         return type(e), str(e)
 
 
+def _reference_decider(cmap):
+    """``codec._decide``'s view of the map's decoder, routing through ``reference_nd_route``."""
+    dec = compile_decoder(cmap)
+    return SimpleNamespace(table=dec.table, seams=dec.seams, cut=dec.cut,
+                           seam_result=dec.seam_result,
+                           route=functools.partial(reference_nd_route, dec,
+                                                   reference_factors_of(read(cmap))))
+
+
 @pytest.mark.parametrize("L", [(24, 24), (12, 24)])
 def test_nd_decode_builds_the_results_of_the_per_axis_reference(fig_map, L):
     # Every tag's codeword decodes to a result equal field by field, per_axis
     # included; the codeword with one color moved to the next id fails the
     # same way or decodes the same.
     cmap = fig_map if L == fig_map.grid.dims else extend_arbitrary_size(fig_map, L)
-    dec = compile_decoder(cmap)
-    ref = SimpleNamespace(table=dec.table, seams=dec.seams, cut=dec.cut,
-                          seam_result=dec.seam_result,
-                          route=functools.partial(reference_nd_route, dec,
-                                                  reference_factors_of(read(cmap))))
+    ref = _reference_decider(cmap)
     colors = max(cmap.colors) + 1
     for x in coding_area(cmap.grid, cmap.block):
         w = encode(cmap, x)
@@ -584,6 +589,44 @@ def test_nd_decode_builds_the_results_of_the_per_axis_reference(fig_map, L):
         moved = canonical(w[1:] + ((w[0] + 1) % colors,))
         assert (_outcome(functools.partial(decode, cmap), moved)
                 == _outcome(functools.partial(codec._decide, ref), moved)), (x, moved)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_nd_decode_of_random_params_builds_the_results_of_the_per_axis_reference(data):
+    # Random unitary n-D params of at most 6,000 points, and one extension of
+    # them: every tag's codeword, the codeword with one color moved to the
+    # next id, and random multisets decode as the reference does, to results
+    # equal field by field or to the same refusal type and text.
+    n = data.draw(st.integers(1, 3), label="n")
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="m"))
+    g = data.draw(st.integers(2, 4), label="g")
+    # Q_i, the lcm of axis i's q column, is drawn first so the volume stays in bounds
+    volume, divisors = 1, []
+    for i in range(n):
+        rest = math.prod(g * m_k for m_k in m[i + 1:])
+        Q = data.draw(st.sampled_from([Q for Q in (1, 2, 3, 4, 6, 12)
+                                       if volume * g * m[i] * Q * rest <= 6000]), label=f"Q{i}")
+        volume *= g * m[i] * Q
+        divisors.append([q for q in (1, 2, 3, 4) if Q % q == 0])
+    qtable = {J: tuple(data.draw(st.sampled_from(divisors[i]), label=f"q{J}_{i}")
+                       for i in range(n)) for J in GridSpec(m).points()}
+    cmap = construct_unitary_nd(UnitaryBraidParamsND(m=m, g=g, qtable=qtable))
+    L = tuple(data.draw(st.integers(2 * m_i, M_i), label=f"L{i}")
+              for i, (m_i, M_i) in enumerate(zip(m, cmap.grid.dims)))
+    for cut in (cmap, extend_arbitrary_size(cmap, L)):
+        ref = _reference_decider(cut)
+        colors = max(cut.colors) + 1
+        ids = st.integers(0, colors)  # one unknown id
+        words = []
+        for x in coding_area(cut.grid, cut.block):
+            w = encode(cut, x)
+            words += [w, canonical(w[1:] + ((w[0] + 1) % colors,))]
+        words += [canonical(data.draw(st.lists(ids, min_size=size, max_size=size), label="w"))
+                  for size in [cut.block.volume] * 20 + [cut.block.volume + 1]]
+        for w in words:
+            assert (_outcome(functools.partial(decode, cut), w)
+                    == _outcome(functools.partial(codec._decide, ref), w)), (cut.grid.dims, w)
 
 
 @settings(deadline=None, max_examples=200)
@@ -625,7 +668,7 @@ def test_an_axis_routes_in_closed_form_as_the_generic_router_does(data):
                 extra = data.draw(st.integers(0, rows.ells[ax.row[facts[k][0]]] - 1))
                 facts.insert(i, (facts[k][0], (extra,) * n))
             proj = [(J, f[axis]) for J, f in facts]
-            got = _outcome(ax.decode, [(ax.row[J], f[axis]) for J, f in facts])
+            got = _outcome(ax.decode, [(ax.row[J], f[axis], f[axis] % ax.g) for J, f in facts])
             event("routed" if isinstance(got, DecodeResult) else f"refused, fault {fault}")
             assert got == _outcome(functools.partial(reference_axis_decode, ax), proj), alphas
 

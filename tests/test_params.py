@@ -322,6 +322,20 @@ def test_a_window_construct_and_the_reader_refuse_bad_generators_in_one_text(m24
         params.params_of(bad)
 
 
+def test_a_window_refuses_the_generator_count_and_lengths_the_reader_refuses(m24):
+    # a Window1D took both; with ell = 6, _colors_1d then read gens[1][3] and raised IndexError
+    count = "^map lists 1 generators for 2 sub-grids$"
+    length = "^generator 1 does not have period ell=6 and block m=1$"
+    with pytest.raises(ValueError, match=count):
+        params.Window1D(P24, ((0, 1, 2, 3),))
+    with pytest.raises(ValueError, match=count):
+        params.params_of(replace(m24, params=dict(m24.params, gens=m24.params["gens"][:1])))
+    with pytest.raises(ValueError, match=length):
+        params.Window1D(P24, ((0, 1, 2, 3), (4, 5, 6)))
+    with pytest.raises(ValueError, match=length):
+        params.params_of(with_generators(m24, [[0, 1, 2, 3], [4, 5, 6]]))
+
+
 @pytest.fixture
 def window_calls(monkeypatch):
     """The block sizes of the ``params.windows`` calls, wherever a braidcode module binds it."""
