@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 # Nothing here uses sunmao, but perfbench's tracer needs it loaded with
 # braid1d until ROADMAP direction 1 step 1b lands.
@@ -22,7 +23,9 @@ from . import sunmao  # noqa: F401
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple, record
 from .generators import GeneratorCode, find_generator, min_colors
 from .params import BraidParams1D, _colors_1d, params_of, validate  # noqa: F401  re-exported
-from .params import Window1D, _split_clash, is_nd_kind
+from .params import Window1D, _generator_fields, _params_dict_1d, _split_clash, is_nd_kind
+
+_FIELDS = operator.attrgetter("ell", "m", "colors")  # the fields a map file stores of a generator
 
 
 class InfeasibleError(ValueError):
@@ -35,28 +38,25 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
     Generator i must be an m_i-distinguishable code on G^c_{ell_i} with
     ids 0..k_i-1, k_i = max id + 1; its ids are shifted by the k_j of the
     generators before it, so sub-grid palettes are disjoint, sub-grid 0
-    first.  Each generator's shifted period and its k_i palette entries
-    (subgrid (i,), label ``labels[c]``) are built directly, with no
-    per-generator map.  When ``gens`` is None, generators are chosen
-    automatically.  The colors are ``_colors_1d``'s, the rule
-    ``params_of`` proves a map against; ``sunmao.synthesize`` is its
-    reference.  The params it stores are read back by ``params_of`` alone.
-    Every input ``params_of`` would refuse in the map is refused here, in its
-    words, so the map keeps ``params_of``'s value, and its reads skip the proof.
+    first.  When ``gens`` is None, generators are chosen automatically.
+    The colors are ``_colors_1d``'s, the rule ``params_of`` proves a map
+    against, and the params ``_params_dict_1d``'s.  What ``params_of``
+    would refuse in the map is refused here, in its words and order: params
+    ``validate`` refuses (as InfeasibleError), then what
+    ``_generator_fields`` refuses, then what ``Window1D`` refuses (a
+    generator past the parts before any id is shifted).  So the map keeps
+    ``params_of``'s value, and its reads skip the proof.
     """
     errs = validate(params)
     if errs:
         raise InfeasibleError("; ".join(errs))
-    ells = params.ells
     if gens is None:
-        gens = [find_generator(ell, m_i) for ell, m_i in zip(ells, params.parts)]
-    if len(gens) != params.I:
-        raise ValueError(f"expected {params.I} generators")
+        gens = [find_generator(ell, m_i) for ell, m_i in zip(params.ells, params.parts)]
+    _generator_fields(params, map(_FIELDS, gens))  # as params_of reads stored ones
+    if gens[params.I:]:  # a generator past the parts, refused before any id is shifted
+        Window1D(params, tuple(gen.colors for gen in gens))  # in the reader's words
     gen_colors, palette = [], []
-    for i, (gen, ell, m_i) in enumerate(zip(gens, ells, params.parts)):
-        int_tuple((gen.ell, gen.m, *gen.colors), "generator fields")  # as params_of reads them
-        if gen.ell != ell or gen.m != m_i:
-            raise ValueError(f"generator {i} is ({gen.ell},{gen.m}), need ({ell},{m_i})")
+    for i, gen in enumerate(gens):
         if min(gen.colors) < 0:
             raise ValueError(f"generator {i} has a negative color id")
         ids, entries = gen.shifted(len(palette), (i,))  # ids 0..k-1 follow the palette so far
@@ -68,15 +68,7 @@ def construct(params: BraidParams1D, gens: list[GeneratorCode] | None = None) ->
         block=BlockSpec((params.m,)),
         colors=tuple(_colors_1d(window, params.M)),
         palette=tuple(palette),
-        params={
-            "kind": "braid1d",
-            "g": params.g,
-            "parts": list(params.parts),
-            "c": list(params.c),
-            "q": list(params.q),
-            "gens": [{"ell": gen.ell, "m": gen.m, "colors": list(ids)}
-                     for gen, ids in zip(gens, gen_colors)],
-        },
+        params=_params_dict_1d(window),
     )
     # the value params_of gives this map: every check it makes has passed above
     object.__setattr__(cmap, "_checked_params", window)

@@ -18,7 +18,7 @@ import math
 
 from .core import BlockSpec, ColorMap, GridSpec, PaletteEntry, int_tuple
 from .params import (  # noqa: F401  re-exported
-    UnitaryBraidParamsND, _base_colors, parse_qtable, params_of_nd,
+    UnitaryBraidParamsND, _base_colors, _params_dict, parse_qtable, params_of_nd,
 )
 
 FRESH = -1  # sentinel meaning "fresh factor" in internal factor tuples
@@ -79,8 +79,8 @@ def construct_unitary_nd(params: UnitaryBraidParamsND) -> ColorMap:
     """Standard unitary braid code on the grid implied by the q-table.
 
     The colors are ``_base_colors``'s, the rule ``params_of_nd`` proves a
-    map against, so the map keeps ``params`` as the value it reads, and
-    its reads skip the proof."""
+    map against, and the params ``_params_dict``'s: the map keeps
+    ``params`` as the value it reads, and its reads skip the proof."""
     dims = params.dims
     cmap = ColorMap(
         grid=GridSpec(dims),
@@ -91,19 +91,6 @@ def construct_unitary_nd(params: UnitaryBraidParamsND) -> ColorMap:
     )
     object.__setattr__(cmap, "_checked_params", params)
     return cmap
-
-
-def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dict:
-    d = {
-        "kind": "unitary-braid-nd" if L is None else "extended-nd",
-        "m": list(params.m),
-        "g": params.g,
-        "q": {",".join(map(str, J)): list(qs) for J, qs in sorted(params.qtable.items())},
-        "M": list(params.dims),
-    }
-    if L is not None:
-        d["L"] = list(L)
-    return d
 
 
 def project(cmap: ColorMap, codeword, axis: int) -> list[tuple[tuple[int, ...], int]]:

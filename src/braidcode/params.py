@@ -1,17 +1,18 @@
-"""Stored construction params: their one reader, their checks, and the
-color rules that the constructions and the decoder share.
+"""Stored construction params: their one reader and writer, their checks,
+and the color rules that the constructions and the decoder share.
 
 A map file keeps the params its construction was built from.  ``read``
 is the one place a map's kind is read: one table sends it to the reader
 of its family, which checks every field once and refuses what it cannot
 read with ValueError.  ``params_of`` reads a 1D map to a ``Window1D``,
-``params_of_nd`` an n-dim one to its ``UnitaryBraidParamsND``.
-``_colors_1d`` and ``_base_colors`` give the colors those values imply:
-``braid1d.construct`` and ``braidnd.construct_unitary_nd`` write
-them, and each reader proves the map against them with ``_prove`` (a
-``Window1D`` its generators distinguishable and their ids disjoint), so
-every caller (the decoder, the cuts, ``associated_matrix``) gets params
-the map's colors obey.
+``params_of_nd`` an n-dim one to its ``UnitaryBraidParamsND``, and
+``_params_dict_1d`` and ``_params_dict`` write those values as the
+constructions store them.  ``_colors_1d`` and ``_base_colors`` give the
+colors the values imply: the constructions write them, and each reader
+proves the map against them with ``_prove``, so every caller (the decoder,
+the cuts, ``associated_matrix``) gets params the map's colors obey.  The
+1D reader and ``construct`` refuse what ``validate``, ``_generator_fields``
+and ``Window1D`` refuse, in this order and in the same words.
 
 This module imports only ``core``, so a decode loads no construction
 module: ``braid1d`` and ``braidnd`` re-export every name defined here.
@@ -154,8 +155,8 @@ class Window1D:
         if len(self.gens) != p.I:
             raise ValueError(f"map lists {len(self.gens)} generators for {p.I} sub-grids")
         for i, (gen, m_i, ell) in enumerate(zip(self.gens, p.parts, p.ells)):
-            if len(gen) != ell:
-                raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
+            if len(gen) != ell:  # refused in the rule's words, the first such generator being i
+                _generator_fields(p, zip(map(len, self.gens), p.parts, itertools.repeat(())))
             tables.append(dict(zip(windows(gen, m_i), itertools.count())))
             if len(tables[i]) < len(gen):
                 raise ValueError(f"generator {i} is not {m_i}-distinguishable: two of its "
@@ -164,6 +165,17 @@ class Window1D:
                 raise ValueError(f"generators {sub_of[cid]} and {i} share color id {cid}")
             sub_of.update(zip(gen, itertools.repeat(i)))
         vars(self).update(tables=tuple(tables), sub_of=sub_of)
+
+
+def _generator_fields(params: BraidParams1D, fields) -> None:
+    """Refuse the i-th of ``fields``, a generator's (ell, m, color ids), unless
+    all are ints and (ell, m) is part i's (ell_i, m_i): the one rule on a
+    generator's fields.  Fields past part I - 1 are not read."""
+    for i, (ell, m, ids), want in zip(itertools.count(), fields, zip(params.ells, params.parts)):
+        int_tuple((ell, m, *ids), "generator fields")
+        if (ell, m) != want:
+            raise ValueError(f"generator {i} does not have period ell={want[0]} "
+                             f"and block m={want[1]}")
 
 
 def _colors_1d(window: Window1D, n: int) -> list[int]:
@@ -236,14 +248,6 @@ def _window_1d(cmap: ColorMap, p: dict) -> Window1D:
     dims = cmap.grid.dims
     if len(dims) != 1 or dims[0] > params.M or (not cuts and dims[0] != params.M):
         raise ValueError(f"grid {dims} does not fit the generators' period M={params.M}")
-    stored = p["gens"]
-    if len(stored) != params.I:
-        raise ValueError(f"map lists {len(stored)} generators for {params.I} sub-grids")
-    for i, (gen, m_i, ell) in enumerate(zip(stored, params.parts, params.ells)):
-        int_tuple((gen["ell"], gen["m"], *gen["colors"]), "generator fields")
-        if (gen["ell"], gen["m"], len(gen["colors"])) != (ell, m_i, ell):
-            raise ValueError(f"generator {i} does not have period ell={ell} and block m={m_i}")
-    gens = tuple(tuple(gen["colors"]) for gen in stored)
     # n: how many leading points carry standard colors, cut by cut from the root
     shift, n = 0, params.M
     for cut in reversed(cuts):
@@ -256,10 +260,21 @@ def _window_1d(cmap: ColorMap, p: dict) -> Window1D:
     errs = validate(params)  # the routing needs g > 1 and g*c_i > m_i
     if errs:
         raise ValueError("not braid params: " + "; ".join(errs))
+    stored = p["gens"]
+    _generator_fields(params, map(operator.itemgetter("ell", "m", "colors"), stored))
+    gens = tuple(tuple(gen["colors"]) for gen in stored)
     n = max(0, min(n, dims[0]))
     window = Window1D(params, gens, shift, dims[0] - n)  # refuses bad generators before the proof
     _prove(cmap, (params.m,), _colors_1d(window, n), (n,), "generators", operator.itemgetter(0))
     return window
+
+
+def _params_dict_1d(window: Window1D) -> dict:
+    """The stored form of a standard 1D map's window, as ``_window_1d`` reads it."""
+    p = window.params
+    return {"kind": "braid1d", "g": p.g, "parts": list(p.parts), "c": list(p.c), "q": list(p.q),
+            "gens": [{"ell": ell, "m": m_i, "colors": list(ids)}
+                     for ids, ell, m_i in zip(window.gens, p.ells, p.parts)]}
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +300,13 @@ class UnitaryBraidParamsND:
 
     def __post_init__(self):
         # Stored params come from map files, where an m_i of 2.9 must not pass for 2.
-        object.__setattr__(self, "m", int_tuple(self.m, "n-dim params m"))
-        object.__setattr__(self, "qtable", {
+        vars(self).update(m=int_tuple(self.m, "n-dim params m"), qtable={
             int_tuple(J, "q-table keys"): int_tuple(qs, "q-table entries")
-            for J, qs in self.qtable.items()
-        })
+            for J, qs in self.qtable.items()})
         int_tuple((self.g,), "n-dim params g")
         if self.g < 2:
             raise ValueError("g must exceed 1")
-        expected = set(GridSpec(self.m).points())
-        if set(self.qtable) != expected:
+        if set(self.qtable) != set(GridSpec(self.m).points()):
             raise ValueError("qtable must cover every sub-grid index J")
         for J, qs in self.qtable.items():
             if len(qs) != len(self.m) or any(q < 1 for q in qs):
@@ -351,7 +363,7 @@ def _base_colors(params: UnitaryBraidParamsND, dims: tuple[int, ...]) -> list[in
 
 def parse_qtable(raw: dict) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The q-table of its JSON form, {"i,j": [q_1, q_2], ...}, as
-    ``braidnd._params_dict`` writes it and ``construct --qtable`` reads it.
+    ``_params_dict`` writes it and ``construct --qtable`` reads it.
 
     A key must be spelled as it is written, comma-separated decimal ints
     and nothing else: ``int()`` would read "0_0", "+0" and " 0" as 0, and
@@ -367,6 +379,14 @@ def parse_qtable(raw: dict) -> dict[tuple[int, ...], tuple[int, ...]]:
             raise ValueError(f"q-table key {key!r} is not a sub-grid index like \"0,1\"")
         table[J] = tuple(qs)
     return table
+
+
+def _params_dict(params: UnitaryBraidParamsND, L: tuple[int, ...] | None) -> dict:
+    """The stored form of n-dim params, as ``_params_nd`` reads it; with ``L``, an extension's."""
+    q = {",".join(map(str, J)): list(qs) for J, qs in sorted(params.qtable.items())}
+    d = {"kind": "unitary-braid-nd" if L is None else "extended-nd", "m": list(params.m),
+         "g": params.g, "q": q, "M": list(params.dims)}
+    return d if L is None else dict(d, L=list(L))
 
 
 def _params_nd(cmap: ColorMap, p: dict) -> UnitaryBraidParamsND:
@@ -433,12 +453,12 @@ def params_of(cmap: ColorMap) -> Window1D:
 
     A restricted or modified map, or a cut of one, gives those of the
     standard map it was cut from, on M = m * g * lcm(q) points (a cut map
-    has fewer); only stored params are read, no map is rebuilt.  A field,
-    the generators' and the cuts' included, that is not an int (19.5,
-    true), params ``validate`` refuses, a generator that is not
-    m_i-distinguishable, then two generators that share a color id (as
-    ``Window1D`` refuses them), a map with a point before the tail that is
-    not so colored, and any other map raise ValueError.
+    has fewer); only stored params are read, no map is rebuilt.  In this
+    order, a params or cut field that is not an int (19.5, true), params
+    ``validate`` refuses, a generator field that is not an int or an ell or
+    m not its part's, then what ``Window1D`` refuses (a count, a length, two
+    equal windows, a shared id; ``construct`` refuses all these alike), a
+    point before the tail not so colored and any other map raise ValueError.
     """
     return _read(cmap, _window_1d, _NOT_1D)
 

@@ -428,9 +428,10 @@ P24 = BraidParams1D(M=24, parts=(1, 1), g=2, c=(1, 1), q=(2, 3))
 @pytest.mark.parametrize("params, gens, error, message", [
     (BraidParams1D(M=30, parts=(1, 1), g=2, c=(1, 1), q=(2, 3)), None, InfeasibleError,
      r"M=30 != m\*g\*lcm\(q\) = 24"),
-    (P24, [identity_generator(4, 1)], ValueError, "expected 2 generators"),
+    # in the reader's words, as params_of refuses the same generators stored in a map
+    (P24, [identity_generator(4, 1)], ValueError, "^map lists 1 generators for 2 sub-grids$"),
     (P24, [identity_generator(6, 1), identity_generator(4, 1)], ValueError,
-     r"generator 0 is \(6,1\), need \(4,1\)"),
+     "^generator 0 does not have period ell=4 and block m=1$"),
     (P24, [GeneratorCode(4, 1, (0, 0, 1, 2), ("a", "b", "c")), identity_generator(6, 1)],
      ValueError, "generator 0 is not 1-distinguishable"),
     (P24, [identity_generator(4, 1), GeneratorCode(6, 1, (0, 1, 2, 3, 4, -1), tuple("abcde"))],

@@ -15,7 +15,6 @@ from braidcode.braidnd import (
     UnitaryBraidParamsND,
     _base_colors,
     _base_palette,
-    _params_dict,
     construct_unitary_nd,
     extend_arbitrary_size,
     is_fresh_factor,
@@ -28,6 +27,7 @@ from braidcode.codec import compile_decoder
 from braidcode.core import BlockSpec, ColorMap, PaletteEntry
 from braidcode.generators import identity_generator
 from braidcode.oracle import count_colors, is_distinguishable
+from braidcode.params import _params_dict
 
 
 def test_product_of_distinguishable_factors_is_distinguishable():

@@ -77,6 +77,42 @@ def test_an_extension_keeps_what_its_json_copy_reads(qtable, L):
     assert p == params.read(_loaded(ext))  # the loaded copy is proved
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_the_1d_writer_gives_the_stored_params_and_a_read_of_them_the_kept_value(data):
+    # identity generators: no generator search runs
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="parts"))
+    M = sum(parts) * data.draw(st.integers(2, 300 // sum(parts)), label="M / m")
+    options = _params_of_parts(parts, M)
+    assume(options)
+    p = data.draw(st.sampled_from(options), label="params")
+    cmap = construct(p, [identity_generator(ell, m_i) for ell, m_i in zip(p.ells, p.parts)])
+    assert params._params_dict_1d(cmap._checked_params) == cmap.params
+    loaded = _loaded(cmap)
+    assert params.read(loaded) == cmap._checked_params
+    assert params._params_dict_1d(params.read(loaded)) == loaded.params
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_the_nd_writer_gives_the_stored_params_and_a_read_of_them_the_kept_value(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    m = tuple(data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label="m"))
+    q = st.lists(st.integers(1, 3 if n < 3 else 2), min_size=n, max_size=n)
+    qtable = {J: tuple(data.draw(q, label=f"q {J}")) for J in itertools.product(*map(range, m))}
+    p = UnitaryBraidParamsND(m=m, g=data.draw(st.integers(2, 3), label="g"), qtable=qtable)
+    cmap, L = construct_unitary_nd(p), None
+    if data.draw(st.booleans(), label="extend"):
+        L = tuple(data.draw(st.integers(2 * m_i, M_i), label=f"L {i}")
+                  for i, (m_i, M_i) in enumerate(zip(m, p.dims)))
+        cmap = extend_arbitrary_size(cmap, L)
+    assert params._params_dict(p, L) == cmap.params
+    assert cmap._checked_params is p
+    loaded = _loaded(cmap)
+    assert params.read(loaded) == p
+    assert params._params_dict(params.read(loaded), L) == loaded.params
+
+
 def _spoiled(gen, how):
     """``gen`` with one field or color as a map file may hold it, or not at all."""
     colors = list(gen.colors)
@@ -334,6 +370,54 @@ def test_a_window_refuses_the_generator_count_and_lengths_the_reader_refuses(m24
         params.Window1D(P24, ((0, 1, 2, 3), (4, 5, 6)))
     with pytest.raises(ValueError, match=length):
         params.params_of(with_generators(m24, [[0, 1, 2, 3], [4, 5, 6]]))
+
+
+def _storing(cmap, gens, shift=True):
+    """The JSON copy of standard 1D map ``cmap`` storing the fields of the
+    generators ``gens``, their ids shifted as ``construct`` shifts them
+    unless not ``shift``.  Its colors are left as they are: the reader
+    refuses each fault below before it proves them."""
+    stored, offset = [], 0
+    for gen in gens:
+        stored.append({"ell": gen.ell, "m": gen.m, "colors": [offset + c for c in gen.colors]})
+        offset += (max(gen.colors) + 1) * shift
+    return _loaded(replace(cmap, params=dict(cmap.params, gens=stored)))
+
+
+GEN4, GEN6 = identity_generator(4, 1), identity_generator(6, 1)
+
+
+@pytest.mark.parametrize("gens, message", [
+    ([GEN4], "^map lists 1 generators for 2 sub-grids$"),
+    ([GEN4, GEN6, GEN6], "^map lists 3 generators for 2 sub-grids$"),
+    ([GEN6, GEN4], "^generator 0 does not have period ell=4 and block m=1$"),
+    ([GEN4, GeneratorCode(6, 2, tuple(range(6)), tuple("abcdef"))],
+     "^generator 1 does not have period ell=6 and block m=1$"),
+    ([GeneratorCode(4.0, 1, (0, 1, 2, 3), tuple("abcd")), GEN6],
+     "^generator fields must be integers, got 4.0$"),
+    ([GEN4, GeneratorCode(6, True, tuple(range(6)), tuple("abcdef"))],
+     "^generator fields must be integers, got true$"),
+    ([GeneratorCode(4, 1, (0, 1, 0, 1), ("a", "b")), GEN6], NOT_DISTINGUISHABLE),
+    # a field is refused before the count, by both; a generator past the parts is not read
+    ([GeneratorCode(4.0, 1, (0, 1, 2, 3), tuple("abcd"))],
+     "^generator fields must be integers, got 4.0$"),
+    ([GEN4, GEN6, GeneratorCode(4, 1, (0, 1, 2, 3.5), tuple("abcd"))],
+     "^map lists 3 generators for 2 sub-grids$"),
+], ids=["too-few", "too-many", "wrong-ell", "wrong-m", "float-ell", "bool-m", "not-distinguishable",
+        "too-few-and-float", "too-many-and-float"])
+def test_construct_and_the_reader_refuse_the_same_generators_in_one_text(m24, gens, message):
+    # construct said "expected 2 generators" and "generator 0 is (6,1), need (4,1)"
+    with pytest.raises(ValueError, match=message):
+        construct(P24, gens)
+    with pytest.raises(ValueError, match=message):
+        params.params_of(_storing(m24, gens))
+
+
+def test_construct_shifts_apart_the_ids_a_stored_map_may_share(m24):
+    # construct cannot be given generators that share an id: it shifts each past the ones before
+    assert construct(P24, [GEN4, GEN6])._checked_params.gens == (tuple(range(4)), tuple(range(4, 10)))
+    with pytest.raises(ValueError, match=SHARED_ID):
+        params.params_of(_storing(m24, [GEN4, GEN6], shift=False))
 
 
 @pytest.fixture
